@@ -57,7 +57,7 @@ _ACTIVE_TAPE = None
 class Tensor:
     """A dense array plus the bookkeeping to participate in a tape."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_backward")
 
     def __init__(self, data, dtype=None):
         self.data = np.asarray(data, dtype=dtype if dtype is not None
@@ -65,7 +65,6 @@ class Tensor:
         if self.data.dtype not in (np.float32, np.float64):
             self.data = self.data.astype(np.float32)
         self.grad = None
-        self._parents = ()
         self._backward = None
 
     @property
@@ -150,16 +149,14 @@ class Tape:
         self.nodes = []
 
 
-def _make(data, parents, backward, op):
+def _make(data, backward, op):
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"non-finite output of {op}")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out._parents = ()
     out._backward = None
     if _ACTIVE_TAPE is not None:
-        out._parents = tuple(parents)
         out._backward = backward
         _ACTIVE_TAPE.nodes.append(out)
     return out
@@ -191,7 +188,7 @@ def add(a: Tensor, b) -> Tensor:
     def backward(g):
         a.accumulate(_unbroadcast(g, a.shape))
         b.accumulate(_unbroadcast(g, b.shape))
-    return _make(data, (a, b), backward, "add")
+    return _make(data, backward, "add")
 
 
 def sub(a: Tensor, b) -> Tensor:
@@ -204,13 +201,13 @@ def sub(a: Tensor, b) -> Tensor:
     def backward(g):
         a.accumulate(_unbroadcast(g, a.shape))
         b.accumulate(-_unbroadcast(g, b.shape))
-    return _make(data, (a, b), backward, "sub")
+    return _make(data, backward, "sub")
 
 
 def neg(a: Tensor) -> Tensor:
     def backward(g):
         a.accumulate(-g)
-    return _make(-a.data, (a,), backward, "neg")
+    return _make(-a.data, backward, "neg")
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -223,7 +220,7 @@ def mul(a: Tensor, b) -> Tensor:
     def backward(g):
         a.accumulate(_unbroadcast(g * b.data, a.shape))
         b.accumulate(_unbroadcast(g * a.data, b.shape))
-    return _make(data, (a, b), backward, "mul")
+    return _make(data, backward, "mul")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -247,7 +244,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         else:
             a.accumulate(g * b.data)
             b.accumulate(g * a.data)
-    return _make(data, (a, b), backward, "matmul")
+    return _make(data, backward, "matmul")
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -266,7 +263,7 @@ def concat(tensors, axis=0) -> Tensor:
             index[axis] = slice(start, start + size)
             t.accumulate(g[tuple(index)])
             start += size
-    return _make(data, tensors, backward, "concat")
+    return _make(data, backward, "concat")
 
 
 def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -279,7 +276,7 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
         a.grad[index] += g
-    return _make(data, (a,), backward, "narrow")
+    return _make(data, backward, "narrow")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -287,7 +284,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def backward(g):
         a.accumulate(g.reshape(a.shape))
-    return _make(data, (a,), backward, "reshape")
+    return _make(data, backward, "reshape")
 
 
 def rows(table: Tensor, indices) -> Tensor:
@@ -299,7 +296,7 @@ def rows(table: Tensor, indices) -> Tensor:
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
         np.add.at(table.grad, idx, g)
-    return _make(data, (table,), backward, "rows")
+    return _make(data, backward, "rows")
 
 
 def row(a: Tensor, i: int) -> Tensor:
@@ -309,7 +306,7 @@ def row(a: Tensor, i: int) -> Tensor:
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
         a.grad[i] += g
-    return _make(data, (a,), backward, "row")
+    return _make(data, backward, "row")
 
 
 def stack_rows(vectors) -> Tensor:
@@ -324,7 +321,7 @@ def stack_rows(vectors) -> Tensor:
     def backward(g):
         for r, v in enumerate(vectors):
             v.accumulate(g[r])
-    return _make(data, vectors, backward, "stack_rows")
+    return _make(data, backward, "stack_rows")
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -332,7 +329,7 @@ def tanh(a: Tensor) -> Tensor:
 
     def backward(g):
         a.accumulate(g * (1.0 - data * data))
-    return _make(data, (a,), backward, "tanh")
+    return _make(data, backward, "tanh")
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -344,7 +341,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def backward(g):
         a.accumulate(g * data * (1.0 - data))
-    return _make(data, (a,), backward, "sigmoid")
+    return _make(data, backward, "sigmoid")
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -355,7 +352,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     def backward(g):
         inner = (g * data).sum(axis=axis, keepdims=True)
         a.accumulate(data * (g - inner))
-    return _make(data, (a,), backward, "softmax")
+    return _make(data, backward, "softmax")
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -366,7 +363,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     def backward(g):
         soft = np.exp(data)
         a.accumulate(g - soft * g.sum(axis=axis, keepdims=True))
-    return _make(data, (a,), backward, "log_softmax")
+    return _make(data, backward, "log_softmax")
 
 
 def log(a: Tensor) -> Tensor:
@@ -375,7 +372,7 @@ def log(a: Tensor) -> Tensor:
 
     def backward(g):
         a.accumulate(g / a.data)
-    return _make(data, (a,), backward, "log")
+    return _make(data, backward, "log")
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -385,7 +382,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 
     def backward(g):
         a.accumulate(g * mask)
-    return _make(data, (a,), backward, "clip")
+    return _make(data, backward, "clip")
 
 
 def total(a: Tensor, axis=None) -> Tensor:
@@ -397,7 +394,7 @@ def total(a: Tensor, axis=None) -> Tensor:
         else:
             a.accumulate(np.broadcast_to(
                 np.expand_dims(g, axis), a.shape).copy())
-    return _make(data, (a,), backward, "total")
+    return _make(data, backward, "total")
 
 
 def pick(a: Tensor, index: int) -> Tensor:
@@ -410,7 +407,7 @@ def pick(a: Tensor, index: int) -> Tensor:
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
         a.grad[index] += g
-    return _make(data, (a,), backward, "pick")
+    return _make(data, backward, "pick")
 
 
 def constant(value, dtype=np.float32) -> Tensor:

@@ -32,7 +32,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_SEED = 13
 
-# key -> (type, default); booleans accept true/false in the config file
+# key -> (type, default)
 CONFIG_SPEC = {
     "hidden_size": (int, 256),
     "embed_size": (int, 256),
@@ -66,12 +66,6 @@ class CliError(Exception):
 def _parse_value(key, raw):
     kind, _ = CONFIG_SPEC[key]
     try:
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return kind(raw)
     except ValueError:
         raise CliError(f"config key {key!r}: cannot parse {raw!r} as "
@@ -452,7 +446,7 @@ def build_parser():
     oracle.add_argument("--corpus", required=True)
     oracle.add_argument("--out", help="write sequences here; default stdout")
     oracle.add_argument("--config")
-    _add_config_flags(oracle, ["max_source_len", "max_summary_len", "seed"])
+    _add_config_flags(oracle, ["max_source_len", "max_summary_len"])
     oracle.set_defaults(func=cmd_oracle)
 
     train = sub.add_parser("train", help="fit a model on a corpus")
@@ -473,7 +467,7 @@ def build_parser():
     decode.add_argument("--out", required=True)
     decode.add_argument("--config")
     _add_config_flags(decode, ["beam_size", "max_words", "max_steps",
-                               "length_norm", "workers", "seed"])
+                               "length_norm", "workers"])
     decode.set_defaults(func=cmd_decode)
 
     evaluate = sub.add_parser(
@@ -487,7 +481,7 @@ def build_parser():
                                "1.0,0.9,0.8,0.7")
     evaluate.add_argument("--out", help="report path; default stdout")
     evaluate.add_argument("--config")
-    _add_config_flags(evaluate, ["workers", "seed"])
+    _add_config_flags(evaluate, ["workers"])
     evaluate.set_defaults(func=cmd_eval)
     return parser
 

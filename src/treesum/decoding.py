@@ -33,9 +33,6 @@ class BeamConfig:
     max_words: int = 60
     max_steps: int | None = None   # defaults to 2 * max_words
     length_norm: float = 0.0       # score / len**exponent when > 0
-    # optional reranking hook: (ops so far, candidate op) -> additive
-    # log-space adjustment; off by default
-    bias: object = None
 
     def __post_init__(self):
         if self.beam_size < 1:
@@ -73,13 +70,8 @@ class Hypothesis:
         return self.score
 
 
-def _candidate_ops(model, src, hyp, k, max_words, bias=None):
-    """Top-k (log-prob, order, op) continuations, best first.
-
-    A ``bias`` hook reranks the surfaced candidates by adding to their
-    log-probabilities; candidates outside the model's own top-k are not
-    resurrected.
-    """
+def _candidate_ops(model, src, hyp, k, max_words):
+    """Top-k (log-prob, order, op) continuations, best first."""
     op_probs, word_probs = model.joint_step_distribution(
         hyp.state, src, max_words)
     candidates = []
@@ -95,21 +87,16 @@ def _candidate_ops(model, src, hyp, k, max_words, bias=None):
                 break
             candidates.append((math.log(p), _GEN_ORDER_BASE + int(uid),
                                tr.gen(src.union_token(int(uid)))))
-    if bias is not None:
-        ops_so_far = hyp.state.symbolic.ops
-        candidates = [(logp + bias(ops_so_far, op), order, op)
-                      for logp, order, op in candidates]
     candidates.sort(key=lambda c: (-c[0], c[1]))
     return candidates[:k]
 
 
-def expand(model: Model, src, hyp: Hypothesis, k, max_words, bias=None):
+def expand(model: Model, src, hyp: Hypothesis, k, max_words):
     """The k best successor hypotheses of a live hypothesis."""
     if hyp.complete:
         raise DecodingError("cannot expand a complete hypothesis")
     out = []
-    for logp, order, op in _candidate_ops(model, src, hyp, k, max_words,
-                                          bias):
+    for logp, order, op in _candidate_ops(model, src, hyp, k, max_words):
         out.append(Hypothesis(
             state=model.step(hyp.state, op),
             score=hyp.score + logp,
@@ -122,11 +109,10 @@ def _best(hyps, exponent):
     return min(hyps, key=lambda h: (-h.normalized(exponent), h.order_key))
 
 
-def force_complete(model: Model, src, hyp: Hypothesis, max_words, bias=None):
+def force_complete(model: Model, src, hyp: Hypothesis, max_words):
     """Close an unfinished hypothesis with the most probable reduces."""
     while not hyp.complete:
-        ranked = _candidate_ops(model, src, hyp, 1 + len(OP_INDEX),
-                                max_words, bias)
+        ranked = _candidate_ops(model, src, hyp, 1 + len(OP_INDEX), max_words)
         reduces = [c for c in ranked if c[2].kind != tr.GEN]
         logp, order, op = reduces[0] if reduces else ranked[0]
         hyp = Hypothesis(state=model.step(hyp.state, op),
@@ -149,8 +135,7 @@ def beam_search(model: Model, src, config: BeamConfig) -> Hypothesis:
     for _ in range(config.step_limit):
         candidates = []
         for hyp in live:
-            candidates.extend(expand(model, src, hyp, k, config.max_words,
-                                     config.bias))
+            candidates.extend(expand(model, src, hyp, k, config.max_words))
         completed.extend(c for c in candidates if c.complete)
         live = sorted((c for c in candidates if not c.complete),
                       key=lambda h: (-h.score, h.order_key))[:k]
@@ -165,7 +150,7 @@ def beam_search(model: Model, src, config: BeamConfig) -> Hypothesis:
     if not completed:
         best_live = _best(live, config.length_norm)
         completed.append(force_complete(model, src, best_live,
-                                        config.max_words, config.bias))
+                                        config.max_words))
     return _best(completed, config.length_norm)
 
 
@@ -174,13 +159,13 @@ def greedy_decode(model: Model, src, config: BeamConfig) -> Hypothesis:
     hyp = Hypothesis(state=model.initial_state())
     for _ in range(config.step_limit):
         logp, order, op = _candidate_ops(model, src, hyp, 1,
-                                         config.max_words, config.bias)[0]
+                                         config.max_words)[0]
         hyp = Hypothesis(state=model.step(hyp.state, op),
                          score=hyp.score + logp,
                          order_key=hyp.order_key + (order,))
         if hyp.complete:
             return hyp
-    return force_complete(model, src, hyp, config.max_words, config.bias)
+    return force_complete(model, src, hyp, config.max_words)
 
 
 def decode_output(hyp: Hypothesis):

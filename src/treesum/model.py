@@ -428,7 +428,9 @@ class Model:
         mask = np.array([kind in kinds for kind in OP_ORDER])
         op_probs = np.where(mask, op_probs, 0.0)
         norm = op_probs.sum()
-        assert norm > 0.0, "non-terminal state with no valid probability mass"
+        if not norm > 0.0:
+            raise ModelError(
+                f"no valid probability mass at {state.symbolic}")
         op_probs = op_probs / norm
         gen_mass = op_probs[OP_INDEX[tr.GEN]]
         if tr.GEN in kinds:

@@ -43,7 +43,6 @@ class TrainConfig:
     epochs: int = 10
     seed: int = 13
     patience: int = 3
-    use_batched_compose: bool = True
 
     def __post_init__(self):
         for name in ("batch_size", "lr", "eps", "grad_clip", "epochs",
@@ -112,12 +111,12 @@ class StepStats:
         return self.word_correct / self.words if self.words else 0.0
 
 
-def sequence_loss(model: Model, src, gold_ops, composed_reps=None):
+def sequence_loss(model: Model, src, gold_ops, composed_reps):
     """Negative log-likelihood of one gold operation sequence.
 
-    ``composed_reps`` optionally maps (head position, attachment count)
-    to precomputed composition vectors from the batch plan.  Returns
-    (scalar loss tensor, StepStats).
+    ``composed_reps`` maps (head position, attachment count) to the
+    composition vectors the batch plan computed for this instance.
+    Returns (scalar loss tensor, StepStats).
     """
     state = model.initial_state()
     stats = StepStats()
@@ -125,10 +124,11 @@ def sequence_loss(model: Model, src, gold_ops, composed_reps=None):
     attach_count = {}
     op_terms = []
     word_terms = []
-    for op in gold_ops:
+    for i, op in enumerate(gold_ops):
         # teacher forcing must follow the gold sequence exactly
-        assert op.kind in tr.valid_ops(state.symbolic, n_words), \
-            f"gold op {op} invalid at {state.symbolic}"
+        if op.kind not in tr.valid_ops(state.symbolic, n_words):
+            raise TrainingError(
+                f"gold op {op} at index {i} invalid at {state.symbolic}")
         ctx = model.attend(state.tree_h, state.seq_h, src.enc)
         scores = model.op_scores(state.tree_h, state.hist_h, ctx.context)
         log_ops = ad.log_softmax(scores)
@@ -147,14 +147,16 @@ def sequence_loss(model: Model, src, gold_ops, composed_reps=None):
                                              _PROB_FLOOR, 1.0)))
             stats.words += 1
             stats.word_correct += int(np.argmax(dist.data) == uid)
-        elif composed_reps is not None:
+        else:
             head = (state.symbolic.stack[-1] if op.kind == tr.REDUCE_L
                     else state.symbolic.stack[-2])
             if head != 0:
                 attach_count[head] = attach_count.get(head, 0) + 1
                 composed = composed_reps[(head, attach_count[head])]
         state = model.step(state, op, composed=composed)
-    assert state.is_terminal, "gold sequence did not terminate"
+    if not state.is_terminal:
+        raise TrainingError(f"gold sequence of {len(gold_ops)} ops did not "
+                            f"terminate: {state.symbolic}")
 
     def nll(terms):
         acc = None
@@ -170,50 +172,56 @@ def sequence_loss(model: Model, src, gold_ops, composed_reps=None):
     return ad.add(op_loss, word_loss), stats
 
 
-def batch_loss(model: Model, instances, use_batched_compose=True):
+def batch_loss(model: Model, instances):
     """Mean per-instance loss over a batch of (source tokens, gold ops).
 
-    With ``use_batched_compose`` the composition work of the whole batch
-    runs through the topological plan; results are identical to the
-    per-instance fold.
+    The composition work of the whole batch runs through the topological
+    plan; results are identical to the per-step fold in `Model.step`.
     """
     if not instances:
         raise TrainingError("empty batch")
+    trees = []
+    for i, (_, ops) in enumerate(instances):
+        try:
+            trees.append(tr.execute(ops))
+        except tr.TransitionError as e:
+            raise TrainingError(f"gold sequence of batch instance {i}: "
+                                f"{e}") from e
     contexts = [model.prepare_source(tokens) for tokens, _ in instances]
-    composed = [None] * len(instances)
-    if use_batched_compose:
-        trees = [tr.execute(ops) for _, ops in instances]
-        batch_plan = batching.plan(trees)
-        leaf_reps = {}
-        for i, tree in enumerate(trees):
-            for p, word in enumerate(tree.words, start=1):
-                leaf_reps[(i, p)] = model.word_embedding(word)
-        reps = batching.batched_compose(batch_plan, leaf_reps, model.compose)
-        composed = []
-        for i, tree in enumerate(trees):
-            composed.append({
-                (p, k): reps[(i, p, k)]
-                for p in range(1, len(tree) + 1)
-                for k in range(1, batch_plan.arity[(i, p)] + 1)})
+    batch_plan = batching.plan(trees)
+    leaf_reps = {}
+    for i, tree in enumerate(trees):
+        for p, word in enumerate(tree.words, start=1):
+            leaf_reps[(i, p)] = model.word_embedding(word)
+    reps = batching.batched_compose(batch_plan, leaf_reps, model.compose)
     total = None
     stats = StepStats()
-    for (tokens, ops), src, comp in zip(instances, contexts, composed):
-        loss, inst_stats = sequence_loss(model, src, ops, composed_reps=comp)
+    for i, ((_, ops), src, tree) in enumerate(zip(instances, contexts,
+                                                  trees)):
+        composed = {(p, k): reps[(i, p, k)]
+                    for p in range(1, len(tree) + 1)
+                    for k in range(1, batch_plan.arity[(i, p)] + 1)}
+        loss, inst_stats = sequence_loss(model, src, ops, composed)
         stats.merge(inst_stats)
         total = loss if total is None else ad.add(total, loss)
     mean = ad.mul(total, 1.0 / len(instances))
     return mean, stats
 
 
-def evaluate(model: Model, instances):
-    """Forward-only loss and teacher-forced accuracies."""
+def evaluate(model: Model, instances, batch_size):
+    """Forward-only mean loss and teacher-forced accuracies.
+
+    Scores through `batch_loss` in chunks of ``batch_size``, so dev and
+    training losses come from one code path and at most one chunk of
+    encoded sources is held at a time.
+    """
     stats = StepStats()
     total = 0.0
-    for tokens, ops in instances:
-        src = model.prepare_source(tokens)
-        loss, inst_stats = sequence_loss(model, src, ops)
-        total += loss.item()
-        stats.merge(inst_stats)
+    for start in range(0, len(instances), batch_size):
+        chunk = instances[start:start + batch_size]
+        loss, chunk_stats = batch_loss(model, chunk)
+        total += loss.item() * len(chunk)
+        stats.merge(chunk_stats)
     return total / max(1, len(instances)), stats
 
 
@@ -257,9 +265,7 @@ def train(model: Model, train_examples, dev_examples=None,
                      for i in order[start:start + config.batch_size]]
             ad.zero_grads(params)
             with ad.Tape() as tape:
-                loss, stats = batch_loss(
-                    model, batch,
-                    use_batched_compose=config.use_batched_compose)
+                loss, stats = batch_loss(model, batch)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise TrainingError(
@@ -272,7 +278,8 @@ def train(model: Model, train_examples, dev_examples=None,
             seen += len(batch)
             unk_targets += stats.unk_targets
         train_loss = epoch_loss / seen
-        dev_loss, dev_stats = evaluate(model, dev_instances)
+        dev_loss, dev_stats = evaluate(model, dev_instances,
+                                       config.batch_size)
         row = {"epoch": epoch, "train_loss": train_loss,
                "dev_loss": dev_loss, "dev_op_acc": dev_stats.op_accuracy,
                "dev_word_acc": dev_stats.word_accuracy}

@@ -205,12 +205,7 @@ def execute(ops) -> DependencyTree:
     Raises with the failing index if an op is invalid mid-sequence, and
     rejects sequences that do not end in a terminal state.
     """
-    state = StackState()
-    n_words = sum(1 for op in ops if op.kind == GEN)
-    for i, op in enumerate(ops):
-        if op.kind not in valid_ops(state, n_words):
-            raise TransitionError(f"invalid op {op} at index {i}: {state}")
-        state = apply_op(state, op)
+    state = run_prefix(ops)
     if not state.is_terminal:
         raise TransitionError("incomplete sequence: stack not reduced to one tree")
     heads = [0] * len(state.generated)
@@ -220,7 +215,11 @@ def execute(ops) -> DependencyTree:
 
 
 def run_prefix(ops) -> StackState:
-    """Execute a (possibly partial) operation prefix without validity caps."""
+    """Execute a (possibly partial) operation prefix.
+
+    Every op must be valid under `valid_ops`, with the prefix's own GEN
+    count as the word cap; raises with the failing index otherwise.
+    """
     state = StackState()
     n_words = sum(1 for op in ops if op.kind == GEN)
     for i, op in enumerate(ops):

@@ -113,7 +113,7 @@ def test_criterion_03_gradient_correctness():
     ]
 
     def f():
-        loss, _ = training.batch_loss(m, items, use_batched_compose=True)
+        loss, _ = training.batch_loss(m, items)
         return loss
 
     err = ad.grad_check(f, m.parameters(), samples_per_param=4)

@@ -82,6 +82,19 @@ class TestArgumentHandling:
                         "--config", str(config),
                         "--max-summary-len", "10"]) == 0
 
+    def test_only_train_takes_a_seed_flag(self, workdir, tmp_path, capsys):
+        decoded = tmp_path / "decoded.jsonl"
+        argv = ["decode", "--checkpoint", str(workdir["ckpt"]),
+                "--input", str(workdir["corpus"]), "--out", str(decoded),
+                "--max-words", "4"]
+        assert cli.run(argv + ["--seed", "3"]) == 2
+        assert not decoded.exists()
+        # a shared config file may still name the seed
+        config = tmp_path / "run.conf"
+        config.write_text("seed = 3\nbeam_size = 1\n")
+        assert cli.run(argv + ["--config", str(config)]) == 0
+        assert decoded.exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_log_and_config(self, workdir):

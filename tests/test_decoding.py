@@ -177,24 +177,3 @@ class TestBeamConfig:
             BeamConfig(max_words=0)
         with pytest.raises(decoding.DecodingError):
             BeamConfig(max_steps=1)
-
-
-class TestBiasHook:
-    def test_off_by_default_and_reranks_when_set(self):
-        m = fresh(seed=29)
-        spread_params(m, 600)
-        src = m.prepare_source(["the", "cat", "sat"])
-        plain = decoding.beam_search(
-            m, src, BeamConfig(beam_size=3, max_words=3))
-        first_word = plain.ops[0].word
-
-        def avoid_first(ops_so_far, op):
-            if not ops_so_far and op.kind == tr.GEN and op.word == first_word:
-                return -100.0
-            return 0.0
-
-        biased = decoding.beam_search(
-            m, src, BeamConfig(beam_size=3, max_words=3, bias=avoid_first))
-        assert biased.ops[0].word != first_word
-        # sequences stay executable under a bias
-        tr.execute(biased.ops)

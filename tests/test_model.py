@@ -336,6 +336,15 @@ class TestJointDistribution:
         joint_gen = op_probs.data[OP_INDEX[tr.GEN]] * dist.data
         assert abs(joint_gen.sum() - op_probs.data[OP_INDEX[tr.GEN]]) < 1e-6
 
+    def test_no_valid_mass_raises_model_error(self):
+        # only GEN is valid at the start; an underflowed GEN probability
+        # leaves nothing to renormalize
+        m = tiny_model()
+        src = m.prepare_source(["the", "cat"])
+        m.predict_op = lambda *args: ad.Tensor(np.array([0.5, 0.5, 0.0]))
+        with pytest.raises(ModelError, match="no valid probability mass"):
+            m.joint_step_distribution(m.initial_state(), src, max_words=4)
+
 
 class TestDeterminism:
     def test_same_seed_same_outputs(self):

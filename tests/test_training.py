@@ -14,10 +14,6 @@ from helpers import seeded_rng, toy_corpus
 from test_model import tiny_model
 
 
-def instance(model, source_tokens, ops):
-    return model.prepare_source(source_tokens), tuple(ops)
-
-
 class TestClipGradients:
     def test_values_clamped_into_range(self):
         p = ad.Parameter(np.zeros(3, dtype=np.float64), "p")
@@ -81,24 +77,23 @@ class TestSequenceLoss:
         for p in m.parameters():
             p.data[...] = 0.0
         ops = tr.ops_from_text("GEN(a) GEN(b) RL RR")
-        src, gold = instance(m, ["cat", "sat"], ops)
-        loss, stats = training.sequence_loss(m, src, gold)
+        loss, stats = training.batch_loss(m, [(["cat", "sat"], tuple(ops))])
         n = 2
         assert abs(stats.op_loss - 2 * n * math.log(3)) < 1e-9
 
     def test_loss_decomposes_into_nonnegative_parts(self):
         m = tiny_model(seed=3)
         ops = tr.ops_from_text("GEN(cat) GEN(sat) RL RR")
-        src, gold = instance(m, ["the", "cat", "sat"], ops)
-        loss, stats = training.sequence_loss(m, src, gold)
+        loss, stats = training.batch_loss(
+            m, [(["the", "cat", "sat"], tuple(ops))])
         assert stats.op_loss >= 0.0
         assert stats.word_loss >= 0.0
         assert abs(loss.item() - (stats.op_loss + stats.word_loss)) < 1e-6
 
     def test_forced_probability_one_gives_zero_loss(self):
         m = tiny_model(dtype=np.float64)
-        ops = tr.ops_from_text("GEN(cat) GEN(sat) RL RR")
-        src, gold = instance(m, ["the", "cat"], ops)
+        gold = tuple(tr.ops_from_text("GEN(cat) GEN(sat) RL RR"))
+        src = m.prepare_source(["the", "cat"])
 
         from treesum.model import OP_INDEX
 
@@ -123,22 +118,20 @@ class TestSequenceLoss:
 
         m.op_scores = forced_op_scores
         m.predict_word = forced_word
-        loss, _ = training.sequence_loss(m, src, gold)
+        loss, _ = training.batch_loss(m, [(["the", "cat"], gold)])
         assert loss.item() == 0.0
 
     def test_unk_fallback_counts_missing_gold_words(self):
         m = tiny_model(out_words=("cat",))
         ops = tr.ops_from_text("GEN(zzz) RR")  # zzz not in vocab or source
-        src, gold = instance(m, ["the", "cat"], ops)
-        loss, stats = training.sequence_loss(m, src, gold)
+        loss, stats = training.batch_loss(m, [(["the", "cat"], tuple(ops))])
         assert stats.unk_targets == 1
         assert np.isfinite(loss.item())
 
     def test_gold_word_reachable_by_copy_is_not_unk(self):
         m = tiny_model(out_words=("cat",))
         ops = tr.ops_from_text("GEN(zzz) RR")
-        src, gold = instance(m, ["zzz", "cat"], ops)
-        loss, stats = training.sequence_loss(m, src, gold)
+        loss, stats = training.batch_loss(m, [(["zzz", "cat"], tuple(ops))])
         assert stats.unk_targets == 0
 
 
@@ -150,28 +143,49 @@ class TestBatchLoss:
             (["the", "cat", "sat"],
              tuple(tr.ops_from_text("GEN(cat) GEN(sat) RL RR"))),
         ]
-        batched, _ = training.batch_loss(m, items, use_batched_compose=True)
-        individual = []
-        for tokens, ops in items:
-            src = m.prepare_source(tokens)
-            loss, _ = training.sequence_loss(m, src, ops)
-            individual.append(loss.item())
+        batched, _ = training.batch_loss(m, items)
+        individual = [training.batch_loss(m, [item])[0].item()
+                      for item in items]
         assert abs(batched.item() - np.mean(individual)) < 1e-6
-
-    def test_batched_compose_mode_matches_plain_mode(self):
-        m = tiny_model(seed=8, out_words=("cat", "sat", "mat"))
-        items = [
-            (["the", "cat", "sat"],
-             tuple(tr.ops_from_text("GEN(cat) GEN(sat) RL GEN(mat) RR RR"))),
-            (["mat", "sat"], tuple(tr.ops_from_text("GEN(sat) RR"))),
-        ]
-        with_plan, _ = training.batch_loss(m, items, use_batched_compose=True)
-        without, _ = training.batch_loss(m, items, use_batched_compose=False)
-        assert abs(with_plan.item() - without.item()) < 1e-9
 
     def test_empty_batch_rejected(self):
         with pytest.raises(training.TrainingError, match="empty"):
             training.batch_loss(tiny_model(), [])
+
+    def test_invalid_gold_sequence_raises_training_error(self):
+        m = tiny_model()
+        items = [(["the", "cat"], tuple(tr.ops_from_text("GEN(cat) RR"))),
+                 (["the", "cat"], (tr.RL, tr.gen("cat"), tr.RR))]
+        with pytest.raises(training.TrainingError,
+                           match="instance 1.*index 0"):
+            training.batch_loss(m, items)
+
+    def test_sequence_loss_rejects_unterminated_gold(self):
+        m = tiny_model()
+        src = m.prepare_source(["the", "cat"])
+        with pytest.raises(training.TrainingError, match="terminate"):
+            training.sequence_loss(m, src, (tr.gen("cat"),), {})
+
+
+class TestEvaluate:
+    def test_chunked_dev_loss_equals_one_batch(self):
+        m = tiny_model(seed=5, out_words=("cat", "sat", "mat"))
+        items = [
+            (["the", "cat"], tuple(tr.ops_from_text("GEN(cat) RR"))),
+            (["the", "cat", "sat"],
+             tuple(tr.ops_from_text("GEN(cat) GEN(sat) RL RR"))),
+            (["mat", "sat"],
+             tuple(tr.ops_from_text("GEN(sat) GEN(mat) RR RR"))),
+        ]
+        whole, whole_stats = training.batch_loss(m, items)
+        chunked, stats = training.evaluate(m, items, batch_size=2)
+        assert abs(chunked - whole.item()) < 1e-12
+        assert (stats.ops, stats.words) == (whole_stats.ops,
+                                            whole_stats.words)
+
+    def test_empty_dev_set_scores_zero(self):
+        loss, stats = training.evaluate(tiny_model(), [], batch_size=4)
+        assert loss == 0.0 and stats.ops == 0
 
 
 class TestEndToEndGradient:
@@ -193,7 +207,7 @@ class TestEndToEndGradient:
         ]
 
         def f():
-            loss, _ = training.batch_loss(m, items, use_batched_compose=True)
+            loss, _ = training.batch_loss(m, items)
             return loss
 
         err = ad.grad_check(f, m.parameters(),
