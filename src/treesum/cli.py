@@ -63,6 +63,10 @@ class CliError(Exception):
     pass
 
 
+class UsageError(CliError):
+    """A setting out of range; exits 2, as argparse does for a bad flag."""
+
+
 def _parse_value(key, raw):
     kind, _ = CONFIG_SPEC[key]
     try:
@@ -178,6 +182,15 @@ def cmd_oracle(args):
 
 def cmd_train(args):
     config = resolve_config(args)
+    try:
+        train_config = training.TrainConfig(
+            batch_size=config["batch_size"], lr=config["lr"],
+            beta1=config["beta1"], beta2=config["beta2"], eps=config["eps"],
+            grad_clip=config["grad_clip"],
+            weight_decay=config["weight_decay"], epochs=config["epochs"],
+            seed=config["seed"], patience=config["patience"])
+    except training.TrainingError as e:
+        raise UsageError(e) from e
     train_examples = _load_and_filter(args.corpus, config)
     dev_examples = _load_and_filter(args.dev, config) if args.dev else None
 
@@ -195,12 +208,6 @@ def cmd_train(args):
             max_source_len=config["max_source_len"],
         ),
         in_vocab, out_vocab, seed=config["seed"])
-    train_config = training.TrainConfig(
-        batch_size=config["batch_size"], lr=config["lr"],
-        beta1=config["beta1"], beta2=config["beta2"], eps=config["eps"],
-        grad_clip=config["grad_clip"], weight_decay=config["weight_decay"],
-        epochs=config["epochs"], seed=config["seed"],
-        patience=config["patience"])
 
     log_path = f"{args.out}.log"
     with open(log_path, "w", encoding="utf-8") as log_fh:
@@ -501,7 +508,7 @@ def run(argv) -> int:
             metrics.MetricsError, ModelError, ad.AutodiffError,
             OSError) as e:
         print(f"treesum {args.command}: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, UsageError) else 1
 
 
 def main():

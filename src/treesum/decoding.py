@@ -1,6 +1,15 @@
 """Constrained beam search over the joint operation/word distribution.
 
-Invalid operations are masked before expansion, so every hypothesis stays
+Each beam step runs in three phases.  Score: every live hypothesis is one
+row of a single batched pass through attention and both prediction heads
+(`Model.joint_step_rows`).  Rank: each row's k best continuations are
+found with a partial sort over the union vocabulary, and the (parent, op,
+log-probability) triples of the whole beam are ranked together (`rank`).
+Step: only the K best unfinished candidates, plus the candidates that
+complete a tree, are advanced through `Model.step`; whether a reduce
+completes is known from the symbolic transition before any neural work.
+
+Invalid operations are masked before ranking, so every hypothesis stays
 executable by construction and reaching the terminal reduce onto R is the
 natural end of a sequence; no separate end-of-sequence symbol exists.
 Scores are accumulated log-probabilities; ties break by operation order
@@ -70,39 +79,78 @@ class Hypothesis:
         return self.score
 
 
-def _candidate_ops(model, src, hyp, k, max_words):
-    """Top-k (log-prob, order, op) continuations, best first."""
-    op_probs, word_probs = model.joint_step_distribution(
-        hyp.state, src, max_words)
+@dataclass
+class Candidate:
+    """A scored continuation of a live hypothesis, not yet stepped."""
+
+    parent: Hypothesis
+    op: tr.ParserOp
+    score: float
+    order: int
+    complete: bool              # the op reduces the last tree onto R
+
+    @property
+    def order_key(self):
+        return self.parent.order_key + (self.order,)
+
+    def advance(self, model: Model) -> Hypothesis:
+        return Hypothesis(state=model.step(self.parent.state, self.op),
+                          score=self.score, order_key=self.order_key)
+
+
+def _top_k(probs, k):
+    """Indices of the k largest entries, by value descending and then
+    index ascending: the head of a stable argsort of ``-probs``."""
+    if k < probs.size:
+        kth = np.partition(probs, probs.size - k)[probs.size - k]
+        above = np.flatnonzero(probs > kth)
+        tied = np.flatnonzero(probs == kth)[:k - above.size]
+        index = np.concatenate([above, tied])
+    else:
+        index = np.arange(probs.size)
+    return index[np.lexsort((index, -probs[index]))]
+
+
+def _row_candidates(op_probs, word_probs, k, src):
+    """Top-k (log-prob, order, op) continuations of one row, best first."""
     candidates = []
     if op_probs[_RL_ORDER] > 0.0:
         candidates.append((math.log(op_probs[_RL_ORDER]), _RL_ORDER, tr.RL))
     if op_probs[_RR_ORDER] > 0.0:
         candidates.append((math.log(op_probs[_RR_ORDER]), _RR_ORDER, tr.RR))
-    if word_probs.size:
-        top = np.argsort(-word_probs, kind="stable")[:k]
-        for uid in top:
-            p = word_probs[uid]
-            if p <= 0.0:
-                break
-            candidates.append((math.log(p), _GEN_ORDER_BASE + int(uid),
-                               tr.gen(src.union_token(int(uid)))))
+    for uid in _top_k(word_probs, k):
+        p = word_probs[uid]
+        if p <= 0.0:
+            break
+        candidates.append((math.log(p), _GEN_ORDER_BASE + int(uid),
+                           tr.gen(src.union_token(int(uid)))))
     candidates.sort(key=lambda c: (-c[0], c[1]))
     return candidates[:k]
 
 
-def expand(model: Model, src, hyp: Hypothesis, k, max_words):
-    """The k best successor hypotheses of a live hypothesis."""
-    if hyp.complete:
-        raise DecodingError("cannot expand a complete hypothesis")
-    out = []
-    for logp, order, op in _candidate_ops(model, src, hyp, k, max_words):
-        out.append(Hypothesis(
-            state=model.step(hyp.state, op),
-            score=hyp.score + logp,
-            order_key=hyp.order_key + (order,),
-        ))
-    return out
+def _candidate_ops(model, src, hyps, k, max_words):
+    """Per hypothesis, its top-k continuations; one scoring pass for all."""
+    op_probs, word_probs = model.joint_step_rows(
+        [hyp.state for hyp in hyps], src, max_words)
+    return [_row_candidates(ops, words, k, src)
+            for ops, words in zip(op_probs, word_probs)]
+
+
+def rank(model: Model, src, live, k, max_words):
+    """Each live hypothesis's k best continuations as `Candidate`s,
+    ranked across the whole beam, best first."""
+    if any(hyp.complete for hyp in live):
+        raise DecodingError("cannot rank continuations of a complete "
+                            "hypothesis")
+    ranked = []
+    for hyp, row in zip(live, _candidate_ops(model, src, live, k, max_words)):
+        for logp, order, op in row:
+            complete = op.kind != tr.GEN and \
+                tr.apply_op(hyp.state.symbolic, op).is_terminal
+            ranked.append(Candidate(hyp, op, hyp.score + logp, order,
+                                    complete))
+    ranked.sort(key=lambda c: (-c.score, c.order_key))
+    return ranked
 
 
 def _best(hyps, exponent):
@@ -112,7 +160,8 @@ def _best(hyps, exponent):
 def force_complete(model: Model, src, hyp: Hypothesis, max_words):
     """Close an unfinished hypothesis with the most probable reduces."""
     while not hyp.complete:
-        ranked = _candidate_ops(model, src, hyp, 1 + len(OP_INDEX), max_words)
+        ranked = _candidate_ops(model, src, [hyp], 1 + len(OP_INDEX),
+                                max_words)[0]
         reduces = [c for c in ranked if c[2].kind != tr.GEN]
         logp, order, op = reduces[0] if reduces else ranked[0]
         hyp = Hypothesis(state=model.step(hyp.state, op),
@@ -133,12 +182,10 @@ def beam_search(model: Model, src, config: BeamConfig) -> Hypothesis:
     live = [Hypothesis(state=model.initial_state())]
     completed = []
     for _ in range(config.step_limit):
-        candidates = []
-        for hyp in live:
-            candidates.extend(expand(model, src, hyp, k, config.max_words))
-        completed.extend(c for c in candidates if c.complete)
-        live = sorted((c for c in candidates if not c.complete),
-                      key=lambda h: (-h.score, h.order_key))[:k]
+        ranked = rank(model, src, live, k, config.max_words)
+        completed.extend(c.advance(model) for c in ranked if c.complete)
+        survivors = [c for c in ranked if not c.complete][:k]
+        live = [c.advance(model) for c in survivors]
         if not live:
             break
         if completed:
@@ -158,8 +205,8 @@ def greedy_decode(model: Model, src, config: BeamConfig) -> Hypothesis:
     """Argmax chain over the masked joint distribution."""
     hyp = Hypothesis(state=model.initial_state())
     for _ in range(config.step_limit):
-        logp, order, op = _candidate_ops(model, src, hyp, 1,
-                                         config.max_words)[0]
+        logp, order, op = _candidate_ops(model, src, [hyp], 1,
+                                         config.max_words)[0][0]
         hyp = Hypothesis(state=model.step(hyp.state, op),
                          score=hyp.score + logp,
                          order_key=hyp.order_key + (order,))

@@ -55,9 +55,14 @@ class ModelConfig:
 @dataclass
 class EncoderStates:
     """Per-token source representations, one row per token (forward and
-    backward top-layer states concatenated)."""
+    backward top-layer states concatenated), plus their attention keys.
+
+    ``keys`` is ``matrix @ attn_enc_w``: it depends on the source only, so
+    it is computed once per source and shared by every decoder step.
+    """
 
     matrix: ad.Tensor  # (source_len, 2 * hidden)
+    keys: ad.Tensor    # (source_len, hidden)
 
     def __len__(self):
         return self.matrix.shape[0]
@@ -65,8 +70,10 @@ class EncoderStates:
 
 @dataclass
 class ContextVector:
-    context: ad.Tensor  # (2 * hidden,)
-    alpha: ad.Tensor    # (source_len,), sums to 1
+    """Attention result; a leading row axis when the query had one."""
+
+    context: ad.Tensor  # (2 * hidden,) or (rows, 2 * hidden)
+    alpha: ad.Tensor    # (source_len,) or (rows, source_len); sums to 1
 
 
 @dataclass
@@ -76,7 +83,7 @@ class SourceContext:
     tokens: list
     enc: EncoderStates
     extensions: list            # source tokens outside the output vocabulary
-    copy_matrix: ad.Tensor      # (union_size, source_len) 0/1 constant
+    copy_matrix: ad.Tensor      # (source_len, union_size) 0/1 constant
     vocab: object               # the output vocabulary
 
     @property
@@ -241,7 +248,9 @@ class Model:
                 bh, bc = ad.lstm_cell(inputs[i], bh, bc, bwd)
                 backward[i] = bh
             inputs = [ad.concat([f, b]) for f, b in zip(forward, backward)]
-        return EncoderStates(matrix=ad.stack_rows(inputs))
+        matrix = ad.stack_rows(inputs)
+        return EncoderStates(matrix=matrix,
+                             keys=ad.matmul(matrix, self.attn_enc_w))
 
     def prepare_source(self, tokens) -> SourceContext:
         """Encode a source and set up its copy bookkeeping."""
@@ -260,9 +269,11 @@ class Model:
                         dtype=self.dtype)
         for i, uid in enumerate(union_of):
             copy[uid, i] = 1.0
+        # attention rows multiply the transposed view, which still sums
+        # each union id's copy mass along one contiguous row
         return SourceContext(tokens=list(tokens), enc=enc,
                              extensions=extensions,
-                             copy_matrix=ad.Tensor(copy),
+                             copy_matrix=ad.Tensor(copy.T),
                              vocab=self.output_vocab)
 
     # ------------------------------------------------------------------
@@ -369,17 +380,28 @@ class Model:
     # ------------------------------------------------------------------
 
     def attend(self, tree_h, seq_h, enc: EncoderStates) -> ContextVector:
-        """Score every source position against the decoder state."""
-        dec = ad.matmul(ad.concat([tree_h, seq_h]), self.attn_dec_w)
-        mixed = ad.tanh(ad.add(ad.matmul(enc.matrix, self.attn_enc_w), dec))
-        scores = ad.matmul(mixed, self.attn_v)
+        """Score every source position against the decoder state.
+
+        Takes one state as vectors or several as (rows, hidden) matrices;
+        the context and alpha then carry the same leading row axis.
+        """
+        dec = ad.matmul(ad.concat([tree_h, seq_h], axis=-1), self.attn_dec_w)
+        if dec.data.ndim == 1:   # one state, as in training: no reshapes
+            scores = ad.matmul(ad.tanh(ad.add(enc.keys, dec)), self.attn_v)
+        else:
+            # one (source_len, hidden) block per row, flattened for matmul
+            rows, h = dec.shape
+            mixed = ad.tanh(ad.add(enc.keys, ad.reshape(dec, (rows, 1, h))))
+            scores = ad.reshape(ad.matmul(ad.reshape(mixed, (-1, h)),
+                                          self.attn_v), (rows, len(enc)))
         alpha = ad.softmax(scores)
         context = ad.matmul(alpha, enc.matrix)
         return ContextVector(context=context, alpha=alpha)
 
     def op_scores(self, tree_h, hist_h, context) -> ad.Tensor:
-        """Unnormalized 3-way operation scores, OP_ORDER layout."""
-        feat = ad.concat([tree_h, hist_h, context])
+        """Unnormalized 3-way operation scores, OP_ORDER layout; vectors
+        or rows, like `attend`."""
+        feat = ad.concat([tree_h, hist_h, context], axis=-1)
         hidden = ad.tanh(ad.add(ad.matmul(feat, self.op_hidden_w),
                                 self.op_hidden_b))
         return ad.matmul(hidden, self.op_out_w)
@@ -394,52 +416,67 @@ class Model:
 
         Mixes vocabulary generation with copying: the switch gives the
         generation share, attention mass summed per source word gives the
-        copy share.  Returns (distribution, switch).
+        copy share.  Vectors or rows, like `attend`.  Returns
+        (distribution, switch).
         """
-        feat = ad.concat([seq_h, tree_h, ctx.context])
+        feat = ad.concat([seq_h, tree_h, ctx.context], axis=-1)
         switch = ad.sigmoid(ad.add(ad.matmul(feat, self.switch_w),
                                    self.switch_b))
         hidden = ad.tanh(ad.add(ad.matmul(feat, self.word_hidden_w),
                                 self.word_hidden_b))
         vocab_dist = ad.softmax(ad.matmul(hidden, self.word_out_w))
         if src.extensions:
-            pad = self._zeros(len(src.extensions))
-            vocab_dist = ad.concat([vocab_dist, pad])
-        copy_dist = ad.matmul(src.copy_matrix, ctx.alpha)
+            pad = self._zeros(vocab_dist.shape[:-1] + (len(src.extensions),))
+            vocab_dist = ad.concat([vocab_dist, pad], axis=-1)
+        copy_dist = ad.matmul(ctx.alpha, src.copy_matrix)
         one = ad.constant(1.0, dtype=self.dtype)
         dist = ad.add(ad.mul(vocab_dist, switch),
                       ad.mul(copy_dist, ad.sub(one, switch)))
         return dist, switch
 
+    def joint_step_rows(self, states, src: SourceContext, max_words: int):
+        """Masked, renormalized joint distributions of several states.
+
+        The states are the rows of one pass through attention and both
+        heads.  Returns plain float64 arrays: ``op_probs`` (rows, 3) over
+        OP_ORDER, where the GEN entry is the total generation mass, and
+        ``word_probs`` (rows, union_size) over the union vocabulary, each
+        row summing to its GEN mass (zero where GEN is masked); it has no
+        columns when no row may generate.
+        """
+        kinds = [tr.valid_ops(state.symbolic, max_words) for state in states]
+        if not all(kinds):
+            raise ModelError("terminal state has no next-step distribution")
+        tree_h = ad.stack_rows([state.tree_h for state in states])
+        seq_h = ad.stack_rows([state.seq_h for state in states])
+        hist_h = ad.stack_rows([state.hist_h for state in states])
+        ctx = self.attend(tree_h, seq_h, src.enc)
+        op_probs = self.predict_op(tree_h, hist_h,
+                                   ctx.context).data.astype(np.float64)
+        mask = np.array([[kind in k for kind in OP_ORDER] for k in kinds])
+        op_probs = np.where(mask, op_probs, 0.0)
+        norm = op_probs.sum(axis=-1, keepdims=True)
+        for state, row_norm in zip(states, norm[:, 0]):
+            if not row_norm > 0.0:
+                raise ModelError(
+                    f"no valid probability mass at {state.symbolic}")
+        op_probs = op_probs / norm
+        if any(tr.GEN in k for k in kinds):
+            gen = OP_INDEX[tr.GEN]
+            word_dist, _ = self.predict_word(seq_h, tree_h, ctx, src)
+            word_probs = word_dist.data.astype(np.float64) \
+                * op_probs[:, gen:gen + 1]
+        else:
+            word_probs = np.zeros((len(states), 0))
+        return op_probs, word_probs
+
     def joint_step_distribution(self, state: DecoderState,
                                 src: SourceContext, max_words: int):
-        """Masked, renormalized joint distribution for the next step.
-
-        Returns plain arrays: ``op_probs`` over OP_ORDER where the GEN
-        entry is the total generation mass, and ``word_probs`` over the
-        union vocabulary summing to that mass (empty when GEN is masked).
-        """
-        kinds = tr.valid_ops(state.symbolic, max_words)
-        if not kinds:
-            raise ModelError("terminal state has no next-step distribution")
-        ctx = self.attend(state.tree_h, state.seq_h, src.enc)
-        op_probs = self.predict_op(state.tree_h, state.hist_h,
-                                   ctx.context).data.astype(np.float64)
-        mask = np.array([kind in kinds for kind in OP_ORDER])
-        op_probs = np.where(mask, op_probs, 0.0)
-        norm = op_probs.sum()
-        if not norm > 0.0:
-            raise ModelError(
-                f"no valid probability mass at {state.symbolic}")
-        op_probs = op_probs / norm
-        gen_mass = op_probs[OP_INDEX[tr.GEN]]
-        if tr.GEN in kinds:
-            word_dist, _ = self.predict_word(state.seq_h, state.tree_h,
-                                             ctx, src)
-            word_probs = word_dist.data.astype(np.float64) * gen_mass
-        else:
-            word_probs = np.zeros(0)
-        return op_probs, word_probs
+        """`joint_step_rows` for one state: ``op_probs`` over OP_ORDER and
+        ``word_probs`` over the union vocabulary (empty when GEN is
+        masked)."""
+        op_probs, word_probs = self.joint_step_rows([state], src, max_words)
+        return op_probs[0], word_probs[0]
 
     # ------------------------------------------------------------------
     # Persistence

@@ -45,8 +45,9 @@ class TrainConfig:
     patience: int = 3
 
     def __post_init__(self):
-        for name in ("batch_size", "lr", "eps", "grad_clip", "epochs",
-                     "patience"):
+        if self.batch_size < 1:
+            raise TrainingError("batch_size must be at least 1")
+        for name in ("lr", "eps", "grad_clip", "epochs", "patience"):
             if getattr(self, name) < 0:
                 raise TrainingError(f"{name} must not be negative")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

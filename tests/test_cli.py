@@ -97,6 +97,16 @@ class TestArgumentHandling:
 
 
 class TestTrain:
+    def test_batch_size_zero_is_a_usage_error(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        cp.save_corpus(corpus, toy_corpus(n=4, seed=5))
+        out = tmp_path / "model.ckpt"
+        assert cli.run(["train", "--corpus", str(corpus), "--out", str(out),
+                        "--hidden-size", "8", "--embed-size", "8",
+                        "--batch-size", "0"]) == 2
+        assert "batch_size must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_checkpoint_log_and_config(self, workdir):
         assert workdir["ckpt"].exists()
         log = workdir["root"] / "model.ckpt.log"

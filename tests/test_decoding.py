@@ -1,4 +1,6 @@
-"""Beam search: expansion, masking, termination, determinism."""
+"""Beam search: ranking, masking, termination, determinism."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from treesum import decoding
 from treesum import transition as tr
 from treesum.decoding import BeamConfig, Hypothesis
+from treesum.model import OP_ORDER, Model
 from helpers import WALKTHROUGH_OPS, seeded_rng
 from test_model import tiny_model
 
@@ -23,29 +26,38 @@ def spread_params(model, seed):
         p.data = rng.uniform(-0.4, 0.4, size=p.data.shape)
 
 
+def favour_gen(model, margin):
+    # one op-hidden unit saturated at 1 adds ``margin`` to the GEN logit,
+    # so random tiny models decode past the 2-op GEN, RR minimum
+    model.op_hidden_b.data[0] = 20.0
+    model.op_out_w.data[0] = [0.0, 0.0, margin]
+
+
 class TestExpand:
+    """Expanding the beam: the candidates `decoding.rank` returns."""
+
     def test_initial_expansions_are_all_gen(self):
         m = fresh()
         src = m.prepare_source(["the", "cat"])
         root = Hypothesis(state=m.initial_state())
-        for hyp in decoding.expand(m, src, root, k=5, max_words=4):
-            assert hyp.ops[-1].kind == tr.GEN
+        for cand in decoding.rank(m, src, [root], k=5, max_words=4):
+            assert cand.advance(m).ops[-1].kind == tr.GEN
 
     def test_k1_gives_single_best(self):
         m = fresh(seed=3)
         src = m.prepare_source(["the", "cat"])
         root = Hypothesis(state=m.initial_state())
-        one = decoding.expand(m, src, root, k=1, max_words=4)
-        many = decoding.expand(m, src, root, k=6, max_words=4)
+        one = decoding.rank(m, src, [root], k=1, max_words=4)
+        many = decoding.rank(m, src, [root], k=6, max_words=4)
         assert len(one) == 1
-        assert one[0].ops == many[0].ops
+        assert one[0].advance(m).ops == many[0].advance(m).ops
 
     def test_candidate_scores_sorted_non_increasing(self):
         m = fresh(seed=5)
         src = m.prepare_source(["the", "cat", "sat"])
         root = Hypothesis(state=m.initial_state())
-        hyps = decoding.expand(m, src, root, k=8, max_words=4)
-        scores = [h.score for h in hyps]
+        cands = decoding.rank(m, src, [root], k=8, max_words=4)
+        scores = [c.score for c in cands]
         assert scores == sorted(scores, reverse=True)
 
     def test_child_score_never_exceeds_parent(self):
@@ -53,10 +65,10 @@ class TestExpand:
         src = m.prepare_source(["the", "cat", "sat"])
         hyp = Hypothesis(state=m.initial_state())
         for _ in range(6):
-            children = decoding.expand(m, src, hyp, k=3, max_words=3)
+            children = decoding.rank(m, src, [hyp], k=3, max_words=3)
             for child in children:
                 assert child.score <= hyp.score + 1e-12
-            hyp = children[0]
+            hyp = children[0].advance(m)
             if hyp.complete:
                 break
 
@@ -67,7 +79,120 @@ class TestExpand:
         hyp = Hypothesis(state=m.step(hyp.state, tr.gen("cat")))
         hyp = Hypothesis(state=m.step(hyp.state, tr.RR))
         with pytest.raises(decoding.DecodingError):
-            decoding.expand(m, src, hyp, k=2, max_words=4)
+            decoding.rank(m, src, [hyp], k=2, max_words=4)
+
+    def test_top_k_matches_stable_argsort_with_ties(self):
+        rng = seeded_rng(7)
+        for _ in range(300):
+            probs = rng.integers(0, 4, size=int(rng.integers(1, 30))) / 4.0
+            k = int(rng.integers(1, 35))
+            np.testing.assert_array_equal(
+                decoding._top_k(probs, k),
+                np.argsort(-probs, kind="stable")[:k])
+
+
+def reference_beam(model, src, config):
+    """The beam before ranking was batched: every live hypothesis's k best
+    continuations are stepped, then all of them are sorted.  Scores come
+    from the one-state (vector) heads, as training uses them."""
+    def candidates(hyp, k):
+        s = hyp.state
+        valid = tr.valid_ops(s.symbolic, config.max_words)
+        ctx = model.attend(s.tree_h, s.seq_h, src.enc)
+        ops = model.predict_op(s.tree_h, s.hist_h, ctx.context).data * \
+            [kind in valid for kind in OP_ORDER]
+        ops = ops / ops.sum()
+        words = model.predict_word(s.seq_h, s.tree_h, ctx, src)[0].data * \
+            ops[2] if tr.GEN in valid else np.zeros(0)
+        out = [(math.log(ops[i]), i, op) for i, op in ((0, tr.RL), (1, tr.RR))
+               if ops[i] > 0.0]
+        for uid in np.argsort(-words, kind="stable")[:k]:
+            if words[uid] <= 0.0:
+                break
+            out.append((math.log(words[uid]), 2 + int(uid),
+                        tr.gen(src.union_token(int(uid)))))
+        return sorted(out, key=lambda c: (-c[0], c[1]))[:k]
+
+    def child(hyp, logp, order, op):
+        return Hypothesis(model.step(hyp.state, op), hyp.score + logp,
+                          hyp.order_key + (order,))
+
+    def best(hyps):
+        return min(hyps, key=lambda h: (-h.normalized(config.length_norm),
+                                        h.order_key))
+
+    live, done = [Hypothesis(model.initial_state())], []
+    for _ in range(config.step_limit):
+        kids = [child(h, *c) for h in live
+                for c in candidates(h, config.beam_size)]
+        done += [h for h in kids if h.complete]
+        live = sorted((h for h in kids if not h.complete),
+                      key=lambda h: (-h.score, h.order_key))[:config.beam_size]
+        if not live or done and best(live).normalized(config.length_norm) \
+                <= best(done).normalized(config.length_norm):
+            break
+    if not done:
+        hyp = best(live)
+        while not hyp.complete:
+            ranked = candidates(hyp, 4)
+            reduces = [c for c in ranked if c[2].kind != tr.GEN]
+            hyp = child(hyp, *(reduces or ranked)[0])
+        done.append(hyp)
+    return best(done)
+
+
+class TestMatchesReferenceBeam:
+    CONFIGS = [BeamConfig(beam_size=k, max_words=4) for k in (1, 3, 8)] + [
+        BeamConfig(beam_size=3, max_words=8, max_steps=3),
+        BeamConfig(beam_size=4, max_words=4, length_norm=0.7)]
+
+    @pytest.mark.parametrize("config", CONFIGS,
+                             ids=["k1", "k3", "k8", "forced", "norm"])
+    def test_same_ops_and_scores_in_float64(self, config):
+        lengths = set()
+        for seed in range(12):
+            m = fresh(seed=seed)
+            spread_params(m, seed + 700)
+            favour_gen(m, (0.0, 2.5, 3.0)[seed % 3])
+            src = m.prepare_source(["the", "cat", "zzz", "sat", "mat"])
+            got = decoding.beam_search(m, src, config)
+            want = reference_beam(m, src, config)
+            assert got.ops == want.ops
+            assert abs(got.score - want.score) <= 1e-12
+            lengths.add(len(got.ops))
+        assert len(lengths) > 1
+
+    def test_steps_only_survivors_and_completions(self, monkeypatch):
+        k = 8
+        m = fresh(seed=29)
+        spread_params(m, 800)
+        favour_gen(m, 3.0)
+        src = m.prepare_source(["the", "cat", "zzz", "sat", "mat"])
+        steps, marks = [], []
+        step, rank = Model.step, decoding.rank
+
+        def counting_step(self, state, op):
+            steps.append(op)
+            return step(self, state, op)
+
+        def counting_rank(*args):
+            marks.append(len(steps))
+            return rank(*args)
+
+        def no_forcing(*args):
+            raise AssertionError("the decode should end naturally")
+
+        monkeypatch.setattr(Model, "step", counting_step)
+        monkeypatch.setattr(decoding, "rank", counting_rank)
+        monkeypatch.setattr(decoding, "force_complete", no_forcing)
+        hyp = decoding.beam_search(m, src, BeamConfig(beam_size=k,
+                                                      max_words=5))
+        assert hyp.complete
+        # K survivors plus at most one completion per live hypothesis
+        ends = marks[1:] + [len(steps)]
+        per_iteration = [b - a for a, b in zip(marks, ends)]
+        assert len(per_iteration) > 2
+        assert max(per_iteration) <= 2 * k
 
 
 class TestBeamSearch:

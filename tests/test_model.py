@@ -189,7 +189,9 @@ class TestAttention:
         src = m.prepare_source(["cat", "cat", "cat"])
         # force identical rows regardless of position
         first = src.enc.matrix.data[0].copy()
-        enc = type(src.enc)(matrix=ad.Tensor(np.tile(first, (3, 1))))
+        matrix = ad.Tensor(np.tile(first, (3, 1)))
+        enc = type(src.enc)(matrix=matrix,
+                            keys=ad.matmul(matrix, m.attn_enc_w))
         state = m.initial_state()
         ctx = m.attend(state.tree_h, state.seq_h, enc)
         np.testing.assert_allclose(ctx.alpha.data, [1 / 3] * 3, atol=1e-12)

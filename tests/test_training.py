@@ -256,6 +256,10 @@ class TestTrainLoop:
         with pytest.raises(training.TrainingError, match="empty"):
             training.train(m, [], config=training.TrainConfig(epochs=1))
 
+    def test_batch_size_below_one_rejected(self):
+        with pytest.raises(training.TrainingError, match="batch_size"):
+            training.TrainConfig(batch_size=0)
+
     def test_non_finite_parameters_abort_with_diagnostics(self):
         examples = toy_corpus(n=4, seed=2)
         m = _toy_model(examples, hidden=8, embed=8, seed=1)
