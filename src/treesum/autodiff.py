@@ -281,6 +281,8 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
+    if data.shape == a.shape:   # no node, so no gradient buffer to hold
+        return a
 
     def backward(g):
         a.accumulate(g.reshape(a.shape))

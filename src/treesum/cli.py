@@ -67,6 +67,16 @@ class UsageError(CliError):
     """A setting out of range; exits 2, as argparse does for a bad flag."""
 
 
+@contextmanager
+def settings_check():
+    """Report a config class's range error as a `UsageError`."""
+    try:
+        yield
+    except (training.TrainingError, ModelError,
+            decoding.DecodingError) as e:
+        raise UsageError(e) from e
+
+
 def _parse_value(key, raw):
     kind, _ = CONFIG_SPEC[key]
     try:
@@ -182,15 +192,13 @@ def cmd_oracle(args):
 
 def cmd_train(args):
     config = resolve_config(args)
-    try:
+    with settings_check():
         train_config = training.TrainConfig(
             batch_size=config["batch_size"], lr=config["lr"],
             beta1=config["beta1"], beta2=config["beta2"], eps=config["eps"],
             grad_clip=config["grad_clip"],
             weight_decay=config["weight_decay"], epochs=config["epochs"],
             seed=config["seed"], patience=config["patience"])
-    except training.TrainingError as e:
-        raise UsageError(e) from e
     train_examples = _load_and_filter(args.corpus, config)
     dev_examples = _load_and_filter(args.dev, config) if args.dev else None
 
@@ -198,16 +206,16 @@ def cmd_train(args):
                               min_freq=config["min_freq"])
     out_vocab = cp.build_vocab(train_examples, "output",
                                max_size=config["output_vocab_size"])
-    model = Model(
-        ModelConfig(
+    with settings_check():   # the vocabulary sizes come from the corpus
+        model_config = ModelConfig(
             input_vocab_size=len(in_vocab),
             output_vocab_size=len(out_vocab),
             hidden_size=config["hidden_size"],
             embed_size=config["embed_size"],
             encoder_layers=config["encoder_layers"],
             max_source_len=config["max_source_len"],
-        ),
-        in_vocab, out_vocab, seed=config["seed"])
+        )
+    model = Model(model_config, in_vocab, out_vocab, seed=config["seed"])
 
     log_path = f"{args.out}.log"
     with open(log_path, "w", encoding="utf-8") as log_fh:
@@ -232,9 +240,9 @@ def cmd_train(args):
 _WORKER_STATE = {}
 
 
-def _decode_worker_init(checkpoint, beam_kwargs):
+def _decode_worker_init(checkpoint, beam):
     _WORKER_STATE["model"] = Model.load(checkpoint)
-    _WORKER_STATE["beam"] = decoding.BeamConfig(**beam_kwargs)
+    _WORKER_STATE["beam"] = beam
 
 
 def _decode_one(tokens):
@@ -253,22 +261,23 @@ def _decode_one(tokens):
 
 def cmd_decode(args):
     config = resolve_config(args)
+    with settings_check():
+        beam = decoding.BeamConfig(
+            beam_size=config["beam_size"], max_words=config["max_words"],
+            max_steps=config["max_steps"] or None,
+            length_norm=config["length_norm"])
     examples = cp.load_corpus(args.input, require_heads=False)
     if not examples:
         raise CliError(f"{args.input}: no records")
-    beam_kwargs = dict(
-        beam_size=config["beam_size"], max_words=config["max_words"],
-        max_steps=config["max_steps"] or None,
-        length_norm=config["length_norm"])
     sources = [ex.source for ex in examples]
     if config["workers"] > 1:
         with ProcessPoolExecutor(
                 max_workers=config["workers"],
                 initializer=_decode_worker_init,
-                initargs=(args.checkpoint, beam_kwargs)) as pool:
+                initargs=(args.checkpoint, beam)) as pool:
             records = list(pool.map(_decode_one, sources, chunksize=4))
     else:
-        _decode_worker_init(args.checkpoint, beam_kwargs)
+        _decode_worker_init(args.checkpoint, beam)
         records = [_decode_one(tokens) for tokens in sources]
     with atomic_output(args.out) as fh:
         for record in records:

@@ -2,8 +2,8 @@
 
 Each beam step runs in three phases.  Score: every live hypothesis is one
 row of a single batched pass through attention and both prediction heads
-(`Model.joint_step_rows`).  Rank: each row's k best continuations are
-found with a partial sort over the union vocabulary, and the (parent, op,
+(`Model.joint_step_distribution`).  Rank: each row's k best continuations
+are found with a partial sort over the union vocabulary, and the (parent, op,
 log-probability) triples of the whole beam are ranked together (`rank`).
 Step: only the K best unfinished candidates, plus the candidates that
 complete a tree, are advanced through `Model.step`; whether a reduce
@@ -130,7 +130,7 @@ def _row_candidates(op_probs, word_probs, k, src):
 
 def _candidate_ops(model, src, hyps, k, max_words):
     """Per hypothesis, its top-k continuations; one scoring pass for all."""
-    op_probs, word_probs = model.joint_step_rows(
+    op_probs, word_probs = model.joint_step_distribution(
         [hyp.state for hyp in hyps], src, max_words)
     return [_row_candidates(ops, words, k, src)
             for ops, words in zip(op_probs, word_probs)]

@@ -386,14 +386,11 @@ class Model:
         the context and alpha then carry the same leading row axis.
         """
         dec = ad.matmul(ad.concat([tree_h, seq_h], axis=-1), self.attn_dec_w)
-        if dec.data.ndim == 1:   # one state, as in training: no reshapes
-            scores = ad.matmul(ad.tanh(ad.add(enc.keys, dec)), self.attn_v)
-        else:
-            # one (source_len, hidden) block per row, flattened for matmul
-            rows, h = dec.shape
-            mixed = ad.tanh(ad.add(enc.keys, ad.reshape(dec, (rows, 1, h))))
-            scores = ad.reshape(ad.matmul(ad.reshape(mixed, (-1, h)),
-                                          self.attn_v), (rows, len(enc)))
+        lead, h = dec.shape[:-1], dec.shape[-1]
+        # one (source_len, hidden) block per row, flattened for matmul
+        mixed = ad.tanh(ad.add(enc.keys, ad.reshape(dec, lead + (1, h))))
+        flat = ad.matmul(ad.reshape(mixed, (-1, h)), self.attn_v)
+        scores = ad.reshape(flat, lead + (len(enc),))
         alpha = ad.softmax(scores)
         context = ad.matmul(alpha, enc.matrix)
         return ContextVector(context=context, alpha=alpha)
@@ -434,7 +431,8 @@ class Model:
                       ad.mul(copy_dist, ad.sub(one, switch)))
         return dist, switch
 
-    def joint_step_rows(self, states, src: SourceContext, max_words: int):
+    def joint_step_distribution(self, states, src: SourceContext,
+                                max_words: int):
         """Masked, renormalized joint distributions of several states.
 
         The states are the rows of one pass through attention and both
@@ -469,14 +467,6 @@ class Model:
         else:
             word_probs = np.zeros((len(states), 0))
         return op_probs, word_probs
-
-    def joint_step_distribution(self, state: DecoderState,
-                                src: SourceContext, max_words: int):
-        """`joint_step_rows` for one state: ``op_probs`` over OP_ORDER and
-        ``word_probs`` over the union vocabulary (empty when GEN is
-        masked)."""
-        op_probs, word_probs = self.joint_step_rows([state], src, max_words)
-        return op_probs[0], word_probs[0]
 
     # ------------------------------------------------------------------
     # Persistence

@@ -158,8 +158,9 @@ def test_criterion_04_distribution_sanity():
         ctx = m.attend(state.tree_h, state.seq_h, src.enc)
         op_probs = m.predict_op(state.tree_h, state.hist_h, ctx.context)
         word_dist, _ = m.predict_word(state.seq_h, state.tree_h, ctx, src)
-        joint_op, joint_words = m.joint_step_distribution(state, src,
-                                                          max_words)
+        op_rows, word_rows = m.joint_step_distribution([state], src,
+                                                       max_words)
+        joint_op, joint_words = op_rows[0], word_rows[0]
         gen_mass = float(op_probs.data[OP_INDEX[tr.GEN]])
         checks = [
             abs(op_probs.data.sum() - 1.0),

@@ -81,6 +81,16 @@ class TestBackward:
             tape.backward(ad.total(ad.mul(p, p)))
         np.testing.assert_allclose(p.grad, 2 * p.data, atol=1e-12)
 
+    def test_same_shape_reshape_records_no_node(self):
+        rng = np.random.default_rng(4)
+        p = p64(rng, (3, 2), "p")
+        with ad.Tape() as tape:
+            sq = ad.mul(p, p)
+            assert ad.reshape(sq, (-1, 2)) is sq
+            assert len(tape.nodes) == 1
+            tape.backward(ad.total(ad.reshape(sq, (3, 2))))
+        np.testing.assert_allclose(p.grad, 2 * p.data, atol=1e-12)
+
     def test_quadratic_matches_hand_derivative(self):
         p = ad.Parameter(np.array([3.0]), "w", dtype=np.float64)
         with ad.Tape() as tape:

@@ -107,6 +107,16 @@ class TestTrain:
         assert "batch_size must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_model_setting_out_of_range_is_a_usage_error(self, tmp_path,
+                                                          capsys):
+        corpus = tmp_path / "c.jsonl"
+        cp.save_corpus(corpus, toy_corpus(n=4, seed=5))
+        out = tmp_path / "model.ckpt"
+        assert cli.run(["train", "--corpus", str(corpus), "--out", str(out),
+                        "--hidden-size", "0", "--embed-size", "8"]) == 2
+        assert "hidden_size must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_checkpoint_log_and_config(self, workdir):
         assert workdir["ckpt"].exists()
         log = workdir["root"] / "model.ckpt.log"
@@ -118,6 +128,15 @@ class TestTrain:
 
 
 class TestDecodeAndEval:
+    def test_beam_size_zero_is_a_usage_error(self, tmp_path, capsys):
+        # checked before the checkpoint or the input is opened
+        decoded = tmp_path / "decoded.jsonl"
+        assert cli.run(["decode", "--checkpoint", str(tmp_path / "none"),
+                        "--input", str(tmp_path / "none.jsonl"),
+                        "--out", str(decoded), "--beam-size", "0"]) == 2
+        assert "beam size must be at least 1" in capsys.readouterr().err
+        assert not decoded.exists()
+
     def test_decode_then_eval_smoke(self, workdir, tmp_path):
         decoded = tmp_path / "decoded.jsonl"
         status = cli.run([

@@ -309,8 +309,9 @@ class TestJointDistribution:
     def test_initial_state_masks_all_reduces(self):
         m = tiny_model()
         src = m.prepare_source(["the", "cat"])
-        op_probs, word_probs = m.joint_step_distribution(
-            m.initial_state(), src, max_words=4)
+        op_rows, word_rows = m.joint_step_distribution(
+            [m.initial_state()], src, max_words=4)
+        op_probs, word_probs = op_rows[0], word_rows[0]
         assert op_probs[OP_INDEX[tr.REDUCE_L]] == 0.0
         assert op_probs[OP_INDEX[tr.REDUCE_R]] == 0.0
         assert abs(op_probs.sum() - 1.0) < 1e-6
@@ -322,7 +323,8 @@ class TestJointDistribution:
         state = m.initial_state()
         for op in [tr.gen("cat"), tr.gen("sat")]:
             state = m.step(state, op)
-        op_probs, word_probs = m.joint_step_distribution(state, src, 4)
+        op_rows, word_rows = m.joint_step_distribution([state], src, 4)
+        op_probs, word_probs = op_rows[0], word_rows[0]
         mass = op_probs[OP_INDEX[tr.REDUCE_L]] + \
             op_probs[OP_INDEX[tr.REDUCE_R]] + word_probs.sum()
         assert abs(mass - 1.0) < 1e-6
@@ -345,7 +347,7 @@ class TestJointDistribution:
         src = m.prepare_source(["the", "cat"])
         m.predict_op = lambda *args: ad.Tensor(np.array([0.5, 0.5, 0.0]))
         with pytest.raises(ModelError, match="no valid probability mass"):
-            m.joint_step_distribution(m.initial_state(), src, max_words=4)
+            m.joint_step_distribution([m.initial_state()], src, max_words=4)
 
 
 class TestDeterminism:
