@@ -3,9 +3,9 @@
 A single decoder emits interleaved word-generation and arc-reduction
 operations, producing a summary sentence and its dependency tree at the
 same time.  The package is self-contained: a numpy reverse-mode autodiff
-core, the symbolic transition system, the neural architecture, topological
-mini-batching, training, constrained beam decoding, and ROUGE plus
-relation-preservation evaluation.
+core, the symbolic transition system, the neural architecture, mini-batched
+tree compositions planned from the gold operations, training, constrained
+beam decoding, and ROUGE plus relation-preservation evaluation.
 """
 
 from .transition import (

@@ -138,14 +138,18 @@ class Tape:
         return False
 
     def backward(self, loss: Tensor):
-        """Accumulate d(loss)/d(x) into .grad of every tensor on the tape."""
+        """Accumulate d(loss)/d(x) into .grad of every leaf tensor the
+        tape reaches; each taped node's own .grad is released once its
+        backward has run."""
         if loss.data.ndim != 0 and loss.data.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
         loss.accumulate(np.ones_like(loss.data))
         for node in reversed(self.nodes):
             if node.grad is None or node._backward is None:
                 continue
-            node._backward(node.grad)
+            # every consumer has already run, so the buffer can go now
+            g, node.grad = node.grad, None
+            node._backward(g)
         self.nodes = []
 
 

@@ -1,14 +1,16 @@
-"""Topological grouping of composition work across a mini-batch.
+"""Level-grouped composition work across a teacher-forcing mini-batch.
 
-Trees in a batch have different shapes, so compositions cannot be batched
-along the time axis.  Instead every internal node (a word with at least
-one dependent) is assigned a depth of 1 + the maximum depth of its
-dependents, leaves sit at depth 0, and all nodes of equal depth across
-the whole batch form one group whose compositions run as batched matrix
-work.  Within a node, dependents fold in the same order the oracle
-reduces them, so results match step-by-step execution exactly.
+Every word-to-word reduce of a gold sequence composes its head's current
+representation with its dependent's.  Walking each sequence once with a
+stack gives every such reduce a level: a GEN pushes its word at level 0,
+and a reduce runs at 1 + the higher level of its two inputs.  All
+compositions of equal level across the whole batch run as one batched
+matrix call.  Each composition is keyed by (instance, op index), so the
+fold follows the order the gold sequence itself reduces in, eager or not,
+and results match step-by-step execution.  The final reduce onto R is not
+planned; `Model.step` composes it.
 
-Teacher forcing knows the full trees up front, which is why the whole
+Teacher forcing knows the full sequences up front, which is why the whole
 plan can be built before the batch runs; incremental decoding bypasses
 this module.
 """
@@ -21,101 +23,51 @@ from . import autodiff as ad
 from . import transition as tr
 
 
-class BatchingError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class PlanNode:
-    instance: int
-    position: int
-    dependents: tuple  # positions in attachment order
-
-
-@dataclass
-class NodeGroup:
-    depth: int
-    members: list  # of PlanNode
-
-
 @dataclass
 class BatchPlan:
-    groups: list            # NodeGroups in increasing depth
-    arity: dict             # (instance, position) -> dependent count
-
-    @property
-    def depth(self):
-        return self.groups[-1].depth if self.groups else 0
+    # per level, ascending: (key, head key, dependent key) per composition
+    levels: list
 
     def total_compositions(self):
-        return sum(len(m.dependents) for g in self.groups for m in g.members)
+        return sum(len(level) for level in self.levels)
 
 
-def plan(trees) -> BatchPlan:
-    """Assign every internal node of every tree to its depth group."""
-    arity = {}
-    depth_of = {}
-    nodes = []
-    for i, tree in enumerate(trees):
-        deps_in_order = {p: [] for p in range(1, len(tree) + 1)}
-        for head, dep in tr.arc_order(tree):
-            if head != 0:
-                deps_in_order[head].append(dep)
-        for p in range(1, len(tree) + 1):
-            arity[(i, p)] = len(deps_in_order[p])
-
-        def node_depth(p, seen=None):
-            if (i, p) in depth_of:
-                return depth_of[(i, p)]
-            d = 0
-            if deps_in_order[p]:
-                d = 1 + max(node_depth(c) for c in deps_in_order[p])
-            depth_of[(i, p)] = d
-            return d
-
-        for p in range(1, len(tree) + 1):
-            d = node_depth(p)
-            if d > 0:
-                nodes.append((d, PlanNode(
-                    instance=i, position=p,
-                    dependents=tuple(deps_in_order[p]))))
-    groups = []
-    for d in range(1, max((d for d, _ in nodes), default=0) + 1):
-        members = sorted((n for nd, n in nodes if nd == d),
-                         key=lambda n: (n.instance, n.position))
-        groups.append(NodeGroup(depth=d, members=members))
-    return BatchPlan(groups=groups, arity=arity)
+def plan(sequences) -> BatchPlan:
+    """Assign every word-to-word reduce of every valid gold sequence to
+    its level."""
+    levels = []
+    for i, ops in enumerate(sequences):
+        stack = []   # (key, level) per word-rooted tree; R is left out
+        for t, op in enumerate(ops):
+            if op.kind == tr.GEN:
+                stack.append(((i, t), 0))
+                continue
+            if len(stack) < 2:   # the final reduce onto R
+                continue
+            top, second = stack.pop(), stack.pop()
+            head, dep = ((top, second) if op.kind == tr.REDUCE_L
+                         else (second, top))
+            level = 1 + max(head[1], dep[1])
+            if level > len(levels):
+                levels.append([])
+            levels[level - 1].append(((i, t), head[0], dep[0]))
+            stack.append(((i, t), level))
+    return BatchPlan(levels=levels)
 
 
 def batched_compose(batch_plan: BatchPlan, leaf_reps, compose):
-    """Run every group as batched matrix work.
+    """Run every level as one batched ``compose`` call.
 
-    ``leaf_reps`` maps (instance, position) to the word's embedding;
-    ``compose`` is the two-argument head/dependent merge and must accept
-    row-stacked matrices.  Returns (instance, position, k) -> vector for
-    every node and every partial attachment count k, where k = 0 is the
-    leaf embedding and k = arity is the finished subtree.
+    ``leaf_reps`` maps (instance, op index) of each GEN to the word's
+    embedding; ``compose`` is the two-argument head/dependent merge and
+    must accept row-stacked matrices.  Returns (instance, op index) ->
+    composed vector for every planned reduce.
     """
-    reps = {(i, p, 0): t for (i, p), t in leaf_reps.items()}
-    for group in batch_plan.groups:
-        members = group.members
-        current = {}
-        for m in members:
-            key = (m.instance, m.position, 0)
-            if key not in reps:
-                raise BatchingError(f"missing leaf for {key}")
-            current[m] = reps[key]
-        max_arity = max(len(m.dependents) for m in members)
-        for j in range(max_arity):
-            active = [m for m in members if len(m.dependents) > j]
-            heads = ad.stack_rows([current[m] for m in active])
-            deps = ad.stack_rows([
-                reps[(m.instance, m.dependents[j],
-                      batch_plan.arity[(m.instance, m.dependents[j])])]
-                for m in active])
-            merged = compose(heads, deps)
-            for r, m in enumerate(active):
-                vec = ad.row(merged, r)
-                current[m] = vec
-                reps[(m.instance, m.position, j + 1)] = vec
-    return reps
+    reps = dict(leaf_reps)
+    for level in batch_plan.levels:
+        merged = compose(ad.stack_rows([reps[head] for _, head, _ in level]),
+                         ad.stack_rows([reps[dep] for _, _, dep in level]))
+        for r, (key, _, _) in enumerate(level):
+            reps[key] = ad.row(merged, r)
+    return {key: reps[key]
+            for level in batch_plan.levels for key, _, _ in level}

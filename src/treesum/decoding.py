@@ -7,7 +7,7 @@ are found with a partial sort over the union vocabulary, and the (parent, op,
 log-probability) triples of the whole beam are ranked together (`rank`).
 Step: only the K best unfinished candidates, plus the candidates that
 complete a tree, are advanced through `Model.step`; whether a reduce
-completes is known from the symbolic transition before any neural work.
+completes is known from the symbolic stack before any neural work.
 
 Invalid operations are masked before ranking, so every hypothesis stays
 executable by construction and reaching the terminal reduce onto R is the
@@ -145,8 +145,8 @@ def rank(model: Model, src, live, k, max_words):
     ranked = []
     for hyp, row in zip(live, _candidate_ops(model, src, live, k, max_words)):
         for logp, order, op in row:
-            complete = op.kind != tr.GEN and \
-                tr.apply_op(hyp.state.symbolic, op).is_terminal
+            # only RR over one tree above R completes
+            complete = op == tr.RR and len(hyp.state.symbolic.stack) == 2
             ranked.append(Candidate(hyp, op, hyp.score + logp, order,
                                     complete))
     ranked.sort(key=lambda c: (-c.score, c.order_key))

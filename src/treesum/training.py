@@ -112,31 +112,24 @@ class StepStats:
         return self.word_correct / self.words if self.words else 0.0
 
 
-def sequence_loss(model: Model, src, gold_ops, composed_reps):
-    """Negative log-likelihood of one gold operation sequence.
+def sequence_loss(model: Model, src, gold_ops, composed):
+    """Negative log-likelihood of one valid gold operation sequence.
 
-    ``composed_reps`` maps (head position, attachment count) to the
-    composition vectors the batch plan computed for this instance.
+    ``composed`` maps the op index of each word-to-word reduce to the
+    composition vector the batch plan computed for this instance.
     Returns (scalar loss tensor, StepStats).
     """
     state = model.initial_state()
     stats = StepStats()
-    n_words = sum(1 for op in gold_ops if op.kind == tr.GEN)
-    attach_count = {}
     op_terms = []
     word_terms = []
-    for i, op in enumerate(gold_ops):
-        # teacher forcing must follow the gold sequence exactly
-        if op.kind not in tr.valid_ops(state.symbolic, n_words):
-            raise TrainingError(
-                f"gold op {op} at index {i} invalid at {state.symbolic}")
+    for t, op in enumerate(gold_ops):
         ctx = model.attend(state.tree_h, state.seq_h, src.enc)
         scores = model.op_scores(state.tree_h, state.hist_h, ctx.context)
         log_ops = ad.log_softmax(scores)
         op_terms.append(ad.pick(log_ops, OP_INDEX[op.kind]))
         stats.ops += 1
         stats.op_correct += int(np.argmax(scores.data) == OP_INDEX[op.kind])
-        composed = None
         if op.kind == tr.GEN:
             dist, _ = model.predict_word(state.seq_h, state.tree_h, ctx, src)
             uid = src.union_id(op.word)
@@ -148,13 +141,7 @@ def sequence_loss(model: Model, src, gold_ops, composed_reps):
                                              _PROB_FLOOR, 1.0)))
             stats.words += 1
             stats.word_correct += int(np.argmax(dist.data) == uid)
-        else:
-            head = (state.symbolic.stack[-1] if op.kind == tr.REDUCE_L
-                    else state.symbolic.stack[-2])
-            if head != 0:
-                attach_count[head] = attach_count.get(head, 0) + 1
-                composed = composed_reps[(head, attach_count[head])]
-        state = model.step(state, op, composed=composed)
+        state = model.step(state, op, composed=composed.get(t))
     if not state.is_terminal:
         raise TrainingError(f"gold sequence of {len(gold_ops)} ops did not "
                             f"terminate: {state.symbolic}")
@@ -176,33 +163,33 @@ def sequence_loss(model: Model, src, gold_ops, composed_reps):
 def batch_loss(model: Model, instances):
     """Mean per-instance loss over a batch of (source tokens, gold ops).
 
-    The composition work of the whole batch runs through the topological
-    plan; results are identical to the per-step fold in `Model.step`.
+    Every gold sequence is validated first.  The composition work of the
+    whole batch then runs through the level plan, in the order each gold
+    sequence reduces; results are identical to the per-step fold in
+    `Model.step`.
     """
     if not instances:
         raise TrainingError("empty batch")
-    trees = []
     for i, (_, ops) in enumerate(instances):
         try:
-            trees.append(tr.execute(ops))
+            tr.execute(ops)
         except tr.TransitionError as e:
             raise TrainingError(f"gold sequence of batch instance {i}: "
                                 f"{e}") from e
     contexts = [model.prepare_source(tokens) for tokens, _ in instances]
-    batch_plan = batching.plan(trees)
-    leaf_reps = {}
-    for i, tree in enumerate(trees):
-        for p, word in enumerate(tree.words, start=1):
-            leaf_reps[(i, p)] = model.word_embedding(word)
-    reps = batching.batched_compose(batch_plan, leaf_reps, model.compose)
+    sequences = [ops for _, ops in instances]
+    leaf_reps = {(i, t): model.word_embedding(op.word)
+                 for i, ops in enumerate(sequences)
+                 for t, op in enumerate(ops) if op.kind == tr.GEN}
+    reps = batching.batched_compose(batching.plan(sequences), leaf_reps,
+                                    model.compose)
+    composed = [{} for _ in instances]
+    for (i, t), vec in reps.items():
+        composed[i][t] = vec
     total = None
     stats = StepStats()
-    for i, ((_, ops), src, tree) in enumerate(zip(instances, contexts,
-                                                  trees)):
-        composed = {(p, k): reps[(i, p, k)]
-                    for p in range(1, len(tree) + 1)
-                    for k in range(1, batch_plan.arity[(i, p)] + 1)}
-        loss, inst_stats = sequence_loss(model, src, ops, composed)
+    for (_, ops), src, inst_composed in zip(instances, contexts, composed):
+        loss, inst_stats = sequence_loss(model, src, ops, inst_composed)
         stats.merge(inst_stats)
         total = loss if total is None else ad.add(total, loss)
     mean = ad.mul(total, 1.0 / len(instances))

@@ -305,26 +305,6 @@ def oracle(tree: DependencyTree) -> list[ParserOp]:
     return ops
 
 
-def arc_order(tree: DependencyTree) -> list[tuple[int, int]]:
-    """(head, dependent) pairs in the order the oracle reduces them.
-
-    For each head this is its left dependents innermost-first followed by
-    its right dependents left to right; compositions must follow this order
-    to match step-by-step execution.
-    """
-    order = []
-    state = StackState()
-    for op in oracle(tree):
-        if op.kind != GEN:
-            prev_arcs = state.arcs
-            state = apply_op(state, op)
-            (new_arc,) = state.arcs - prev_arcs
-            order.append(new_arc)
-        else:
-            state = apply_op(state, op)
-    return order
-
-
 _GEN_TOKEN = re.compile(r"^GEN\((.*)\)$")
 
 

@@ -11,12 +11,9 @@ import numpy as np
 from treesum import transition as tr
 
 
-def random_projective_tree(rng, n, alphabet=None):
-    """Sample a random projective single-root-child tree with n words.
-
-    Walks the transition system with uniformly random valid choices, which
-    reaches exactly the derivable class of trees.
-    """
+def random_gold_ops(rng, n, alphabet=None):
+    """Sample a valid op sequence of at most n words by a uniformly random
+    walk over the valid ops, so reduces need not fire eagerly."""
     if alphabet is None:
         alphabet = ["w%d" % i for i in range(8)]
     state = tr.StackState()
@@ -28,7 +25,16 @@ def random_projective_tree(rng, n, alphabet=None):
         else:
             op = tr.RL if kind == tr.REDUCE_L else tr.RR
         state = tr.apply_op(state, op)
-    return tr.execute(state.ops)
+    return state.ops
+
+
+def random_projective_tree(rng, n, alphabet=None):
+    """Sample a random projective single-root-child tree with n words.
+
+    Executes a `random_gold_ops` walk, which reaches exactly the derivable
+    class of trees.
+    """
+    return tr.execute(random_gold_ops(rng, n, alphabet))
 
 
 def crossing_arcs_projectivity(tree):

@@ -23,6 +23,7 @@ from treesum.model import OP_INDEX, Model, ModelConfig
 from helpers import (
     WALKTHROUGH_OPS,
     bruteforce_oracle,
+    random_gold_ops,
     random_projective_tree,
     seeded_rng,
     walkthrough_tree,
@@ -189,24 +190,24 @@ def test_criterion_05_batching_equivalence():
     worst_forward = 0.0
     worst_grad = 0.0
     for _ in range(5):
-        trees = [random_projective_tree(rng, int(rng.integers(2, 9)))
-                 for _ in range(8)]
+        sequences = [random_gold_ops(rng, int(rng.integers(2, 9)))
+                     for _ in range(8)]
         grads = {}
         for mode in ("batched", "sequential"):
             params = [m.compose_w, m.compose_b, m.out_embed]
             ad.zero_grads(params)
             with ad.Tape() as tape:
-                leaf = leaf_embeddings(m, trees)
+                leaf = leaf_embeddings(m, sequences)
+                reps = dict(leaf)
                 if mode == "batched":
-                    batch_plan = batching.plan(trees)
-                    reps = batching.batched_compose(batch_plan, leaf,
-                                                    m.compose)
+                    reps.update(batching.batched_compose(
+                        batching.plan(sequences), leaf, m.compose))
                 else:
-                    reps = {}
-                    for i, t in enumerate(trees):
-                        reps.update(sequential_reps(m, i, t, leaf))
-                finals = [reps[(i, t.root, len(t.dependents(t.root)))]
-                          for i, t in enumerate(trees)]
+                    for i, ops in enumerate(sequences):
+                        reps.update(sequential_reps(m, i, ops, leaf))
+                # the op before the final RR builds the finished tree
+                finals = [reps[(i, len(ops) - 2)]
+                          for i, ops in enumerate(sequences)]
                 if mode == "batched":
                     batched_values = [v.data.copy() for v in finals]
                 else:

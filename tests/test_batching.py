@@ -1,102 +1,106 @@
-"""Topological plan construction and batched-composition equivalence."""
+"""Level plan construction and batched-composition equivalence."""
 
 import numpy as np
 
 from treesum import autodiff as ad
 from treesum import batching
 from treesum import transition as tr
-from helpers import random_projective_tree, seeded_rng
+from helpers import random_gold_ops, seeded_rng
 from test_model import tiny_model
 
 
-def chain_tree(depth):
-    """depth+1 words where each word heads its left neighbour."""
+def chain_ops(depth):
+    """Eager ops of depth+1 words where each word heads its left
+    neighbour: every reduce composes onto the previous one."""
     n = depth + 1
     heads = tuple(range(2, n + 1)) + (0,)
-    return tr.DependencyTree(words=tuple("w%d" % i for i in range(n)),
-                             heads=heads)
+    return tuple(tr.oracle(tr.DependencyTree(
+        words=tuple("w%d" % i for i in range(n)), heads=heads)))
 
 
-def sequential_reps(model, instance, tree, leaf):
-    """Per-instance fold in oracle order; the independent reference."""
-    current = {p: leaf[(instance, p)] for p in range(1, len(tree) + 1)}
-    reps = {(instance, p, 0): current[p] for p in current}
-    count = {}
-    for head, dep in tr.arc_order(tree):
-        if head == 0:
-            continue
-        count[head] = count.get(head, 0) + 1
-        current[head] = model.compose(current[head], current[dep])
-        reps[(instance, head, count[head])] = current[head]
+def word_reduces(instance, ops):
+    """Keys of the word-to-word reduces: every reduce but the last."""
+    return {(instance, t) for t, op in enumerate(ops[:-1])
+            if op.kind != tr.GEN}
+
+
+def sequential_reps(model, instance, ops, leaf):
+    """Per-op fold with a stack, composing as `Model.step` does; the
+    independent reference.  Returns (instance, op index) -> vector for
+    every word-to-word reduce."""
+    stack = []
+    reps = {}
+    for t, op in enumerate(ops):
+        if op.kind == tr.GEN:
+            stack.append(leaf[(instance, t)])
+        elif len(stack) >= 2:
+            top, second = stack.pop(), stack.pop()
+            vec = (model.compose(top, second) if op.kind == tr.REDUCE_L
+                   else model.compose(second, top))
+            reps[(instance, t)] = vec
+            stack.append(vec)
     return reps
 
 
-def leaf_embeddings(model, trees):
-    leaf = {}
-    for i, tree in enumerate(trees):
-        for p, word in enumerate(tree.words, start=1):
-            leaf[(i, p)] = model.word_embedding(word)
-    return leaf
+def leaf_embeddings(model, sequences):
+    return {(i, t): model.word_embedding(op.word)
+            for i, ops in enumerate(sequences)
+            for t, op in enumerate(ops) if op.kind == tr.GEN}
+
+
+def random_sequences(rng, count, low, high):
+    return [random_gold_ops(rng, int(rng.integers(low, high)))
+            for _ in range(count)]
 
 
 class TestPlan:
     def test_two_chains_group_shapes(self):
-        batch_plan = batching.plan([chain_tree(2), chain_tree(4)])
-        assert len(batch_plan.groups) == 4
-        sizes = [len(g.members) for g in batch_plan.groups]
-        assert sizes == [2, 2, 1, 1]
-        assert [g.depth for g in batch_plan.groups] == [1, 2, 3, 4]
+        batch_plan = batching.plan([chain_ops(2), chain_ops(4)])
+        assert [len(level) for level in batch_plan.levels] == [2, 2, 1, 1]
 
     def test_children_precede_parents(self):
+        # each reduce's inputs sit at lower levels than the reduce
         rng = seeded_rng(51)
-        trees = [random_projective_tree(rng, int(rng.integers(2, 10)))
-                 for _ in range(6)]
-        batch_plan = batching.plan(trees)
-        depth_of = {}
-        for g in batch_plan.groups:
-            for m in g.members:
-                depth_of[(m.instance, m.position)] = g.depth
-        for g in batch_plan.groups:
-            for m in g.members:
-                for dep in m.dependents:
-                    assert depth_of.get((m.instance, dep), 0) < g.depth
+        batch_plan = batching.plan(random_sequences(rng, 6, 2, 10))
+        level_of = {}
+        for d, level in enumerate(batch_plan.levels, start=1):
+            for key, head, dep in level:
+                assert level_of.get(head, 0) < d
+                assert level_of.get(dep, 0) < d
+                level_of[key] = d
 
     def test_one_word_trees_give_empty_plan(self):
-        trees = [tr.DependencyTree(words=("x",), heads=(0,))] * 3
-        batch_plan = batching.plan(trees)
-        assert batch_plan.groups == []
-        assert batch_plan.depth == 0
+        batch_plan = batching.plan([(tr.gen("x"), tr.RR)] * 3)
+        assert batch_plan.levels == []
+        assert batch_plan.total_compositions() == 0
 
     def test_each_node_in_exactly_one_group(self):
         rng = seeded_rng(52)
-        trees = [random_projective_tree(rng, 8) for _ in range(4)]
-        batch_plan = batching.plan(trees)
-        seen = [(m.instance, m.position)
-                for g in batch_plan.groups for m in g.members]
+        sequences = [random_gold_ops(rng, 8) for _ in range(4)]
+        batch_plan = batching.plan(sequences)
+        seen = [key for level in batch_plan.levels for key, _, _ in level]
         assert len(seen) == len(set(seen))
-        internal = {(i, p) for i, t in enumerate(trees)
-                    for p in range(1, len(t) + 1) if t.dependents(p)}
-        assert set(seen) == internal
+        assert set(seen) == set().union(
+            *(word_reduces(i, ops) for i, ops in enumerate(sequences)))
 
     def test_work_conservation(self):
-        # one composition per word-to-word arc, independent of batching
+        # one composition per word-to-word reduce, independent of batching
         rng = seeded_rng(53)
-        trees = [random_projective_tree(rng, int(rng.integers(1, 11)))
-                 for _ in range(8)]
-        batch_plan = batching.plan(trees)
+        sequences = random_sequences(rng, 8, 1, 11)
+        batch_plan = batching.plan(sequences)
         assert batch_plan.total_compositions() == \
-            sum(len(t) - 1 for t in trees)
+            sum(len(tr.extract_summary(ops)) - 1 for ops in sequences)
 
 
 class TestBatchedCompose:
     def test_single_instance_equals_sequential_chain(self):
         m = tiny_model(out_words=tuple("w%d" % i for i in range(8)))
-        tree = chain_tree(3)
-        leaf = leaf_embeddings(m, [tree])
-        batched = batching.batched_compose(batching.plan([tree]), leaf,
+        ops = chain_ops(3)
+        leaf = leaf_embeddings(m, [ops])
+        batched = batching.batched_compose(batching.plan([ops]), leaf,
                                            m.compose)
-        sequential = sequential_reps(m, 0, tree, leaf)
-        assert set(batched) == set(sequential)
+        sequential = sequential_reps(m, 0, ops, leaf)
+        assert set(batched) == set(sequential) == word_reduces(0, ops)
         for key in sequential:
             np.testing.assert_allclose(batched[key].data,
                                        sequential[key].data, atol=1e-12)
@@ -104,14 +108,13 @@ class TestBatchedCompose:
     def test_random_batch_matches_sequential(self):
         m = tiny_model(out_words=tuple("w%d" % i for i in range(8)))
         rng = seeded_rng(54)
-        trees = [random_projective_tree(rng, int(rng.integers(1, 9)))
-                 for _ in range(8)]
-        leaf = leaf_embeddings(m, trees)
-        batched = batching.batched_compose(batching.plan(trees), leaf,
+        sequences = random_sequences(rng, 8, 1, 9)
+        leaf = leaf_embeddings(m, sequences)
+        batched = batching.batched_compose(batching.plan(sequences), leaf,
                                            m.compose)
         worst = 0.0
-        for i, tree in enumerate(trees):
-            sequential = sequential_reps(m, i, tree, leaf)
+        for i, ops in enumerate(sequences):
+            sequential = sequential_reps(m, i, ops, leaf)
             for key, val in sequential.items():
                 worst = max(worst,
                             np.abs(batched[key].data - val.data).max())
@@ -120,22 +123,22 @@ class TestBatchedCompose:
     def test_gradients_match_sequential(self):
         m = tiny_model(out_words=tuple("w%d" % i for i in range(8)))
         rng = seeded_rng(55)
-        trees = [random_projective_tree(rng, int(rng.integers(2, 8)))
-                 for _ in range(8)]
+        sequences = random_sequences(rng, 8, 2, 8)
         params = [m.compose_w, m.compose_b, m.out_embed]
 
         def final_reps_loss(use_batched):
-            leaf = leaf_embeddings(m, trees)
+            leaf = leaf_embeddings(m, sequences)
+            reps = dict(leaf)
             if use_batched:
-                batch_plan = batching.plan(trees)
-                reps = batching.batched_compose(batch_plan, leaf, m.compose)
-                finals = [reps[(i, t.root, batch_plan.arity[(i, t.root)])]
-                          for i, t in enumerate(trees)]
+                reps.update(batching.batched_compose(
+                    batching.plan(sequences), leaf, m.compose))
             else:
-                finals = []
-                for i, t in enumerate(trees):
-                    seq = sequential_reps(m, i, t, leaf)
-                    finals.append(seq[(i, t.root, len(t.dependents(t.root)))])
+                for i, ops in enumerate(sequences):
+                    reps.update(sequential_reps(m, i, ops, leaf))
+            # the op before the final RR builds the finished tree: the
+            # last word-to-word reduce, or the GEN of a one-word summary
+            finals = [reps[(i, len(ops) - 2)]
+                      for i, ops in enumerate(sequences)]
             acc = None
             for vec in finals:
                 term = ad.total(ad.mul(vec, vec))
@@ -154,18 +157,17 @@ class TestBatchedCompose:
     def test_permuting_instances_permutes_outputs(self):
         m = tiny_model(out_words=tuple("w%d" % i for i in range(8)))
         rng = seeded_rng(56)
-        trees = [random_projective_tree(rng, 6) for _ in range(4)]
+        sequences = [random_gold_ops(rng, 6) for _ in range(4)]
         perm = [2, 0, 3, 1]
         direct = batching.batched_compose(
-            batching.plan(trees), leaf_embeddings(m, trees), m.compose)
-        shuffled_trees = [trees[p] for p in perm]
+            batching.plan(sequences), leaf_embeddings(m, sequences),
+            m.compose)
+        shuffled_sequences = [sequences[p] for p in perm]
         shuffled = batching.batched_compose(
-            batching.plan(shuffled_trees),
-            leaf_embeddings(m, shuffled_trees), m.compose)
+            batching.plan(shuffled_sequences),
+            leaf_embeddings(m, shuffled_sequences), m.compose)
         for new_i, old_i in enumerate(perm):
-            tree = trees[old_i]
-            for p in range(1, len(tree) + 1):
-                for k in range(len(tree.dependents(p)) + 1):
-                    np.testing.assert_allclose(
-                        shuffled[(new_i, p, k)].data,
-                        direct[(old_i, p, k)].data, atol=1e-12)
+            for _, t in word_reduces(old_i, sequences[old_i]):
+                np.testing.assert_allclose(
+                    shuffled[(new_i, t)].data,
+                    direct[(old_i, t)].data, atol=1e-12)

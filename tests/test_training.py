@@ -9,7 +9,7 @@ from treesum import autodiff as ad
 from treesum import corpus as cp
 from treesum import training
 from treesum import transition as tr
-from treesum.model import Model, ModelConfig
+from treesum.model import OP_INDEX, Model, ModelConfig
 from helpers import seeded_rng, toy_corpus
 from test_model import tiny_model
 
@@ -160,6 +160,21 @@ class TestBatchLoss:
                            match="instance 1.*index 0"):
             training.batch_loss(m, items)
 
+    def test_non_eager_gold_matches_per_step_fold(self):
+        # h takes its right dependent r before its left dependent a, the
+        # reverse of the eager oracle's order; the batched compositions
+        # must follow the gold sequence, not the oracle
+        m = tiny_model(hidden=8, embed=8, seed=7, out_words=("a", "h", "r"),
+                       dtype=np.float64)
+        point = seeded_rng(71)
+        for p in m.parameters():
+            p.data = point.uniform(-0.6, 0.6, size=p.data.shape)
+        tokens = ["the", "cat", "sat"]
+        ops = tuple(tr.ops_from_text("GEN(a) GEN(h) GEN(r) RR RL RR"))
+        assert ops != tuple(tr.oracle(tr.execute(ops)))
+        loss, _ = training.batch_loss(m, [(tokens, ops)])
+        assert abs(loss.item() - per_step_fold_loss(m, tokens, ops)) < 1e-12
+
     def test_sequence_loss_rejects_unterminated_gold(self):
         m = tiny_model()
         src = m.prepare_source(["the", "cat"])
@@ -267,6 +282,25 @@ class TestTrainLoop:
         with pytest.raises((training.TrainingError, ad.NonFiniteError)):
             training.train(m, examples,
                            config=training.TrainConfig(epochs=1))
+
+
+def per_step_fold_loss(model, tokens, ops):
+    """Reference loss of one gold sequence in which every reduce composes
+    inside `Model.step`, in the order the sequence reduces."""
+    src = model.prepare_source(tokens)
+    state = model.initial_state()
+    total = 0.0
+    for op in ops:
+        ctx = model.attend(state.tree_h, state.seq_h, src.enc)
+        scores = model.op_scores(state.tree_h, state.hist_h,
+                                 ctx.context).data
+        shifted = scores - scores.max()
+        total -= shifted[OP_INDEX[op.kind]] - math.log(np.exp(shifted).sum())
+        if op.kind == tr.GEN:
+            dist, _ = model.predict_word(state.seq_h, state.tree_h, ctx, src)
+            total -= math.log(dist.data[src.union_id(op.word)])
+        state = model.step(state, op)
+    return total
 
 
 def _toy_model(examples, hidden, embed, seed):

@@ -203,16 +203,3 @@ class TestSerialization:
     def test_unknown_token_rejected(self):
         with pytest.raises(tr.TransitionError):
             tr.ops_from_text("GEN(a) SHIFT")
-
-
-class TestArcOrder:
-    def test_walkthrough_reduction_order(self):
-        assert tr.arc_order(walkthrough_tree()) == [(2, 1), (3, 2), (5, 4), (3, 5), (0, 3)]
-
-    def test_covers_every_arc_once(self):
-        rng = seeded_rng(29)
-        for _ in range(50):
-            tree = random_projective_tree(rng, int(rng.integers(1, 10)))
-            order = tr.arc_order(tree)
-            assert len(order) == len(tree)
-            assert frozenset(order) == tree.arcs()
