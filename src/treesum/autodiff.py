@@ -403,10 +403,14 @@ def total(a: Tensor, axis=None) -> Tensor:
     return _make(data, backward, "total")
 
 
-def pick(a: Tensor, index: int) -> Tensor:
-    """Select one coordinate of a vector as a scalar tensor."""
-    if a.data.ndim != 1:
-        raise ShapeError(f"pick expects a vector, got {a.shape}")
+def pick(a: Tensor, index) -> Tensor:
+    """One coordinate of a vector as a scalar tensor; or, given one index
+    per row of a matrix, one coordinate per row as a vector."""
+    if a.data.ndim == 2 and len(index) == a.shape[0]:
+        index = (np.arange(a.shape[0]), np.asarray(index, dtype=np.int64))
+    elif a.data.ndim != 1:
+        raise ShapeError(f"pick expects a vector, or a matrix and one index "
+                         f"per row, got {a.shape}")
     data = a.data[index].copy()
 
     def backward(g):
@@ -555,13 +559,24 @@ def load_checkpoint(path):
         chunk, view = view[:n], view[n:]
         return chunk
 
+    def text(n):
+        try:
+            return bytes(take(n)).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: text is not UTF-8: {e}") from e
+
     meta_len = struct.unpack("<I", take(4))[0]
-    metadata = json.loads(bytes(take(meta_len)).decode("utf-8"))
+    try:
+        metadata = json.loads(text(meta_len))
+    except json.JSONDecodeError as e:
+        raise CheckpointError(f"{path}: metadata is not JSON: {e}") from e
+    if not isinstance(metadata, dict):
+        raise CheckpointError(f"{path}: metadata is not a JSON object")
     count = struct.unpack("<I", take(4))[0]
     arrays = {}
     for _ in range(count):
         name_len = struct.unpack("<H", take(2))[0]
-        name = bytes(take(name_len)).decode("utf-8")
+        name = text(name_len)
         code, ndim = struct.unpack("<BB", take(2))
         if code not in _DTYPE_CODES:
             raise CheckpointError(f"{path}: unknown dtype code {code}")

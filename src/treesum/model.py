@@ -338,16 +338,17 @@ class Model:
              composed: ad.Tensor | None = None) -> DecoderState:
         """Advance every component by one operation.
 
-        ``composed`` optionally injects a precomputed composition result
-        (the batched trainer supplies these); it must equal what
-        `compose` would produce for the reduce being applied.
+        ``composed`` optionally injects the vector the op pushes (the
+        batched trainer supplies these): at GEN the word's embedding, at a
+        reduce what `compose` would produce for it.
         """
         symbolic = tr.apply_op(state.symbolic, op)
         x = ad.row(self.op_embed, OP_INDEX[op.kind])
         hist = ad.lstm_cell(x, state.hist_state[0], state.hist_state[1],
                             self.hist_cell)
         if op.kind == tr.GEN:
-            rep = self.word_embedding(op.word)
+            rep = composed if composed is not None \
+                else self.word_embedding(op.word)
             tree_top = ad.lstm_cell(rep, *state.tree_states[-1],
                                     self.tree_cell)
             seq = ad.lstm_cell(rep, state.seq_state[0], state.seq_state[1],
@@ -403,10 +404,6 @@ class Model:
                                 self.op_hidden_b))
         return ad.matmul(hidden, self.op_out_w)
 
-    def predict_op(self, tree_h, hist_h, context) -> ad.Tensor:
-        """Distribution over {REDUCE_L, REDUCE_R, GEN}."""
-        return ad.softmax(self.op_scores(tree_h, hist_h, context))
-
     def predict_word(self, seq_h, tree_h, ctx: ContextVector,
                      src: SourceContext) -> tuple[ad.Tensor, ad.Tensor]:
         """Word distribution over output vocabulary plus source extensions.
@@ -431,42 +428,53 @@ class Model:
                       ad.mul(copy_dist, ad.sub(one, switch)))
         return dist, switch
 
-    def joint_step_distribution(self, states, src: SourceContext,
-                                max_words: int):
-        """Masked, renormalized joint distributions of several states.
+    def score_rows(self, states, src: SourceContext, word_rows):
+        """Attention and both heads for several states as one row batch.
 
-        The states are the rows of one pass through attention and both
-        heads.  Returns plain float64 arrays: ``op_probs`` (rows, 3) over
-        OP_ORDER, where the GEN entry is the total generation mass, and
-        ``word_probs`` (rows, union_size) over the union vocabulary, each
-        row summing to its GEN mass (zero where GEN is masked); it has no
-        columns when no row may generate.
+        Every state is a row of `attend` and `op_scores`; `predict_word`
+        runs on the rows listed in ``word_rows`` only.  Returns (op logits
+        (rows, 3) in OP_ORDER, word distribution (len(word_rows),
+        union_size) or None when no row is listed).
         """
-        kinds = [tr.valid_ops(state.symbolic, max_words) for state in states]
-        if not all(kinds):
-            raise ModelError("terminal state has no next-step distribution")
         tree_h = ad.stack_rows([state.tree_h for state in states])
         seq_h = ad.stack_rows([state.seq_h for state in states])
         hist_h = ad.stack_rows([state.hist_h for state in states])
         ctx = self.attend(tree_h, seq_h, src.enc)
-        op_probs = self.predict_op(tree_h, hist_h,
-                                   ctx.context).data.astype(np.float64)
+        logits = self.op_scores(tree_h, hist_h, ctx.context)
+        if not word_rows:
+            return logits, None
+        if len(word_rows) < len(states):
+            tree_h, seq_h, context, alpha = (ad.rows(x, word_rows) for x in (
+                tree_h, seq_h, ctx.context, ctx.alpha))
+            ctx = ContextVector(context=context, alpha=alpha)
+        word_dist, _ = self.predict_word(seq_h, tree_h, ctx, src)
+        return logits, word_dist
+
+    def joint_step_distribution(self, states, src: SourceContext,
+                                max_words: int):
+        """Masked joint distributions of several states, one row each.
+
+        Invalid ops get a -inf logit (in float64) before the softmax.
+        Returns plain float64 arrays: ``op_probs`` (rows, 3) over OP_ORDER,
+        where the GEN entry is the total generation mass, and ``word_probs``
+        (rows, union_size), each row summing to its GEN mass (zero where
+        GEN is masked); it has no columns when no row may generate.
+        """
+        kinds = [tr.valid_ops(state.symbolic, max_words) for state in states]
+        if not all(kinds):
+            raise ModelError("terminal state has no next-step distribution")
+        gen_rows = list(range(len(states))) \
+            if any(tr.GEN in k for k in kinds) else []
+        logits, word_dist = self.score_rows(states, src, gen_rows)
         mask = np.array([[kind in k for kind in OP_ORDER] for k in kinds])
-        op_probs = np.where(mask, op_probs, 0.0)
-        norm = op_probs.sum(axis=-1, keepdims=True)
-        for state, row_norm in zip(states, norm[:, 0]):
-            if not row_norm > 0.0:
-                raise ModelError(
-                    f"no valid probability mass at {state.symbolic}")
-        op_probs = op_probs / norm
-        if any(tr.GEN in k for k in kinds):
-            gen = OP_INDEX[tr.GEN]
-            word_dist, _ = self.predict_word(seq_h, tree_h, ctx, src)
-            word_probs = word_dist.data.astype(np.float64) \
-                * op_probs[:, gen:gen + 1]
-        else:
-            word_probs = np.zeros((len(states), 0))
-        return op_probs, word_probs
+        logits = np.where(mask, logits.data.astype(np.float64), -np.inf)
+        op_probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        op_probs /= op_probs.sum(axis=-1, keepdims=True)
+        if word_dist is None:
+            return op_probs, np.zeros((len(states), 0))
+        gen = OP_INDEX[tr.GEN]
+        return op_probs, word_dist.data.astype(np.float64) \
+            * op_probs[:, gen:gen + 1]
 
     # ------------------------------------------------------------------
     # Persistence
@@ -486,24 +494,29 @@ class Model:
 
     @classmethod
     def load(cls, path):
-        from .corpus import Vocabulary
+        from .corpus import CorpusError, Vocabulary
 
         arrays, meta = ad.load_checkpoint(path)
-        for side in ("input", "output"):
-            vocab = Vocabulary(meta[f"{side}_vocab"])
-            if vocab.digest() != meta[f"{side}_vocab_hash"]:
-                raise ModelError(f"{side} vocabulary hash mismatch in {path}")
-            meta[f"{side}_vocab_obj"] = vocab
-        config = ModelConfig(**meta["config"])
+        if not arrays:
+            raise ModelError(f"{path}: checkpoint holds no parameters")
         dtype = arrays[next(iter(arrays))].dtype
-        model = cls(config, meta["input_vocab_obj"], meta["output_vocab_obj"],
-                    dtype=dtype)
+        try:
+            vocabs = []
+            for side in ("input", "output"):
+                vocab = Vocabulary(meta[f"{side}_vocab"])
+                if vocab.digest() != meta[f"{side}_vocab_hash"]:
+                    raise ModelError(f"{side} vocabulary hash mismatch")
+                vocabs.append(vocab)
+            model = cls(ModelConfig(**meta["config"]), *vocabs, dtype=dtype)
+        except (KeyError, TypeError, CorpusError, ModelError) as e:
+            raise ModelError(f"{path}: bad checkpoint metadata: "
+                             f"{type(e).__name__}: {e}") from e
         for p in model.parameters():
             if p.name not in arrays:
-                raise ModelError(f"checkpoint missing parameter {p.name}")
+                raise ModelError(f"{path}: missing parameter {p.name}")
             if arrays[p.name].shape != p.data.shape:
                 raise ModelError(
-                    f"checkpoint shape mismatch for {p.name}: "
+                    f"{path}: shape mismatch for {p.name}: "
                     f"{arrays[p.name].shape} vs {p.data.shape}")
             p.data = arrays[p.name].astype(dtype)
         return model

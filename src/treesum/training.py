@@ -115,48 +115,35 @@ class StepStats:
 def sequence_loss(model: Model, src, gold_ops, composed):
     """Negative log-likelihood of one valid gold operation sequence.
 
-    ``composed`` maps the op index of each word-to-word reduce to the
-    composition vector the batch plan computed for this instance.
-    Returns (scalar loss tensor, StepStats).
+    ``composed`` maps the op index of each GEN and each word-to-word
+    reduce to the vector the batch plan computed for this instance.  The
+    gold ops fix every recurrent state before any step is scored, so the
+    states are stepped first and all steps are then scored as the rows of
+    one `Model.score_rows` pass.  Returns (scalar loss tensor, StepStats).
     """
-    state = model.initial_state()
-    stats = StepStats()
-    op_terms = []
-    word_terms = []
+    states = [model.initial_state()]
     for t, op in enumerate(gold_ops):
-        ctx = model.attend(state.tree_h, state.seq_h, src.enc)
-        scores = model.op_scores(state.tree_h, state.hist_h, ctx.context)
-        log_ops = ad.log_softmax(scores)
-        op_terms.append(ad.pick(log_ops, OP_INDEX[op.kind]))
-        stats.ops += 1
-        stats.op_correct += int(np.argmax(scores.data) == OP_INDEX[op.kind])
-        if op.kind == tr.GEN:
-            dist, _ = model.predict_word(state.seq_h, state.tree_h, ctx, src)
-            uid = src.union_id(op.word)
-            if uid == src.vocab.unk_id and op.word != cp.UNK:
-                stats.unk_targets += 1
-                logger.debug("gold word %r outside vocabulary and source; "
-                             "scoring UNK", op.word)
-            word_terms.append(ad.log(ad.clip(ad.pick(dist, uid),
-                                             _PROB_FLOOR, 1.0)))
-            stats.words += 1
-            stats.word_correct += int(np.argmax(dist.data) == uid)
-        state = model.step(state, op, composed=composed.get(t))
-    if not state.is_terminal:
+        states.append(model.step(states[-1], op, composed=composed.get(t)))
+    if not states[-1].is_terminal:
         raise TrainingError(f"gold sequence of {len(gold_ops)} ops did not "
-                            f"terminate: {state.symbolic}")
-
-    def nll(terms):
-        acc = None
-        for term in terms:
-            acc = term if acc is None else ad.add(acc, term)
-        return ad.neg(acc) if acc is not None else ad.constant(
-            0.0, dtype=model.dtype)
-
-    op_loss = nll(op_terms)
-    word_loss = nll(word_terms)
-    stats.op_loss = op_loss.item()
-    stats.word_loss = word_loss.item()
+                            f"terminate: {states[-1].symbolic}")
+    gen_rows = [t for t, op in enumerate(gold_ops) if op.kind == tr.GEN]
+    logits, word_dist = model.score_rows(states[:-1], src, gen_rows)
+    op_ids = [OP_INDEX[op.kind] for op in gold_ops]
+    op_loss = ad.neg(ad.total(ad.pick(ad.log_softmax(logits), op_ids)))
+    uids = [src.union_id(gold_ops[t].word) for t in gen_rows]
+    word_loss = ad.neg(ad.total(ad.log(ad.clip(
+        ad.pick(word_dist, uids), _PROB_FLOOR, 1.0))))
+    stats = StepStats(
+        op_loss=op_loss.item(), word_loss=word_loss.item(),
+        ops=len(op_ids), words=len(uids),
+        op_correct=int((logits.data.argmax(axis=1) == op_ids).sum()),
+        word_correct=int((word_dist.data.argmax(axis=1) == uids).sum()))
+    for t, uid in zip(gen_rows, uids):
+        if uid == src.vocab.unk_id and gold_ops[t].word != cp.UNK:
+            stats.unk_targets += 1
+            logger.debug("gold word %r outside vocabulary and source; "
+                         "scoring UNK", gold_ops[t].word)
     return ad.add(op_loss, word_loss), stats
 
 
@@ -184,7 +171,7 @@ def batch_loss(model: Model, instances):
     reps = batching.batched_compose(batching.plan(sequences), leaf_reps,
                                     model.compose)
     composed = [{} for _ in instances]
-    for (i, t), vec in reps.items():
+    for (i, t), vec in [*leaf_reps.items(), *reps.items()]:
         composed[i][t] = vec
     total = None
     stats = StepStats()

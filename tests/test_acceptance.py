@@ -157,7 +157,8 @@ def test_criterion_04_distribution_sanity():
         if state.is_terminal:
             continue
         ctx = m.attend(state.tree_h, state.seq_h, src.enc)
-        op_probs = m.predict_op(state.tree_h, state.hist_h, ctx.context)
+        op_probs = ad.softmax(m.op_scores(state.tree_h, state.hist_h,
+                                          ctx.context))
         word_dist, _ = m.predict_word(state.seq_h, state.tree_h, ctx, src)
         op_rows, word_rows = m.joint_step_distribution([state], src,
                                                        max_words)

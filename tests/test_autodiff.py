@@ -114,6 +114,8 @@ class TestGradCheckPrimitives:
         lambda p, x: ad.total(ad.reshape(ad.mul(p["w"], p["w"]), (20,))),
         lambda p, x: ad.total(ad.rows(p["w"], [1, 1, 3])),
         lambda p, x: ad.total(ad.stack_rows([ad.matmul(p["w"], x), p["b"]])),
+        lambda p, x: ad.total(ad.pick(ad.log_softmax(ad.mul(p["w"], p["w"])),
+                                      [4, 0, 2, 4])),
     ])
     def test_backward_matches_finite_differences(self, build):
         rng = np.random.default_rng(42)

@@ -1,11 +1,16 @@
 """End-to-end command-line pipeline."""
 
 import json
+import re
+import struct
+import zlib
 
 import pytest
 
+from treesum import autodiff as ad
 from treesum import cli
 from treesum import corpus as cp
+from treesum.model import Model, ModelError
 from helpers import toy_corpus
 
 
@@ -25,6 +30,41 @@ def workdir(tmp_path_factory):
     assert status == 0
     return {"root": root, "corpus": corpus_path, "ckpt": ckpt,
             "examples": examples}
+
+
+def _with_metadata(meta, keep_params=True):
+    """Checkpoint rewrite: new metadata bytes, a valid CRC."""
+    def rewrite(blob):
+        (meta_len,) = struct.unpack_from("<I", blob, 8)
+        old = json.loads(blob[12:12 + meta_len])
+        records = blob[12 + meta_len:-4] if keep_params \
+            else struct.pack("<I", 0)
+        new = meta(old)
+        body = blob[:8] + struct.pack("<I", len(new)) + new + records
+        return body + struct.pack("<I", zlib.crc32(body))
+    return rewrite
+
+
+def _json_without(key):
+    return lambda old: json.dumps(
+        {k: v for k, v in old.items() if k != key}).encode()
+
+
+def _json_config_with(key, value):
+    return lambda old: json.dumps(
+        {**old, "config": {**old["config"], key: value}}).encode()
+
+
+# each metadata record is well framed and checksummed, but unusable
+BAD_METADATA = {
+    "missing_output_vocab": _with_metadata(_json_without("output_vocab")),
+    "unknown_config_key": _with_metadata(_json_config_with("depth", 3)),
+    "json_list": _with_metadata(lambda old: b"[1, 2]"),
+    "no_parameter_records": _with_metadata(
+        lambda old: json.dumps(old).encode(), keep_params=False),
+    "not_json": _with_metadata(lambda old: b"{config: 1"),
+    "not_utf8": _with_metadata(lambda old: b'{"config": "\xff"}'),
+}
 
 
 class TestOracle:
@@ -135,6 +175,21 @@ class TestDecodeAndEval:
                         "--input", str(tmp_path / "none.jsonl"),
                         "--out", str(decoded), "--beam-size", "0"]) == 2
         assert "beam size must be at least 1" in capsys.readouterr().err
+        assert not decoded.exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_METADATA))
+    def test_bad_checkpoint_metadata_names_the_file(self, workdir, tmp_path,
+                                                    capsys, case):
+        bad = tmp_path / f"{case}.ckpt"
+        bad.write_bytes(BAD_METADATA[case](workdir["ckpt"].read_bytes()))
+        with pytest.raises((ModelError, ad.CheckpointError),
+                           match=re.escape(str(bad))):
+            Model.load(bad)
+        decoded = tmp_path / "decoded.jsonl"
+        assert cli.run(["decode", "--checkpoint", str(bad),
+                        "--input", str(workdir["corpus"]),
+                        "--out", str(decoded)]) == 1
+        assert str(bad) in capsys.readouterr().err
         assert not decoded.exists()
 
     def test_decode_then_eval_smoke(self, workdir, tmp_path):

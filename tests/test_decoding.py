@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from treesum import autodiff as ad
 from treesum import decoding
 from treesum import transition as tr
 from treesum.decoding import BeamConfig, Hypothesis
@@ -99,7 +100,8 @@ def reference_beam(model, src, config):
         s = hyp.state
         valid = tr.valid_ops(s.symbolic, config.max_words)
         ctx = model.attend(s.tree_h, s.seq_h, src.enc)
-        ops = model.predict_op(s.tree_h, s.hist_h, ctx.context).data * \
+        ops = ad.softmax(model.op_scores(s.tree_h, s.hist_h,
+                                         ctx.context)).data * \
             [kind in valid for kind in OP_ORDER]
         ops = ops / ops.sum()
         words = model.predict_word(s.seq_h, s.tree_h, ctx, src)[0].data * \

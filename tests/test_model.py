@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from treesum import autodiff as ad
+from treesum import decoding
 from treesum import transition as tr
 from treesum.corpus import SPECIALS, Vocabulary
 from treesum.model import (
@@ -229,7 +230,8 @@ class TestPredictOp:
         src = m.prepare_source(["cat"])
         state = m.initial_state()
         ctx = m.attend(state.tree_h, state.seq_h, src.enc)
-        probs = m.predict_op(state.tree_h, state.hist_h, ctx.context)
+        probs = ad.softmax(m.op_scores(state.tree_h, state.hist_h,
+                                       ctx.context))
         np.testing.assert_allclose(probs.data, [1 / 3] * 3, atol=1e-12)
 
     def test_sums_to_one(self):
@@ -237,7 +239,8 @@ class TestPredictOp:
         src = m.prepare_source(["the", "cat"])
         state = m.initial_state()
         ctx = m.attend(state.tree_h, state.seq_h, src.enc)
-        probs = m.predict_op(state.tree_h, state.hist_h, ctx.context)
+        probs = ad.softmax(m.op_scores(state.tree_h, state.hist_h,
+                                       ctx.context))
         assert abs(probs.data.sum() - 1.0) < 1e-6
 
     def test_gradient_matches_finite_differences(self):
@@ -247,7 +250,8 @@ class TestPredictOp:
             src = m.prepare_source(["the", "cat"])
             state = m.initial_state()
             ctx = m.attend(state.tree_h, state.seq_h, src.enc)
-            probs = m.predict_op(state.tree_h, state.hist_h, ctx.context)
+            probs = ad.softmax(m.op_scores(state.tree_h, state.hist_h,
+                                           ctx.context))
             return ad.log(ad.pick(probs, 2))
 
         params = [m.op_hidden_w, m.op_hidden_b, m.op_out_w, m.hist_init_h]
@@ -335,19 +339,26 @@ class TestJointDistribution:
         src = m.prepare_source(["the", "cat", "zzz"])
         state = m.initial_state()
         ctx = m.attend(state.tree_h, state.seq_h, src.enc)
-        op_probs = m.predict_op(state.tree_h, state.hist_h, ctx.context)
+        op_probs = ad.softmax(m.op_scores(state.tree_h, state.hist_h,
+                                          ctx.context))
         dist, _ = m.predict_word(state.seq_h, state.tree_h, ctx, src)
         joint_gen = op_probs.data[OP_INDEX[tr.GEN]] * dist.data
         assert abs(joint_gen.sum() - op_probs.data[OP_INDEX[tr.GEN]]) < 1e-6
 
-    def test_no_valid_mass_raises_model_error(self):
-        # only GEN is valid at the start; an underflowed GEN probability
-        # leaves nothing to renormalize
-        m = tiny_model()
+    def test_reduces_outscored_by_200_nats_still_decode(self):
+        # every op-hidden unit saturates at 1, so the GEN logit beats both
+        # reduces by 200 nats: float32 reduce probabilities underflow to
+        # 0, yet at max_words only the reduces remain valid
+        m = tiny_model(dtype=np.float32)
+        h = m.config.hidden_size
+        m.op_hidden_b.data[...] = 20.0
+        m.op_out_w.data[:, OP_INDEX[tr.GEN]] = 200.0 / h
         src = m.prepare_source(["the", "cat"])
-        m.predict_op = lambda *args: ad.Tensor(np.array([0.5, 0.5, 0.0]))
-        with pytest.raises(ModelError, match="no valid probability mass"):
-            m.joint_step_distribution([m.initial_state()], src, max_words=4)
+        config = decoding.BeamConfig(beam_size=3, max_words=2)
+        hyp = decoding.beam_search(m, src, config)
+        assert hyp.complete
+        assert len(tr.extract_summary(hyp.ops)) == 2
+        assert np.isfinite(hyp.score)
 
 
 class TestDeterminism:
@@ -358,8 +369,8 @@ class TestDeterminism:
             src = m.prepare_source(["the", "cat", "sat"])
             state = m.initial_state()
             ctx = m.attend(state.tree_h, state.seq_h, src.enc)
-            runs.append(m.predict_op(state.tree_h, state.hist_h,
-                                     ctx.context).data.copy())
+            runs.append(ad.softmax(m.op_scores(
+                state.tree_h, state.hist_h, ctx.context)).data.copy())
         np.testing.assert_array_equal(runs[0], runs[1])
 
 

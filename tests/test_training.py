@@ -10,7 +10,7 @@ from treesum import corpus as cp
 from treesum import training
 from treesum import transition as tr
 from treesum.model import OP_INDEX, Model, ModelConfig
-from helpers import seeded_rng, toy_corpus
+from helpers import random_gold_ops, seeded_rng, toy_corpus
 from test_model import tiny_model
 
 
@@ -91,30 +91,26 @@ class TestSequenceLoss:
         assert abs(loss.item() - (stats.op_loss + stats.word_loss)) < 1e-6
 
     def test_forced_probability_one_gives_zero_loss(self):
+        # the heads see every step of the sequence as one row batch, and
+        # the word head only the GEN steps
         m = tiny_model(dtype=np.float64)
         gold = tuple(tr.ops_from_text("GEN(cat) GEN(sat) RL RR"))
         src = m.prepare_source(["the", "cat"])
-
-        from treesum.model import OP_INDEX
-
-        step_kinds = [op.kind for op in gold]
+        op_ids = [OP_INDEX[op.kind] for op in gold]
         gen_uids = [src.union_id(op.word) for op in gold
                     if op.kind == tr.GEN]
-        counters = {"op": 0, "word": 0}
 
         def forced_op_scores(tree_h, hist_h, context):
-            kind = step_kinds[counters["op"]]
-            counters["op"] += 1
-            scores = np.zeros(3)
-            scores[OP_INDEX[kind]] = 1e4
+            assert tree_h.shape[0] == len(op_ids)
+            scores = np.zeros((len(op_ids), 3))
+            scores[np.arange(len(op_ids)), op_ids] = 1e4
             return ad.Tensor(scores)
 
         def forced_word(seq_h, tree_h, ctx, source):
-            uid = gen_uids[counters["word"]]
-            counters["word"] += 1
-            dist = np.zeros(source.union_size)
-            dist[uid] = 1.0
-            return ad.Tensor(dist), ad.Tensor(np.ones(1))
+            assert seq_h.shape[0] == len(gen_uids)
+            dist = np.zeros((len(gen_uids), source.union_size))
+            dist[np.arange(len(gen_uids)), gen_uids] = 1.0
+            return ad.Tensor(dist), ad.Tensor(np.ones((len(gen_uids), 1)))
 
         m.op_scores = forced_op_scores
         m.predict_word = forced_word
@@ -163,17 +159,46 @@ class TestBatchLoss:
     def test_non_eager_gold_matches_per_step_fold(self):
         # h takes its right dependent r before its left dependent a, the
         # reverse of the eager oracle's order; the batched compositions
-        # must follow the gold sequence, not the oracle
+        # must follow the gold sequence, not the oracle.  Random valid
+        # walks add a copy-only gold word (zzz: source, not vocabulary)
+        # and an UNK target (qqq: neither)
         m = tiny_model(hidden=8, embed=8, seed=7, out_words=("a", "h", "r"),
                        dtype=np.float64)
         point = seeded_rng(71)
         for p in m.parameters():
             p.data = point.uniform(-0.6, 0.6, size=p.data.shape)
-        tokens = ["the", "cat", "sat"]
+        tokens = ["the", "cat", "zzz", "sat"]
         ops = tuple(tr.ops_from_text("GEN(a) GEN(h) GEN(r) RR RL RR"))
         assert ops != tuple(tr.oracle(tr.execute(ops)))
-        loss, _ = training.batch_loss(m, [(tokens, ops)])
-        assert abs(loss.item() - per_step_fold_loss(m, tokens, ops)) < 1e-12
+        walks = seeded_rng(72)
+        cases = [ops] + [
+            random_gold_ops(walks, 5, alphabet=["a", "h", "r", "zzz", "qqq"])
+            for _ in range(8)]
+        words = {op.word for case in cases for op in case
+                 if op.kind == tr.GEN}
+        assert {"zzz", "qqq"} <= words
+        for case in cases:
+            loss, _ = training.batch_loss(m, [(tokens, case)])
+            assert abs(loss.item() - per_step_fold_loss(m, tokens, case)) \
+                < 1e-12
+
+    def test_heads_run_once_per_instance(self, monkeypatch):
+        m = tiny_model(seed=5, out_words=("cat", "sat", "mat"))
+        items = [
+            (["the", "cat"], tuple(tr.ops_from_text("GEN(cat) RR"))),
+            (["the", "cat", "sat"],
+             tuple(tr.ops_from_text("GEN(cat) GEN(sat) RL RR"))),
+            (["mat", "sat"],
+             tuple(tr.ops_from_text("GEN(sat) GEN(mat) RR RR"))),
+        ]
+        calls = {}
+        for name in ("attend", "op_scores", "predict_word"):
+            def counted(self, *args, _name=name, _fn=getattr(Model, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(self, *args)
+            monkeypatch.setattr(Model, name, counted)
+        training.batch_loss(m, items)
+        assert calls == {"attend": 3, "op_scores": 3, "predict_word": 3}
 
     def test_sequence_loss_rejects_unterminated_gold(self):
         m = tiny_model()
