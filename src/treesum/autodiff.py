@@ -8,6 +8,16 @@ row/rows/stack_rows gathers, tanh, sigmoid, softmax, log_softmax, log,
 clip, total, pick.  Every primitive checks its output for NaN/Inf and
 raises `NonFiniteError` on the first occurrence.
 
+Only Parameters and taped nodes take gradients; constants (tensors made
+off the tape, such as copy matrices, zero states and lifted scalars) get
+none, and no backward product is computed for them.  The weight gradient
+of ``x @ p`` for a Parameter ``p`` is not computed per product: its (x, g)
+rows are kept on the tape, and `Tape.backward` flushes each such
+parameter once, as one GEMM, after every node has run.
+
+A checkpoint is rejected unless its records end exactly at the checksum
+and no parameter name repeats.
+
 Checkpoint container byte layout (version ``TSCKPT01``, all integers
 little-endian, arrays C-order):
 
@@ -124,6 +134,7 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
+        self._deferred = {}   # Parameter -> ([x rows], [g rows]) of x @ p
 
     def __enter__(self):
         global _ACTIVE_TAPE
@@ -137,20 +148,38 @@ class Tape:
         _ACTIVE_TAPE = None
         return False
 
+    def _defer(self, param, x, g):
+        xs, gs = self._deferred.setdefault(param, ([], []))
+        xs.append(x)
+        gs.append(g)
+
     def backward(self, loss: Tensor):
-        """Accumulate d(loss)/d(x) into .grad of every leaf tensor the
-        tape reaches; each taped node's own .grad is released once its
-        backward has run."""
+        """Accumulate d(loss)/d(x) into .grad of every Parameter and taped
+        node the tape reaches; constants get no gradient.
+
+        Each taped node's own .grad is released once its backward has run.
+        The weight gradient of ``x @ p`` for a Parameter ``p`` is deferred:
+        the (x, g) rows of every such product are kept, and once every node
+        has run each parameter gets one GEMM, ``p.grad += X.T @ G``.  The
+        kept rows are released as each parameter is flushed, or on error.
+        """
         if loss.data.ndim != 0 and loss.data.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
-        loss.accumulate(np.ones_like(loss.data))
-        for node in reversed(self.nodes):
-            if node.grad is None or node._backward is None:
-                continue
-            # every consumer has already run, so the buffer can go now
-            g, node.grad = node.grad, None
-            node._backward(g)
-        self.nodes = []
+        try:
+            loss.accumulate(np.ones_like(loss.data))
+            for node in reversed(self.nodes):
+                if node.grad is None or node._backward is None:
+                    continue
+                # every consumer has already run, so the buffer can go now
+                g, node.grad = node.grad, None
+                node._backward(g)
+            while self._deferred:
+                param, (xs, gs) = self._deferred.popitem()
+                param.grad += (np.concatenate(xs).T
+                               @ np.concatenate(gs)).reshape(param.shape)
+        finally:
+            self._deferred.clear()
+            self.nodes = []
 
 
 def _make(data, backward, op):
@@ -164,6 +193,13 @@ def _make(data, backward, op):
         out._backward = backward
         _ACTIVE_TAPE.nodes.append(out)
     return out
+
+
+def _takes_grad(t: Tensor) -> bool:
+    """Parameters and taped nodes take gradients; constants (tensors made
+    off the tape, lifted scalars) take none, so no product is computed
+    for them."""
+    return t._backward is not None or isinstance(t, Parameter)
 
 
 def _lift(x, like: Tensor) -> Tensor:
@@ -190,8 +226,10 @@ def add(a: Tensor, b) -> Tensor:
         raise ShapeError(f"add: {a.shape} vs {b.shape}")
 
     def backward(g):
-        a.accumulate(_unbroadcast(g, a.shape))
-        b.accumulate(_unbroadcast(g, b.shape))
+        if _takes_grad(a):
+            a.accumulate(_unbroadcast(g, a.shape))
+        if _takes_grad(b):
+            b.accumulate(_unbroadcast(g, b.shape))
     return _make(data, backward, "add")
 
 
@@ -203,14 +241,17 @@ def sub(a: Tensor, b) -> Tensor:
         raise ShapeError(f"sub: {a.shape} vs {b.shape}")
 
     def backward(g):
-        a.accumulate(_unbroadcast(g, a.shape))
-        b.accumulate(-_unbroadcast(g, b.shape))
+        if _takes_grad(a):
+            a.accumulate(_unbroadcast(g, a.shape))
+        if _takes_grad(b):
+            b.accumulate(-_unbroadcast(g, b.shape))
     return _make(data, backward, "sub")
 
 
 def neg(a: Tensor) -> Tensor:
     def backward(g):
-        a.accumulate(-g)
+        if _takes_grad(a):
+            a.accumulate(-g)
     return _make(-a.data, backward, "neg")
 
 
@@ -222,32 +263,35 @@ def mul(a: Tensor, b) -> Tensor:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}")
 
     def backward(g):
-        a.accumulate(_unbroadcast(g * b.data, a.shape))
-        b.accumulate(_unbroadcast(g * a.data, b.shape))
+        if _takes_grad(a):
+            a.accumulate(_unbroadcast(g * b.data, a.shape))
+        if _takes_grad(b):
+            b.accumulate(_unbroadcast(g * a.data, b.shape))
     return _make(data, backward, "mul")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Vector or matrix products; with a Parameter on the right, the weight
+    gradient is deferred to one GEMM per parameter in `Tape.backward`."""
     if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
         raise ShapeError(f"matmul supports 1-D/2-D only: {a.shape} x {b.shape}")
     try:
         data = a.data @ b.data
     except ValueError:
         raise ShapeError(f"matmul: {a.shape} x {b.shape}")
+    tape = _ACTIVE_TAPE
 
     def backward(g):
-        if a.data.ndim == 2 and b.data.ndim == 2:
-            a.accumulate(g @ b.data.T)
-            b.accumulate(a.data.T @ g)
-        elif a.data.ndim == 2 and b.data.ndim == 1:
-            a.accumulate(np.outer(g, b.data))
-            b.accumulate(a.data.T @ g)
-        elif a.data.ndim == 1 and b.data.ndim == 2:
-            a.accumulate(b.data @ g)
-            b.accumulate(np.outer(a.data, g))
-        else:
-            a.accumulate(g * b.data)
-            b.accumulate(g * a.data)
+        # vectors and rows alike as matrices: x (rows, k) @ w (k, n) = g
+        w = b.data.reshape(b.shape[0], -1)
+        x = a.data.reshape(-1, w.shape[0])
+        g = g.reshape(x.shape[0], w.shape[1])
+        if _takes_grad(a):
+            a.accumulate((g @ w.T).reshape(a.shape))
+        if isinstance(b, Parameter):
+            tape._defer(b, x, g)
+        elif _takes_grad(b):
+            b.accumulate((x.T @ g).reshape(b.shape))
     return _make(data, backward, "matmul")
 
 
@@ -263,11 +307,18 @@ def concat(tensors, axis=0) -> Tensor:
     def backward(g):
         start = 0
         for t, size in zip(tensors, sizes):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(start, start + size)
-            t.accumulate(g[tuple(index)])
+            if _takes_grad(t):
+                index = [slice(None)] * g.ndim
+                index[axis] = slice(start, start + size)
+                t.accumulate(g[tuple(index)])
             start += size
     return _make(data, backward, "concat")
+
+
+def _grad_buffer(a: Tensor):
+    if a.grad is None:
+        a.grad = np.zeros_like(a.data)
+    return a.grad
 
 
 def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -277,9 +328,8 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     data = a.data[index].copy()
 
     def backward(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[index] += g
+        if _takes_grad(a):
+            _grad_buffer(a)[index] += g
     return _make(data, backward, "narrow")
 
 
@@ -289,7 +339,8 @@ def reshape(a: Tensor, shape) -> Tensor:
         return a
 
     def backward(g):
-        a.accumulate(g.reshape(a.shape))
+        if _takes_grad(a):
+            a.accumulate(g.reshape(a.shape))
     return _make(data, backward, "reshape")
 
 
@@ -299,9 +350,8 @@ def rows(table: Tensor, indices) -> Tensor:
     data = table.data[idx]
 
     def backward(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
+        if _takes_grad(table):
+            np.add.at(_grad_buffer(table), idx, g)
     return _make(data, backward, "rows")
 
 
@@ -309,9 +359,8 @@ def row(a: Tensor, i: int) -> Tensor:
     data = a.data[i].copy()
 
     def backward(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[i] += g
+        if _takes_grad(a):
+            _grad_buffer(a)[i] += g
     return _make(data, backward, "row")
 
 
@@ -326,7 +375,8 @@ def stack_rows(vectors) -> Tensor:
 
     def backward(g):
         for r, v in enumerate(vectors):
-            v.accumulate(g[r])
+            if _takes_grad(v):
+                v.accumulate(g[r])
     return _make(data, backward, "stack_rows")
 
 
@@ -334,7 +384,8 @@ def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
 
     def backward(g):
-        a.accumulate(g * (1.0 - data * data))
+        if _takes_grad(a):
+            a.accumulate(g * (1.0 - data * data))
     return _make(data, backward, "tanh")
 
 
@@ -346,7 +397,8 @@ def sigmoid(a: Tensor) -> Tensor:
     data[~pos] = ex / (1.0 + ex)
 
     def backward(g):
-        a.accumulate(g * data * (1.0 - data))
+        if _takes_grad(a):
+            a.accumulate(g * data * (1.0 - data))
     return _make(data, backward, "sigmoid")
 
 
@@ -356,8 +408,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     data = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        a.accumulate(data * (g - inner))
+        if _takes_grad(a):
+            inner = (g * data).sum(axis=axis, keepdims=True)
+            a.accumulate(data * (g - inner))
     return _make(data, backward, "softmax")
 
 
@@ -367,8 +420,9 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     data = shifted - lse
 
     def backward(g):
-        soft = np.exp(data)
-        a.accumulate(g - soft * g.sum(axis=axis, keepdims=True))
+        if _takes_grad(a):
+            soft = np.exp(data)
+            a.accumulate(g - soft * g.sum(axis=axis, keepdims=True))
     return _make(data, backward, "log_softmax")
 
 
@@ -377,7 +431,8 @@ def log(a: Tensor) -> Tensor:
         data = np.log(a.data)
 
     def backward(g):
-        a.accumulate(g / a.data)
+        if _takes_grad(a):
+            a.accumulate(g / a.data)
     return _make(data, backward, "log")
 
 
@@ -387,7 +442,8 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     mask = (a.data >= lo) & (a.data <= hi)
 
     def backward(g):
-        a.accumulate(g * mask)
+        if _takes_grad(a):
+            a.accumulate(g * mask)
     return _make(data, backward, "clip")
 
 
@@ -395,6 +451,8 @@ def total(a: Tensor, axis=None) -> Tensor:
     data = a.data.sum(axis=axis)
 
     def backward(g):
+        if not _takes_grad(a):
+            return
         if axis is None:
             a.accumulate(np.broadcast_to(g, a.shape).copy())
         else:
@@ -414,9 +472,8 @@ def pick(a: Tensor, index) -> Tensor:
     data = a.data[index].copy()
 
     def backward(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[index] += g
+        if _takes_grad(a):
+            _grad_buffer(a)[index] += g
     return _make(data, backward, "pick")
 
 
@@ -577,6 +634,8 @@ def load_checkpoint(path):
     for _ in range(count):
         name_len = struct.unpack("<H", take(2))[0]
         name = text(name_len)
+        if name in arrays:
+            raise CheckpointError(f"{path}: parameter {name!r} repeated")
         code, ndim = struct.unpack("<BB", take(2))
         if code not in _DTYPE_CODES:
             raise CheckpointError(f"{path}: unknown dtype code {code}")
@@ -585,4 +644,7 @@ def load_checkpoint(path):
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         arrays[name] = np.frombuffer(
             take(nbytes), dtype=dtype).reshape(shape).copy()
+    if len(view):
+        raise CheckpointError(
+            f"{path}: {len(view)} trailing bytes after the last record")
     return arrays, metadata

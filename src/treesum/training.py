@@ -10,7 +10,9 @@ early stopping on the dev loss.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -64,9 +66,21 @@ class AdamState:
 
 
 def clip_gradients(params, bound=5.0):
-    """Element-wise value clipping into [-bound, bound]; idempotent."""
+    """Element-wise value clipping into [-bound, bound]; idempotent.
+
+    Returns (global L2 norm before clipping, share of gradient values the
+    clipping changed), read in the same pass over each gradient.
+    """
+    square = 0.0
+    changed = 0
+    size = 0
     for p in params:
-        np.clip(p.grad, -bound, bound, out=p.grad)
+        g = p.grad
+        square += float(np.vdot(g, g))
+        changed += int(np.count_nonzero(np.abs(g) > bound))
+        size += g.size
+        np.clip(g, -bound, bound, out=g)
+    return math.sqrt(square), changed / max(1, size)
 
 
 def adam_step(params, state: AdamState, config: TrainConfig):
@@ -209,10 +223,17 @@ def train(model: Model, train_examples, dev_examples=None,
           log=None, stop=None):
     """Shuffled-epoch training loop with early stopping.
 
-    Writes one tab-separated log line per epoch
-    (``epoch  train_loss  dev_loss  dev_op_acc  dev_word_acc``), keeps the
-    parameters of the best dev epoch, and returns the history.  ``stop``
-    optionally ends training early when it returns True for an epoch row.
+    Writes one tab-separated log line per epoch (``epoch  train_loss
+    dev_loss  dev_op_acc  dev_word_acc  wall_s  inst_per_s  grad_norm
+    clip_share  unk_targets``), keeps the parameters of the best dev epoch,
+    and returns the history, one dict per epoch with the same keys.
+    ``wall_s`` is the epoch's wall time including the dev pass;
+    ``inst_per_s`` counts training instances per second of the training
+    batches; ``grad_norm`` (the global L2 norm before clipping) and
+    ``clip_share`` (the share of gradient values clipping changed) are
+    means over the epoch's batches; ``unk_targets`` counts gold words
+    scored as UNK.  ``stop`` optionally ends training early when it
+    returns True for an epoch row.
     """
     config = config or TrainConfig()
     if not train_examples:
@@ -231,10 +252,14 @@ def train(model: Model, train_examples, dev_examples=None,
         model.save(checkpoint_path)
     stale = 0
     for epoch in range(1, config.epochs + 1):
+        started = perf_counter()
         order = rng.permutation(len(train_instances))
         epoch_loss = 0.0
         seen = 0
         unk_targets = 0
+        norm_sum = 0.0
+        clip_sum = 0.0
+        batches = 0
         for start in range(0, len(order), config.batch_size):
             batch = [train_instances[i]
                      for i in order[start:start + config.batch_size]]
@@ -247,25 +272,30 @@ def train(model: Model, train_examples, dev_examples=None,
                         f"non-finite loss {value} in epoch {epoch} at "
                         f"batch offset {start}")
                 tape.backward(loss)
-            clip_gradients(params, config.grad_clip)
+            grad_norm, clip_share = clip_gradients(params, config.grad_clip)
             adam_step(params, adam, config)
             epoch_loss += value * len(batch)
             seen += len(batch)
             unk_targets += stats.unk_targets
+            norm_sum += grad_norm
+            clip_sum += clip_share
+            batches += 1
+        train_s = perf_counter() - started
         train_loss = epoch_loss / seen
         dev_loss, dev_stats = evaluate(model, dev_instances,
                                        config.batch_size)
         row = {"epoch": epoch, "train_loss": train_loss,
                "dev_loss": dev_loss, "dev_op_acc": dev_stats.op_accuracy,
-               "dev_word_acc": dev_stats.word_accuracy}
+               "dev_word_acc": dev_stats.word_accuracy,
+               "wall_s": perf_counter() - started,
+               "inst_per_s": seen / train_s,
+               "grad_norm": norm_sum / batches,
+               "clip_share": clip_sum / batches,
+               "unk_targets": unk_targets}
         history.append(row)
         if log is not None:
-            log("%d\t%.6f\t%.6f\t%.4f\t%.4f" % (
-                epoch, train_loss, dev_loss, dev_stats.op_accuracy,
-                dev_stats.word_accuracy))
-        if unk_targets:
-            logger.info("epoch %d: %d gold words fell back to UNK",
-                        epoch, unk_targets)
+            log("%d\t%.6f\t%.6f\t%.4f\t%.4f\t%.3f\t%.2f\t%.6g\t%.6f\t%d"
+                % tuple(row.values()))
         if dev_loss < best["dev_loss"]:
             best = {"dev_loss": dev_loss,
                     "params": {p.name: p.data.copy() for p in params}}

@@ -5,6 +5,7 @@ import re
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
 from treesum import autodiff as ad
@@ -32,6 +33,10 @@ def workdir(tmp_path_factory):
             "examples": examples}
 
 
+def _checksummed(body):
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def _with_metadata(meta, keep_params=True):
     """Checkpoint rewrite: new metadata bytes, a valid CRC."""
     def rewrite(blob):
@@ -41,7 +46,7 @@ def _with_metadata(meta, keep_params=True):
             else struct.pack("<I", 0)
         new = meta(old)
         body = blob[:8] + struct.pack("<I", len(new)) + new + records
-        return body + struct.pack("<I", zlib.crc32(body))
+        return _checksummed(body)
     return rewrite
 
 
@@ -55,7 +60,27 @@ def _json_config_with(key, value):
         {**old, "config": {**old["config"], key: value}}).encode()
 
 
-# each metadata record is well framed and checksummed, but unusable
+def _with_trailing_bytes(blob):
+    return _checksummed(blob[:-4] + b"\x00" * 7)
+
+
+def _with_first_record_twice(blob):
+    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    count_at = 12 + meta_len
+    (count,) = struct.unpack_from("<I", blob, count_at)
+    start = count_at + 4
+    (name_len,) = struct.unpack_from("<H", blob, start)
+    code, ndim = struct.unpack_from("<BB", blob, start + 2 + name_len)
+    dims = struct.unpack_from(f"<{ndim}I", blob, start + 4 + name_len)
+    # the dtype code is the item size in bytes
+    end = start + 4 + name_len + 4 * ndim + code * int(np.prod(dims))
+    record = blob[start:end]
+    return _checksummed(blob[:count_at] + struct.pack("<I", count + 1)
+                        + record + blob[start:-4])
+
+
+# each file is checksummed, but its metadata is unusable or its records
+# are not one list of distinct names ending at the checksum
 BAD_METADATA = {
     "missing_output_vocab": _with_metadata(_json_without("output_vocab")),
     "unknown_config_key": _with_metadata(_json_config_with("depth", 3)),
@@ -64,6 +89,8 @@ BAD_METADATA = {
         lambda old: json.dumps(old).encode(), keep_params=False),
     "not_json": _with_metadata(lambda old: b"{config: 1"),
     "not_utf8": _with_metadata(lambda old: b'{"config": "\xff"}'),
+    "trailing_bytes": _with_trailing_bytes,
+    "repeated_record": _with_first_record_twice,
 }
 
 
@@ -163,7 +190,9 @@ class TestTrain:
         lines = log.read_text().strip().split("\n")
         assert len(lines) == 2
         fields = lines[0].split("\t")
-        assert len(fields) == 5  # epoch, train, dev, op acc, word acc
+        # epoch, train, dev, op acc, word acc, wall s, inst/s, grad norm,
+        # clip share, UNK targets
+        assert len(fields) == 10
         assert (workdir["root"] / "model.ckpt.config").exists()
 
 

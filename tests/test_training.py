@@ -35,6 +35,15 @@ class TestClipGradients:
         training.clip_gradients([p], 5.0)
         np.testing.assert_array_equal(p.grad, np.zeros(3))
 
+    def test_returns_pre_clip_norm_and_clipped_share(self):
+        p = ad.Parameter(np.zeros(3, dtype=np.float64), "p")
+        q = ad.Parameter(np.zeros((2, 2), dtype=np.float64), "q")
+        p.grad = np.array([6.0, -5.0, 0.0])
+        q.grad = np.array([[0.0, -8.0], [1.0, 1.0]])
+        norm, share = training.clip_gradients([p, q], 5.0)
+        assert norm == pytest.approx(math.sqrt(36 + 25 + 64 + 1 + 1))
+        assert share == pytest.approx(2 / 7)   # 6 and -8; -5 is on the bound
+
 
 class TestAdamStep:
     def test_first_step_moves_against_gradient(self):
@@ -266,6 +275,25 @@ class TestTrainLoop:
         assert len(losses) == 5
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
+    def test_history_rows_carry_epoch_telemetry(self):
+        examples = toy_corpus(n=6, seed=2)
+        m = _toy_model(examples, hidden=8, embed=8, seed=1)
+        lines = []
+        history = training.train(
+            m, examples, config=training.TrainConfig(batch_size=4, epochs=2,
+                                                     seed=3, patience=100),
+            log=lines.append)
+        assert len(history) == len(lines) == 2
+        for row, line in zip(history, lines):
+            assert list(row) == [
+                "epoch", "train_loss", "dev_loss", "dev_op_acc",
+                "dev_word_acc", "wall_s", "inst_per_s", "grad_norm",
+                "clip_share", "unk_targets"]
+            assert len(line.split("\t")) == len(row)
+            assert row["wall_s"] > 0 and row["inst_per_s"] > 0
+            assert row["grad_norm"] > 0 and 0 <= row["clip_share"] <= 1
+            assert row["unk_targets"] == 0
+
     def test_zero_epochs_write_initial_checkpoint_only(self, tmp_path):
         examples = toy_corpus(n=4, seed=2)
         m = _toy_model(examples, hidden=8, embed=8, seed=1)
@@ -338,3 +366,150 @@ def _toy_model(examples, hidden, embed, seed):
         embed_size=embed,
     )
     return Model(config, in_vocab, out_vocab, seed=seed)
+
+
+def _per_step_matmul(a, b):
+    """matmul with every gradient computed on the spot: one outer product
+    per vector step into the weight, the reference for the deferred flush."""
+    data = a.data @ b.data
+
+    def backward(g):
+        if a.data.ndim == 2 and b.data.ndim == 2:
+            a.accumulate(g @ b.data.T)
+            b.accumulate(a.data.T @ g)
+        elif a.data.ndim == 2:
+            a.accumulate(np.outer(g, b.data))
+            b.accumulate(a.data.T @ g)
+        elif b.data.ndim == 2:
+            a.accumulate(b.data @ g)
+            b.accumulate(np.outer(a.data, g))
+        else:
+            a.accumulate(g * b.data)
+            b.accumulate(g * a.data)
+    return ad._make(data, backward, "matmul")
+
+
+class TestDeferredWeightGradients:
+    """Weight gradients of ``x @ Parameter`` are flushed as one GEMM per
+    parameter at the end of `Tape.backward`; constants get none."""
+
+    @staticmethod
+    def _case():
+        m = tiny_model(hidden=16, embed=16, seed=9, dtype=np.float64,
+                       out_words=("a", "h", "r"))
+        point = seeded_rng(91)
+        for p in m.parameters():
+            p.data[...] = point.uniform(-0.3, 0.3, size=p.shape)
+        walks = seeded_rng(92)
+        instances = [
+            (["the", "cat", "zzz", "sat"],
+             random_gold_ops(walks, 5, alphabet=["a", "h", "r", "zzz"])),
+            (["mat", "cat"], random_gold_ops(walks, 4, alphabet=["a", "r"])),
+        ]
+        return m, instances
+
+    @staticmethod
+    def _loss(m, instances):
+        """batch_loss plus uses of one parameter from vectors and rows:
+        attn_enc_w and attn_v (rows in the encoder and the heads) from a
+        vector, and the tree cell (vectors in Model.step) from rows."""
+        loss, _ = training.batch_loss(m, instances)
+        enc = m.encode(instances[0][0])
+        key = ad.tanh(ad.matmul(ad.row(enc.matrix, 0), m.attn_enc_w))
+        zeros = ad.constant(np.zeros((3, m.config.hidden_size)), np.float64)
+        rows_h, _ = ad.lstm_cell(ad.rows(m.out_embed, [1, 2, 3]), zeros,
+                                 zeros, m.tree_cell)
+        return ad.add(ad.add(loss, ad.matmul(key, m.attn_v)),
+                      ad.total(rows_h))
+
+    def _grads(self, m, instances):
+        ad.zero_grads(m.parameters())
+        with ad.Tape() as tape:
+            tape.backward(self._loss(m, instances))
+        return {p.name: p.grad.copy() for p in m.parameters()}
+
+    def test_flush_matches_per_step_outer_products(self, monkeypatch):
+        m, instances = self._case()
+        defer, names = ad.Tape._defer, set()
+
+        def spy(tape, param, x, g):
+            names.add(param.name)
+            defer(tape, param, x, g)
+        with monkeypatch.context() as patch:
+            patch.setattr(ad.Tape, "_defer", spy)
+            deferred = self._grads(m, instances)
+        assert {"attn_enc_w", "attn_v", "tree_cell.w", "encoder.1.fwd.w",
+                "compose_w", "word_out_w"} <= names
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "matmul", _per_step_matmul)
+            reference = self._grads(m, instances)
+        for p in m.parameters():
+            scale = np.abs(reference[p.name]).max()
+            assert scale > 0, p.name
+            np.testing.assert_allclose(deferred[p.name], reference[p.name],
+                                       rtol=0, atol=1e-12 * scale,
+                                       err_msg=p.name)
+
+    def test_constants_get_no_gradient(self, monkeypatch):
+        # copy matrices, zero initial states, lifted scalars and
+        # constant() leaves keep .grad None; Parameter gradients are the
+        # same as when every operand takes a gradient
+        m, instances = self._case()
+        made = []
+        lift, constant, zeros = ad._lift, ad.constant, Model._zeros
+        prepare = Model.prepare_source
+
+        def lifted(x, like):
+            out = lift(x, like)
+            if out is not x:
+                made.append(out)
+            return out
+
+        def recorded(fn):
+            def wrapper(*args, **kwargs):
+                made.append(fn(*args, **kwargs))
+                return made[-1]
+            return wrapper
+
+        def prepare_source(self, tokens):
+            src = prepare(self, tokens)
+            made.append(src.copy_matrix)
+            return src
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "_lift", lifted)
+            patch.setattr(ad, "constant", recorded(constant))
+            patch.setattr(Model, "_zeros", recorded(zeros))
+            patch.setattr(Model, "prepare_source", prepare_source)
+            grads = self._grads(m, instances)
+        kinds = {(type(t).__name__, t.shape) for t in made}
+        assert len(kinds) >= 4
+        assert all(t.grad is None for t in made)
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "_takes_grad", lambda t: True)
+            every_operand = self._grads(m, instances)
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, every_operand[name], name)
+
+    @pytest.mark.parametrize("error", [ad.NonFiniteError, ad.ShapeError])
+    def test_error_mid_backward_leaves_no_stash(self, error):
+        m, instances = self._case()
+        clean = self._grads(m, instances)
+        ad.zero_grads(m.parameters())
+        with ad.Tape() as tape:
+            loss = self._loss(m, instances)
+        first = tape.nodes[0]   # its backward runs last
+        original = first._backward
+
+        def failing(g):
+            original(g)
+            raise error("injected")
+        first._backward = failing
+        with pytest.raises(error, match="injected"):
+            tape.backward(loss)
+        assert tape._deferred == {} and tape.nodes == []
+        ad.zero_grads(m.parameters())
+        with tape:   # the same tape records and flushes a fresh graph
+            tape.backward(self._loss(m, instances))
+        for p in m.parameters():
+            np.testing.assert_array_equal(p.grad, clean[p.name], p.name)
