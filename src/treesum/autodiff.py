@@ -90,8 +90,10 @@ class Tensor:
 
     def accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy: `add` hands the same g to both of its operands
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
@@ -390,11 +392,9 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    data = np.empty_like(a.data)
-    pos = a.data >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ex = np.exp(a.data[~pos])
-    data[~pos] = ex / (1.0 + ex)
+    # exp(-|a|) never overflows: 1 / (1 + e) where a >= 0, e / (1 + e) below
+    e = np.exp(-np.abs(a.data))
+    data = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
 
     def backward(g):
         if _takes_grad(a):

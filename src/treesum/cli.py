@@ -293,40 +293,72 @@ def cmd_decode(args):
 # eval
 # ---------------------------------------------------------------------------
 
-def _load_decodes(path):
-    records = []
+def _json_records(path):
+    """(line number, object) for each non-blank line of a JSON-lines file."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            for field in ("summary", "heads"):
-                if field not in record:
-                    raise CliError(f"{path}:{lineno}: missing {field!r}")
-            summary = record["summary"].split()
-            heads = [int(h) for h in str(record["heads"]).split()]
-            if len(heads) != len(summary):
-                raise CliError(f"{path}:{lineno}: heads/summary mismatch")
-            records.append((summary, heads))
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise CliError(f"{path}:{lineno}: invalid JSON: {e}")
+            if not isinstance(record, dict):
+                raise CliError(f"{path}:{lineno}: expected a JSON object")
+            yield lineno, record
+
+
+def _parse_heads(where, heads, n):
+    """Integer heads of an n-word parse, each in 0..n (0 is the root)."""
+    try:   # via str, so 1.5 and true are refused
+        heads = [int(str(h)) for h in heads]
+    except ValueError:
+        raise CliError(f"{where}: heads must be integers")
+    if len(heads) != n:
+        raise CliError(f"{where}: {len(heads)} heads for {n} words")
+    if not all(0 <= h <= n for h in heads):
+        raise CliError(f"{where}: heads must lie in 0..{n}")
+    return heads
+
+
+def _load_decodes(path):
+    records = []
+    for lineno, record in _json_records(path):
+        for field in ("summary", "heads"):
+            if field not in record:
+                raise CliError(f"{path}:{lineno}: missing {field!r}")
+        if not isinstance(record["summary"], str):
+            raise CliError(f"{path}:{lineno}: 'summary' must be a string")
+        summary = record["summary"].split()
+        heads = _parse_heads(f"{path}:{lineno}",
+                             str(record["heads"]).split(), len(summary))
+        records.append((summary, heads))
     return records
 
 
 def _load_parses(path):
     parses = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            if "words" not in record or "heads" not in record:
-                raise CliError(f"{path}:{lineno}: need 'words' and 'heads'")
-            words = [w.lower() for w in record["words"]]
-            parses.append((words, [int(h) for h in record["heads"]]))
+    for lineno, record in _json_records(path):
+        if "words" not in record or "heads" not in record:
+            raise CliError(f"{path}:{lineno}: need 'words' and 'heads'")
+        words = record["words"]
+        if not (isinstance(words, list) and isinstance(record["heads"], list)
+                and all(isinstance(w, str) for w in words)):
+            raise CliError(f"{path}:{lineno}: 'words' must be a list of "
+                           f"strings and 'heads' a list")
+        heads = _parse_heads(f"{path}:{lineno}", record["heads"], len(words))
+        parses.append(([w.lower() for w in words], heads))
     return parses
 
 
-def _score_instance(system, reference, ref_relations, src_relations, sigmas,
-                    table):
+def _eval_worker_init(sigmas, table):
+    _WORKER_STATE["sigmas"] = sigmas
+    _WORKER_STATE["table"] = table
+
+
+def _score_instance(system, reference, ref_relations, src_relations):
+    sigmas = _WORKER_STATE["sigmas"]
+    table = _WORKER_STATE["table"]
     summary, heads = system
     rows = {}
     for name, value in (("r1", metrics.rouge_n(summary, reference, 1)),
@@ -399,18 +431,25 @@ def cmd_eval(args):
 
     tasks = []
     for i, (system, ref_ex) in enumerate(zip(decodes, references)):
-        ref_relations = metrics.relations_from_heads(ref_ex.summary,
-                                                     ref_ex.heads)
+        try:
+            ref_relations = metrics.relations_from_heads(ref_ex.summary,
+                                                         ref_ex.heads)
+        except metrics.MetricsError as e:
+            raise CliError(f"{args.reference}: record {i + 1}: {e}")
         src_relations = None
         if source_parses is not None:
             src_relations = metrics.relations_from_heads(*source_parses[i])
-        tasks.append((system, ref_ex.summary, ref_relations, src_relations,
-                      sigmas, table))
+        tasks.append((system, ref_ex.summary, ref_relations, src_relations))
     if config["workers"] > 1:
-        with ProcessPoolExecutor(max_workers=config["workers"]) as pool:
+        with ProcessPoolExecutor(
+                max_workers=config["workers"],
+                initializer=_eval_worker_init,
+                initargs=(sigmas, table)) as pool:
             instances = list(pool.map(_score_task, tasks, chunksize=16))
     else:
+        _eval_worker_init(sigmas, table)
         instances = [_score_task(task) for task in tasks]
+        _WORKER_STATE.clear()   # the table is not kept past this run
 
     columns = ["index", "r1_p", "r1_r", "r1_f", "r2_p", "r2_r", "r2_f",
                "rl_p", "rl_r", "rl_f", "relref_f"]

@@ -129,19 +129,30 @@ def load_corpus(path, require_heads=True) -> list:
                 record = json.loads(line)
             except json.JSONDecodeError as e:
                 raise CorpusError(f"{path}:{lineno}: invalid JSON: {e}")
-            if "source" not in record:
+            if not isinstance(record, dict) or "source" not in record:
                 raise CorpusError(f"{path}:{lineno}: missing 'source' field")
+            for field in ("source", "summary"):
+                if not isinstance(record.get(field, ""), str):
+                    raise CorpusError(f"{path}:{lineno}: {field!r} must be "
+                                      f"a string")
             source = tokenize(record["source"])
             summary = tokenize(record.get("summary", ""))
             heads = record.get("heads")
             if require_heads or heads is not None:
                 if heads is None:
                     raise CorpusError(f"{path}:{lineno}: missing 'heads' field")
+                if not isinstance(heads, list):
+                    raise CorpusError(f"{path}:{lineno}: 'heads' must be "
+                                      f"a list")
                 if len(heads) != len(summary):
                     raise CorpusError(
                         f"{path}:{lineno}: {len(heads)} heads for "
                         f"{len(summary)} summary tokens")
-                heads = [int(h) for h in heads]
+                try:   # via str, so 1.5 and true are refused
+                    heads = [int(str(h)) for h in heads]
+                except ValueError:
+                    raise CorpusError(f"{path}:{lineno}: heads must be "
+                                      f"integers")
             else:
                 heads = []
             examples.append(Example(source=source, summary=summary,

@@ -11,13 +11,10 @@ Matching is one-to-one, greedy by descending pair similarity.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 
 class MetricsError(ValueError):
@@ -39,8 +36,13 @@ class Relation:
 def relations_from_heads(words, heads):
     """Word-to-word relations of a parse; arcs from R are skipped because
     R is not a word."""
+    if len(heads) != len(words):
+        raise MetricsError(f"{len(heads)} heads for {len(words)} words")
     out = []
     for dep_pos, head_pos in enumerate(heads, start=1):
+        if not 0 <= head_pos <= len(words):
+            raise MetricsError(
+                f"head {head_pos} of word {dep_pos} outside 0..{len(words)}")
         if head_pos != 0:
             out.append(Relation(head=words[head_pos - 1],
                                 dependent=words[dep_pos - 1]))
@@ -85,39 +87,56 @@ def rouge_l(candidate, reference):
 
 
 class EmbeddingTable:
-    """Word vectors for lenient relation matching."""
+    """Word vectors for lenient relation matching, normalised once to unit
+    rows; a zero vector stays zero, so its cosine with any word is 0."""
 
     def __init__(self, vectors=None, dim=None):
-        self.vectors = dict(vectors or {})
+        vectors = dict(vectors or {})
         self.dim = dim
-        for word, vec in self.vectors.items():
+        for word, vec in vectors.items():
             if self.dim is None:
                 self.dim = len(vec)
             if len(vec) != self.dim:
                 raise MetricsError(
                     f"vector for {word!r} has dimension {len(vec)}, "
                     f"expected {self.dim}")
+        self._adopt({word: i for i, word in enumerate(vectors)},
+                    np.array([*vectors.values(), np.zeros(self.dim or 0)],
+                             dtype=np.float64))
+
+    def _adopt(self, index, rows):
+        """Normalise ``rows`` in place as the vectors, ``rows[index[word]]``;
+        the last row is zero, for index -1: a word without a vector."""
+        self.index = index
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+        self.unit = np.divide(rows, norms, out=rows, where=norms > 0)
 
     def __contains__(self, word):
-        return word in self.vectors
+        return word in self.index
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.index)
 
-    def cosine(self, u, v):
-        a, b = self.vectors[u], self.vectors[v]
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na == 0.0 or nb == 0.0:
-            return 0.0
-        return float(np.dot(a, b) / (na * nb))
+    def cosine(self, us, vs):
+        """(len(us), len(vs)) similarity matrix: 1.0 where the strings are
+        equal, the cosine where both words have vectors, 0.0 otherwise."""
+        a = self.unit[[self.index.get(u, -1) for u in us]]
+        b = self.unit[[self.index.get(v, -1) for v in vs]]
+        sim = a @ b.T
+        sim[np.asarray(us, dtype=str)[:, None]
+            == np.asarray(vs, dtype=str)] = 1.0
+        return sim
 
 
 def load_embeddings(path) -> EmbeddingTable:
     """Parse ``word v1 v2 ... vd`` lines; first occurrence wins on
-    duplicates; dimension mismatches report the line number."""
-    vectors = {}
-    dim = None
+    duplicates; dimension mismatches and non-finite values report the
+    line number.  Vectors go straight into one matrix (no second copy),
+    sized by a first pass that counts the lines."""
+    index, rows = {}, np.zeros((1, 0))
     with open(path, "r", encoding="utf-8") as fh:
+        count = sum(1 for line in fh if line.strip())
+        fh.seek(0)
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
@@ -126,40 +145,32 @@ def load_embeddings(path) -> EmbeddingTable:
             if not values:
                 raise MetricsError(f"{path}:{lineno}: no vector values")
             try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
+                vec = np.array(values, dtype=np.float64)
             except ValueError:
                 raise MetricsError(f"{path}:{lineno}: unparseable value")
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
+            if not np.isfinite(vec).all():
+                raise MetricsError(f"{path}:{lineno}: non-finite value")
+            if not index:
+                rows = np.zeros((count + 1, len(vec)))
+            elif len(vec) != rows.shape[1]:
                 raise MetricsError(
-                    f"{path}:{lineno}: dimension {len(vec)} != {dim}")
-            vectors.setdefault(word, vec)
-    return EmbeddingTable(vectors, dim)
-
-
-def _word_similarity(u, v, table):
-    """1.0 on string equality; embedding cosine otherwise; words missing
-    from the table fall back to string equality (similarity 0 here)."""
-    if u == v:
-        return 1.0
-    if table is not None and u in table and v in table:
-        return table.cosine(u, v)
-    if table is not None:
-        for w in (u, v):
-            if w not in table:
-                logger.debug("word %r missing from embedding table; "
-                             "strict fallback", w)
-    return 0.0
+                    f"{path}:{lineno}: dimension {len(vec)} != "
+                    f"{rows.shape[1]}")
+            if word not in index:
+                rows[len(index)] = vec
+                index[word] = len(index)
+    table = EmbeddingTable(dim=rows.shape[1] if index else None)
+    table._adopt(index, rows[:len(index) + 1])
+    return table
 
 
 def relation_matches(predicted, target, table=None, sigma=1.0):
     """One-to-one matched count at threshold sigma.
 
     A predicted relation may match a target relation when both the head
-    pair and the dependent pair reach similarity sigma; sigma = 1.0 is
-    exact string matching.  Pairs are taken greedily by descending
-    min-similarity, ties by first occurrence.  Returns
+    pair and the dependent pair reach similarity sigma; sigma = 1.0, or no
+    table, is exact string matching.  Pairs are taken greedily by
+    descending min-similarity, ties by first occurrence.  Returns
     (matched, n_predicted, n_target) so callers can pool counts.
     """
     if not 0.0 < sigma <= 1.0:
@@ -168,27 +179,23 @@ def relation_matches(predicted, target, table=None, sigma=1.0):
     target = list(target)
     if not predicted or not target:
         return 0, len(predicted), len(target)
-    eligible = []
-    for i, p in enumerate(predicted):
-        for j, t in enumerate(target):
-            if sigma >= 1.0:
-                if p.head == t.head and p.dependent == t.dependent:
-                    eligible.append((1.0, i, j))
-                continue
-            hs = _word_similarity(p.head, t.head, table)
-            ds = _word_similarity(p.dependent, t.dependent, table)
-            if hs >= sigma and ds >= sigma:
-                eligible.append((min(hs, ds), i, j))
-    eligible.sort(key=lambda e: (-e[0], e[1], e[2]))
+    if sigma >= 1.0 or table is None:
+        eligible = [(1.0, i, j) for i, p in enumerate(predicted)
+                    for j, t in enumerate(target) if p == t]
+    else:
+        score = np.minimum(
+            table.cosine([p.head for p in predicted],
+                         [t.head for t in target]),
+            table.cosine([p.dependent for p in predicted],
+                         [t.dependent for t in target]))
+        eligible = [(score[i, j], i, j)
+                    for i, j in zip(*np.nonzero(score >= sigma))]
     used_p, used_t = set(), set()
-    matched = 0
-    for _, i, j in eligible:
-        if i in used_p or j in used_t:
-            continue
-        used_p.add(i)
-        used_t.add(j)
-        matched += 1
-    return matched, len(predicted), len(target)
+    for _, i, j in sorted(eligible, key=lambda e: (-e[0], e[1], e[2])):
+        if i not in used_p and j not in used_t:
+            used_p.add(i)
+            used_t.add(j)
+    return len(used_p), len(predicted), len(target)
 
 
 def relation_f(predicted, target, table=None, sigma=1.0):

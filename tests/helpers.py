@@ -165,3 +165,41 @@ def toy_corpus(n=50, seed=13):
                                 summary=summary.split(),
                                 heads=[2, 0, 2]))
     return examples
+
+
+def pairwise_cosine(u, v, vectors):
+    """Word similarity one pair at a time: 1.0 on string equality, the
+    cosine of the raw vectors when both words have one, 0.0 otherwise."""
+    if u == v:
+        return 1.0
+    if vectors is None or u not in vectors or v not in vectors:
+        return 0.0
+    a, b = vectors[u], vectors[v]
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
+
+
+def pairwise_relation_matches(predicted, target, vectors=None, sigma=1.0):
+    """Brute-force relation matcher over a word -> vector dict: every
+    (predicted, target) pair is scored on its own, then matched greedily
+    one-to-one by descending min-similarity, ties by first occurrence."""
+    eligible = []
+    for i, p in enumerate(predicted):
+        for j, t in enumerate(target):
+            if sigma >= 1.0:
+                if p.head == t.head and p.dependent == t.dependent:
+                    eligible.append((1.0, i, j))
+                continue
+            hs = pairwise_cosine(p.head, t.head, vectors)
+            ds = pairwise_cosine(p.dependent, t.dependent, vectors)
+            if hs >= sigma and ds >= sigma:
+                eligible.append((min(hs, ds), i, j))
+    eligible.sort(key=lambda e: (-e[0], e[1], e[2]))
+    used_p, used_t = set(), set()
+    for _, i, j in eligible:
+        if i not in used_p and j not in used_t:
+            used_p.add(i)
+            used_t.add(j)
+    return len(used_p), len(predicted), len(target)

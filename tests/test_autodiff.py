@@ -103,7 +103,8 @@ class TestGradCheckPrimitives:
 
     @pytest.mark.parametrize("build", [
         lambda p, x: ad.total(ad.tanh(ad.matmul(p["w"], x))),
-        lambda p, x: ad.total(ad.sigmoid(ad.add(ad.matmul(p["w"], x), p["b"]))),
+        lambda p, x: ad.total(ad.sigmoid(ad.concat(
+            [ad.add(ad.matmul(p["w"], x), p["b"]), t64([100.0, -100.0])]))),
         lambda p, x: ad.total(ad.mul(ad.softmax(ad.matmul(p["w"], x)), p["b"])),
         lambda p, x: ad.total(ad.mul(ad.log_softmax(ad.matmul(p["w"], x)),
                                      ad.softmax(p["b"]))),

@@ -94,6 +94,72 @@ BAD_METADATA = {
 }
 
 
+def _eval_inputs(examples):
+    """Well-formed eval inputs, one line per record, keyed by flag."""
+    return {
+        "decoded": [json.dumps({"summary": " ".join(ex.summary),
+                                "heads": " ".join(map(str, ex.heads))})
+                    for ex in examples],
+        "reference": [json.dumps({"source": " ".join(ex.source),
+                                  "summary": " ".join(ex.summary),
+                                  "heads": list(ex.heads)})
+                      for ex in examples],
+        "source-parses": [json.dumps({"words": ex.source,
+                                      "heads": [0] + [1] * (len(ex.source)
+                                                            - 1)})
+                          for ex in examples],
+        "embeddings": ["saw 1.0 0.0", "met 0.9 0.4359"],
+    }
+
+
+def _eval_argv(tmp_path, inputs):
+    """Write each input to ``<flag>.txt``; the eval command line reading
+    them."""
+    argv = ["eval"]
+    for flag, lines in inputs.items():
+        path = tmp_path / f"{flag}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        argv += [f"--{flag}", str(path)]
+    return argv
+
+
+def _record(**fields):
+    return json.dumps(fields)
+
+
+# flag -> its second line, and where the error must point in that file
+BAD_EVAL_INPUT = {
+    "decoded_not_json": ("decoded", '{"summary": "a b",', ":2:"),
+    "decoded_non_integer_head": (
+        "decoded", _record(summary="a b", heads="0 x"), ":2:"),
+    "decoded_head_above_n": (
+        "decoded", _record(summary="a b", heads="0 3"), ":2:"),
+    "decoded_negative_head": (
+        "decoded", _record(summary="a b", heads="0 -1"), ":2:"),
+    "parses_not_json": ("source-parses", "[0,", ":2:"),
+    "parses_length_mismatch": (
+        "source-parses", _record(words=["a", "b"], heads=[0]), ":2:"),
+    "parses_fractional_head": (
+        "source-parses", _record(words=["a", "b"], heads=[0, 1.5]), ":2:"),
+    "parses_head_above_n": (
+        "source-parses", _record(words=["a", "b"], heads=[0, 3]), ":2:"),
+    "reference_non_integer_head": (
+        "reference", _record(source="a b", summary="a b", heads=[0, "x"]),
+        ":2:"),
+    "reference_fractional_head": (
+        "reference", _record(source="a b", summary="a b", heads=[0, 1.5]),
+        ":2:"),
+    "reference_heads_not_a_list": (
+        "reference", _record(source="a b", summary="a b", heads=2), ":2:"),
+    "reference_source_not_a_string": (
+        "reference", _record(source=3, summary="a b", heads=[0, 1]), ":2:"),
+    "reference_head_above_n": (
+        "reference", _record(source="a b", summary="a b", heads=[0, 3]),
+        ": record 2:"),
+    "embeddings_non_finite": ("embeddings", "met nan 1.0", ":2:"),
+}
+
+
 class TestOracle:
     def test_prints_walkthrough_sequence(self, tmp_path, capsys):
         path = tmp_path / "one.jsonl"
@@ -221,6 +287,18 @@ class TestDecodeAndEval:
         assert str(bad) in capsys.readouterr().err
         assert not decoded.exists()
 
+    @pytest.mark.parametrize("case", sorted(BAD_EVAL_INPUT))
+    def test_bad_eval_input_names_the_file(self, workdir, tmp_path, capsys,
+                                           case):
+        flag, line, where = BAD_EVAL_INPUT[case]
+        inputs = _eval_inputs(workdir["examples"])
+        inputs[flag][1] = line
+        report = tmp_path / "report.tsv"
+        assert cli.run(_eval_argv(tmp_path, inputs)
+                       + ["--out", str(report)]) == 1
+        assert f"{tmp_path / flag}.txt{where}" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_decode_then_eval_smoke(self, workdir, tmp_path):
         decoded = tmp_path / "decoded.jsonl"
         status = cli.run([
@@ -259,6 +337,16 @@ class TestDecodeAndEval:
         assert cli.run(base + ["--out", str(serial)]) == 0
         assert cli.run(base + ["--out", str(parallel),
                                "--workers", "2"]) == 0
+        assert serial.read_text() == parallel.read_text()
+
+    def test_eval_workers_match_serial(self, workdir, tmp_path):
+        inputs = _eval_inputs(workdir["examples"])
+        inputs["decoded"] = inputs["decoded"][::-1]   # imperfect decodes
+        argv = _eval_argv(tmp_path, inputs) + ["--sigmas", "1.0,0.9,0.8,0.7"]
+        serial = tmp_path / "serial.tsv"
+        parallel = tmp_path / "parallel.tsv"
+        assert cli.run(argv + ["--out", str(serial)]) == 0
+        assert cli.run(argv + ["--out", str(parallel), "--workers", "2"]) == 0
         assert serial.read_text() == parallel.read_text()
 
     def test_eval_with_source_parses_and_embeddings(self, workdir, tmp_path):

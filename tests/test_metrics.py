@@ -5,7 +5,7 @@ import pytest
 
 from treesum import metrics
 from treesum.metrics import EmbeddingTable, Relation
-from helpers import seeded_rng
+from helpers import pairwise_cosine, pairwise_relation_matches, seeded_rng
 
 
 class TestRougeN:
@@ -163,6 +163,32 @@ class TestRelationF:
                   for s in sigmas]
             assert all(a <= b + 1e-12 for a, b in zip(fs, fs[1:]))
 
+    def test_matches_pairwise_reference(self):
+        rng = seeded_rng(86)
+        vocab = ["w%d" % i for i in range(10)]
+        centers = rng.normal(size=(3, 4))
+        vectors = {w: centers[i % 3] + 0.3 * rng.normal(size=4)
+                   for i, w in enumerate(vocab[:7])}
+        vectors["w7"] = np.zeros(4)     # w8 and w9 have no vector
+        table = EmbeddingTable(vectors)
+        np.testing.assert_allclose(
+            table.cosine(vocab, vocab),
+            [[pairwise_cosine(u, v, vectors) for v in vocab] for u in vocab],
+            rtol=0, atol=1e-12)
+        lenient_gain = 0
+        for _ in range(300):
+            pred = random_relations(rng, int(rng.integers(0, 7)), vocab)
+            target = random_relations(rng, int(rng.integers(0, 7)), vocab)
+            for sigma in (1.0, 0.9, 0.8, 0.7):
+                got = metrics.relation_matches(pred, target, table, sigma)
+                assert got == pairwise_relation_matches(
+                    pred, target, vectors, sigma)
+                assert metrics.relation_matches(pred, target, None, sigma) \
+                    == pairwise_relation_matches(pred, target, None, sigma)
+            strict = metrics.relation_matches(pred, target, table, 1.0)
+            lenient_gain += got[0] - strict[0]      # got is at sigma 0.7
+        assert lenient_gain > 0     # the sweep exercised lenient matches
+
     def test_missing_words_fall_back_to_strict(self):
         table = EmbeddingTable({"man": np.array([1.0, 0.0])})
         pred = [Relation("escaped", "man")]
@@ -219,7 +245,7 @@ class TestEmbeddingTable:
         path.write_text("man 1.0 2.0 -0.5\ncat 0.1 0.2 0.3\n")
         table = metrics.load_embeddings(path)
         for w in ("man", "cat"):
-            assert table.cosine(w, w) == pytest.approx(1.0)
+            assert table.cosine([w], [w])[0, 0] == pytest.approx(1.0)
 
     def test_ragged_dimensions_report_line(self, tmp_path):
         path = tmp_path / "vectors.txt"
@@ -237,7 +263,15 @@ class TestEmbeddingTable:
         path = tmp_path / "vectors.txt"
         path.write_text("man 1.0 0.0\nman 0.0 1.0\n")
         table = metrics.load_embeddings(path)
-        np.testing.assert_array_equal(table.vectors["man"], [1.0, 0.0])
+        np.testing.assert_array_equal(table.unit[table.index["man"]],
+                                      [1.0, 0.0])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "vectors.txt"
+        path.write_text(f"man 1.0 0.0\ncat {value} 1.0\n")
+        with pytest.raises(metrics.MetricsError, match=":2: non-finite"):
+            metrics.load_embeddings(path)
 
 
 class TestThresholdSweep:
