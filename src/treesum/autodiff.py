@@ -5,18 +5,21 @@ active they run forward-only, which is how decoding avoids graph overhead.
 The primitive set is closed and small: matmul, add/sub/mul (with numpy
 broadcasting, un-broadcast on the way back), concat/narrow/reshape,
 row/rows/stack_rows gathers, tanh, sigmoid, softmax, log_softmax, log,
-clip, total, pick.  Every primitive checks its output for NaN/Inf and
-raises `NonFiniteError` on the first occurrence.
+clip, total, pick, and `lstm_scan`, a whole LSTM recurrence over rows
+whose inputs are known up front.  Every primitive checks its output for
+NaN/Inf and raises `NonFiniteError` on the first occurrence.
 
 Only Parameters and taped nodes take gradients; constants (tensors made
 off the tape, such as copy matrices, zero states and lifted scalars) get
 none, and no backward product is computed for them.  The weight gradient
 of ``x @ p`` for a Parameter ``p`` is not computed per product: its (x, g)
 rows are kept on the tape, and `Tape.backward` flushes each such
-parameter once, as one GEMM, after every node has run.
+parameter once, as one GEMM, after every node has run; `lstm_scan` hands
+its weight gradient to the same flush.
 
-A checkpoint is rejected unless its records end exactly at the checksum
-and no parameter name repeats.
+A checkpoint is rejected unless its records end exactly at the checksum,
+no parameter name repeats, and each record has at most 32 dimensions and
+no more values than the bytes left hold.
 
 Checkpoint container byte layout (version ``TSCKPT01``, all integers
 little-endian, arrays C-order):
@@ -38,6 +41,7 @@ little-endian, arrays C-order):
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -514,6 +518,88 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, params: LstmParams):
     return h_new, c_new
 
 
+def lstm_scan(x: Tensor, parents, h0: Tensor, c0: Tensor,
+              params: LstmParams) -> Tensor:
+    """`lstm_cell` over every row of ``x`` (T, input) as one primitive.
+
+    Row t continues the state of row ``parents[t]``, which must lie below
+    t, or starts from the vectors (h0, c0) where ``parents[t] == -1``.  A
+    chain gives a sequence LSTM; a stack pointer gives the stack-LSTM.
+    Returns the (T, hidden) hidden rows.  The input projection of all
+    rows is one GEMM and only the recurrent product runs per row.  The
+    backward walks the rows in reverse and hands the weight gradient to
+    the tape as ``[x | h_prev]`` rows, so it joins the parameter's one
+    flush GEMM.
+    """
+    n = params.hidden_size
+    w, b = params.w.data, params.b.data
+    if x.data.ndim != 2 or x.shape[1] + n != w.shape[0]:
+        raise ShapeError(f"lstm_scan: rows {x.shape} for weights {w.shape}")
+    if h0.shape != (n,) or c0.shape != (n,):
+        raise ShapeError(f"lstm_scan: initial state {h0.shape}, {c0.shape} "
+                         f"for hidden size {n}")
+    steps = x.shape[0]
+    parents = np.asarray(parents, dtype=np.int64)
+    if parents.shape != (steps,) or np.any(parents < -1) \
+            or np.any(parents >= np.arange(steps)):
+        raise ShapeError(f"lstm_scan: parents must hold one index in "
+                         f"-1..t-1 per row t of {steps}")
+    e = x.shape[1]
+    w_h = w[e:]
+    zx = x.data @ w[:e] + b
+    hs = np.empty((steps, n), dtype=zx.dtype)
+    cs = np.empty((steps, n), dtype=zx.dtype)
+    tape = _ACTIVE_TAPE
+    # the gate values i, f, g, o of every row, kept for the backward
+    gates = np.empty_like(zx) if tape is not None else None
+    for t, p in enumerate(parents.tolist()):
+        h_prev, c_prev = (h0.data, c0.data) if p < 0 else (hs[p], cs[p])
+        z = h_prev @ w_h
+        z += zx[t]
+        # the gate math of lstm_cell, as in `sigmoid` and `tanh`
+        a = np.exp(-np.abs(z))
+        s = np.where(z >= 0, 1.0, a) / (1.0 + a)
+        s[2 * n:3 * n] = np.tanh(z[2 * n:3 * n])
+        c = cs[t]
+        np.multiply(s[n:2 * n], c_prev, out=c)
+        c += s[:n] * s[2 * n:3 * n]
+        np.multiply(s[3 * n:], np.tanh(c), out=hs[t])
+        if gates is not None:
+            gates[t] = s
+
+    def backward(g):
+        i, f, gg, o = (gates[:, k * n:(k + 1) * n] for k in range(4))
+        roots = parents < 0
+        h_prev = np.where(roots[:, None], h0.data, hs[parents])
+        c_prev = np.where(roots[:, None], c0.data, cs[parents])
+        tc = np.tanh(cs)
+        dc_dh = o * (1.0 - tc * tc)
+        # d(pre-activation)/dc for i, f, g and d(pre-activation)/dh for o
+        slope = np.concatenate([gg * i * (1.0 - i), c_prev * f * (1.0 - f),
+                                i * (1.0 - gg * gg), tc * o * (1.0 - o)],
+                               axis=1)
+        dh = np.array(g, dtype=zx.dtype)
+        dc = np.zeros_like(cs)
+        dz = np.empty_like(zx)
+        for t, p in reversed(list(enumerate(parents.tolist()))):
+            dh_t, dc_t = dh[t], dc[t]
+            dc_t += dh_t * dc_dh[t]
+            np.multiply(np.concatenate((dc_t, dc_t, dc_t, dh_t)), slope[t],
+                        out=dz[t])
+            if p >= 0:
+                dh[p] += w_h @ dz[t]
+                dc[p] += dc_t * f[t]
+        if _takes_grad(x):
+            x.accumulate(dz @ w[:e].T)
+        if _takes_grad(h0):
+            h0.accumulate(w_h @ dz[roots].sum(axis=0))
+        if _takes_grad(c0):
+            c0.accumulate((dc[roots] * f[roots]).sum(axis=0))
+        params.b.accumulate(dz.sum(axis=0))
+        tape._defer(params.w, np.concatenate([x.data, h_prev], axis=1), dz)
+    return _make(hs, backward, "lstm_scan")
+
+
 def uniform_init(rng, shape, scale=0.1, dtype=np.float32):
     """Seeded uniform weights in [-scale, scale]; biases stay zero elsewhere."""
     return rng.uniform(-scale, scale, size=shape).astype(dtype)
@@ -569,6 +655,7 @@ def grad_check(f, params, samples_per_param=8, step=1e-5):
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"TSCKPT01"
+_MAX_NDIM = 32
 _DTYPE_CODES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 
 
@@ -639,9 +726,17 @@ def load_checkpoint(path):
         code, ndim = struct.unpack("<BB", take(2))
         if code not in _DTYPE_CODES:
             raise CheckpointError(f"{path}: unknown dtype code {code}")
+        if ndim > _MAX_NDIM:
+            raise CheckpointError(f"{path}: parameter {name!r} has {ndim} "
+                                  f"dimensions, at most {_MAX_NDIM} allowed")
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         dtype = _DTYPE_CODES[code]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        # Python ints: a product of u32 dimensions must not wrap around
+        nbytes = math.prod(shape) * dtype.itemsize
+        if nbytes > len(view):
+            raise CheckpointError(
+                f"{path}: parameter {name!r} of shape {shape} needs {nbytes} "
+                f"bytes, {len(view)} left")
         arrays[name] = np.frombuffer(
             take(nbytes), dtype=dtype).reshape(shape).copy()
     if len(view):

@@ -8,7 +8,7 @@ compositions of equal level across the whole batch run as one batched
 matrix call.  Each composition is keyed by (instance, op index), so the
 fold follows the order the gold sequence itself reduces in, eager or not,
 and results match step-by-step execution.  The final reduce onto R is not
-planned; `Model.step` composes it.
+planned: nothing reads the vector it would push.
 
 Teacher forcing knows the full sequences up front, which is why the whole
 plan can be built before the batch runs; incremental decoding bypasses

@@ -277,8 +277,11 @@ def cmd_decode(args):
                 initargs=(args.checkpoint, beam)) as pool:
             records = list(pool.map(_decode_one, sources, chunksize=4))
     else:
-        _decode_worker_init(args.checkpoint, beam)
-        records = [_decode_one(tokens) for tokens in sources]
+        try:
+            _decode_worker_init(args.checkpoint, beam)
+            records = [_decode_one(tokens) for tokens in sources]
+        finally:
+            _WORKER_STATE.clear()   # the model is not kept past this run
     with atomic_output(args.out) as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")
@@ -447,9 +450,11 @@ def cmd_eval(args):
                 initargs=(sigmas, table)) as pool:
             instances = list(pool.map(_score_task, tasks, chunksize=16))
     else:
-        _eval_worker_init(sigmas, table)
-        instances = [_score_task(task) for task in tasks]
-        _WORKER_STATE.clear()   # the table is not kept past this run
+        try:
+            _eval_worker_init(sigmas, table)
+            instances = [_score_task(task) for task in tasks]
+        finally:
+            _WORKER_STATE.clear()   # the table is not kept past this run
 
     columns = ["index", "r1_p", "r1_r", "r1_f", "r2_p", "r2_r", "r2_f",
                "rl_p", "rl_r", "rl_f", "relref_f"]

@@ -7,11 +7,13 @@ the operation history.  Attention over source states feeds both the
 operation head (3-way) and the word head, which mixes vocabulary
 generation with copying from the source through a learned switch.
 
-The stack-LSTM is maintained incrementally: GEN pushes an LSTM step over
-the new word embedding, a reduce pops two steps and pushes one over the
-composed pair.  By construction the incremental states coincide with
-re-running the LSTM over the current stack bottom-to-top (`tree_state`
-recomputes from scratch for verification).
+In decoding the stack-LSTM is maintained incrementally by `Model.step`:
+GEN pushes an LSTM step over the new word embedding, a reduce pops two
+steps and pushes one over the composed pair.  By construction the
+incremental states coincide with re-running the LSTM over the current
+stack bottom-to-top.  Under teacher forcing every recurrent input is
+known up front, so training runs each recurrence, like the encoder's, as
+one `autodiff.lstm_scan` (see `training.teacher_forced_rows`).
 """
 
 from __future__ import annotations
@@ -226,7 +228,11 @@ class Model:
     # ------------------------------------------------------------------
 
     def encode(self, tokens) -> EncoderStates:
-        """Run the bidirectional encoder; unknown tokens map to UNK."""
+        """Run the bidirectional encoder; unknown tokens map to UNK.
+
+        Each layer and direction is one `lstm_scan`; the backward
+        direction scans the reversed rows.
+        """
         if not tokens:
             raise ModelError("cannot encode an empty source")
         if len(tokens) > self.config.max_source_len:
@@ -234,21 +240,15 @@ class Model:
                 f"source length {len(tokens)} exceeds configured maximum "
                 f"{self.config.max_source_len}")
         ids = [self.input_vocab.id(token) for token in tokens]
-        inputs = [ad.row(self.src_embed, i) for i in ids]
-        h = self.config.hidden_size
+        chain = np.arange(-1, len(ids) - 1)
+        reverse = np.arange(len(ids) - 1, -1, -1)
+        zeros = self._zeros(self.config.hidden_size)
+        matrix = ad.rows(self.src_embed, ids)
         for fwd, bwd in self.encoder_cells:
-            fh, fc = self._zeros(h), self._zeros(h)
-            forward = []
-            for x in inputs:
-                fh, fc = ad.lstm_cell(x, fh, fc, fwd)
-                forward.append(fh)
-            bh, bc = self._zeros(h), self._zeros(h)
-            backward = [None] * len(inputs)
-            for i in range(len(inputs) - 1, -1, -1):
-                bh, bc = ad.lstm_cell(inputs[i], bh, bc, bwd)
-                backward[i] = bh
-            inputs = [ad.concat([f, b]) for f, b in zip(forward, backward)]
-        matrix = ad.stack_rows(inputs)
+            forward = ad.lstm_scan(matrix, chain, zeros, zeros, fwd)
+            backward = ad.lstm_scan(ad.rows(matrix, reverse), chain, zeros,
+                                    zeros, bwd)
+            matrix = ad.concat([forward, ad.rows(backward, reverse)], axis=1)
         return EncoderStates(matrix=matrix,
                              keys=ad.matmul(matrix, self.attn_enc_w))
 
@@ -292,31 +292,6 @@ class Model:
         out-of-vocabulary source words."""
         return ad.row(self.out_embed, self.output_vocab.id(word))
 
-    def tree_state(self, stack_reps) -> ad.Tensor:
-        """From-scratch unroll of the stack LSTM, bottom (R) to top."""
-        if not stack_reps:
-            raise ModelError("stack is never empty (R at the bottom)")
-        h = self._zeros(self.config.hidden_size)
-        c = self._zeros(self.config.hidden_size)
-        for rep in stack_reps:
-            h, c = ad.lstm_cell(rep, h, c, self.tree_cell)
-        return h
-
-    def seq_state(self, words) -> ad.Tensor:
-        """From-scratch summary-prefix state; learned initial when empty."""
-        h, c = self.seq_init_h, self.seq_init_c
-        for word in words:
-            h, c = ad.lstm_cell(self.word_embedding(word), h, c, self.seq_cell)
-        return h
-
-    def history_state(self, ops) -> ad.Tensor:
-        """From-scratch operation-history state over op-kind embeddings."""
-        h, c = self.hist_init_h, self.hist_init_c
-        for op in ops:
-            x = ad.row(self.op_embed, OP_INDEX[op.kind])
-            h, c = ad.lstm_cell(x, h, c, self.hist_cell)
-        return h
-
     # ------------------------------------------------------------------
     # Incremental decoder state
     # ------------------------------------------------------------------
@@ -334,21 +309,14 @@ class Model:
             hist_state=(self.hist_init_h, self.hist_init_c),
         )
 
-    def step(self, state: DecoderState, op: tr.ParserOp,
-             composed: ad.Tensor | None = None) -> DecoderState:
-        """Advance every component by one operation.
-
-        ``composed`` optionally injects the vector the op pushes (the
-        batched trainer supplies these): at GEN the word's embedding, at a
-        reduce what `compose` would produce for it.
-        """
+    def step(self, state: DecoderState, op: tr.ParserOp) -> DecoderState:
+        """Advance every component by one operation."""
         symbolic = tr.apply_op(state.symbolic, op)
         x = ad.row(self.op_embed, OP_INDEX[op.kind])
         hist = ad.lstm_cell(x, state.hist_state[0], state.hist_state[1],
                             self.hist_cell)
         if op.kind == tr.GEN:
-            rep = composed if composed is not None \
-                else self.word_embedding(op.word)
+            rep = self.word_embedding(op.word)
             tree_top = ad.lstm_cell(rep, *state.tree_states[-1],
                                     self.tree_cell)
             seq = ad.lstm_cell(rep, state.seq_state[0], state.seq_state[1],
@@ -361,9 +329,7 @@ class Model:
                 hist_state=hist,
             )
         top, second = state.stack_reps[-1], state.stack_reps[-2]
-        if composed is not None:
-            rep = composed
-        elif op.kind == tr.REDUCE_L:
+        if op.kind == tr.REDUCE_L:
             rep = self.compose(top, second)
         else:
             rep = self.compose(second, top)
@@ -428,22 +394,22 @@ class Model:
                       ad.mul(copy_dist, ad.sub(one, switch)))
         return dist, switch
 
-    def score_rows(self, states, src: SourceContext, word_rows):
-        """Attention and both heads for several states as one row batch.
+    def score_rows(self, tree_h, seq_h, hist_h, src: SourceContext,
+                   word_rows):
+        """Attention and both heads for several decoder states at once.
 
-        Every state is a row of `attend` and `op_scores`; `predict_word`
-        runs on the rows listed in ``word_rows`` only.  Returns (op logits
-        (rows, 3) in OP_ORDER, word distribution (len(word_rows),
-        union_size) or None when no row is listed).
+        ``tree_h``, ``seq_h`` and ``hist_h`` are (rows, hidden) matrices,
+        one row per state.  Every row goes through `attend` and
+        `op_scores`; `predict_word` runs on the rows listed in
+        ``word_rows`` only.  Returns (op logits (rows, 3) in OP_ORDER, word
+        distribution (len(word_rows), union_size) or None when no row is
+        listed).
         """
-        tree_h = ad.stack_rows([state.tree_h for state in states])
-        seq_h = ad.stack_rows([state.seq_h for state in states])
-        hist_h = ad.stack_rows([state.hist_h for state in states])
         ctx = self.attend(tree_h, seq_h, src.enc)
         logits = self.op_scores(tree_h, hist_h, ctx.context)
         if not word_rows:
             return logits, None
-        if len(word_rows) < len(states):
+        if len(word_rows) < tree_h.shape[0]:
             tree_h, seq_h, context, alpha = (ad.rows(x, word_rows) for x in (
                 tree_h, seq_h, ctx.context, ctx.alpha))
             ctx = ContextVector(context=context, alpha=alpha)
@@ -465,7 +431,10 @@ class Model:
             raise ModelError("terminal state has no next-step distribution")
         gen_rows = list(range(len(states))) \
             if any(tr.GEN in k for k in kinds) else []
-        logits, word_dist = self.score_rows(states, src, gen_rows)
+        logits, word_dist = self.score_rows(
+            ad.stack_rows([state.tree_h for state in states]),
+            ad.stack_rows([state.seq_h for state in states]),
+            ad.stack_rows([state.hist_h for state in states]), src, gen_rows)
         mask = np.array([[kind in k for kind in OP_ORDER] for k in kinds])
         logits = np.where(mask, logits.data.astype(np.float64), -np.inf)
         op_probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -507,7 +476,9 @@ class Model:
                 if vocab.digest() != meta[f"{side}_vocab_hash"]:
                     raise ModelError(f"{side} vocabulary hash mismatch")
                 vocabs.append(vocab)
-            model = cls(ModelConfig(**meta["config"]), *vocabs, dtype=dtype)
+            config = ModelConfig(**meta["config"])
+            _check_stored_sizes(config, arrays)
+            model = cls(config, *vocabs, dtype=dtype)
         except (KeyError, TypeError, CorpusError, ModelError) as e:
             raise ModelError(f"{path}: bad checkpoint metadata: "
                              f"{type(e).__name__}: {e}") from e
@@ -520,3 +491,21 @@ class Model:
                     f"{arrays[p.name].shape} vs {p.data.shape}")
             p.data = arrays[p.name].astype(dtype)
         return model
+
+
+def _check_stored_sizes(config: ModelConfig, arrays):
+    """The sizes that set how much a model allocates must match the stored
+    arrays before one is built, so corrupt metadata cannot claim a huge
+    model."""
+    for field, name in (("embed_size", "root_embed"),
+                        ("hidden_size", "seq_init_h")):
+        size = getattr(config, field)
+        shape = arrays[name].shape if name in arrays else None
+        if shape != (size,):
+            raise ModelError(f"{field} {size!r} does not match the stored "
+                             f"{name} of shape {shape}")
+    layers = sum(name.startswith("encoder.") and name.endswith(".fwd.w")
+                 for name in arrays)
+    if config.encoder_layers != layers:
+        raise ModelError(f"encoder_layers {config.encoder_layers!r} does not "
+                         f"match the {layers} stored encoder layers")

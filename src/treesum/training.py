@@ -126,23 +126,78 @@ class StepStats:
         return self.word_correct / self.words if self.words else 0.0
 
 
+def teacher_forced_rows(model: Model, gold_ops, composed):
+    """Decoder states before each op of a gold sequence, as row matrices.
+
+    Returns (tree_h, seq_h, hist_h), each (len(gold_ops), hidden), whose
+    row t is the state `Model.step` reaches after ``gold_ops[:t]``.  The
+    gold ops fix every recurrent input, so each recurrence is one
+    `lstm_scan`:
+
+    - tree: over ``root_embed`` and the vector each op but the last
+      pushes (``composed``, keyed by op index), each row continuing the
+      row below the top of the stack after it pops;
+    - seq: over the GEN vectors, row t taken by its count of earlier GENs;
+    - hist: over the op-kind embeddings of all ops but the last.
+
+    The final reduce onto R pushes nothing a later step reads.  Raises
+    `TrainingError` unless the sequence ends exactly at that reduce.
+    """
+    parents = [-1]      # tree row 0 is R, over the zero state
+    stack = [0]         # the tree row of each stack element, R first
+    words_before = []   # per op, the number of GENs before it
+    gen_ops = []
+    for t, op in enumerate(gold_ops):
+        if not stack:
+            raise TrainingError(f"gold op {t} follows the final reduce")
+        words_before.append(len(gen_ops))
+        if op.kind == tr.GEN:
+            gen_ops.append(t)
+        else:
+            if len(stack) < 2 or (op.kind == tr.REDUCE_L and len(stack) == 2):
+                raise TrainingError(f"gold op {t} ({op}) has no word tree "
+                                    f"to reduce")
+            del stack[-2:]
+            if not stack:   # the final reduce onto R
+                continue
+        parents.append(stack[-1])
+        stack.append(t + 1)
+    if stack:
+        raise TrainingError(f"gold sequence of {len(gold_ops)} ops did not "
+                            f"terminate: {tr.ops_to_text(gold_ops)}")
+    h = model.config.hidden_size
+    zeros = ad.constant(np.zeros(h), model.dtype)
+    pushed = ad.stack_rows(
+        [model.root_embed] + [composed[t] for t in range(len(gold_ops) - 1)])
+    tree_h = ad.lstm_scan(pushed, parents, zeros, zeros, model.tree_cell)
+    chain = np.arange(-1, len(gen_ops) - 1)
+    words = ad.lstm_scan(ad.rows(pushed, [t + 1 for t in gen_ops]), chain,
+                         model.seq_init_h, model.seq_init_c, model.seq_cell)
+    seq_h = ad.rows(ad.concat([ad.reshape(model.seq_init_h, (1, h)), words]),
+                    words_before)
+    kinds = ad.rows(model.op_embed,
+                    [OP_INDEX[op.kind] for op in gold_ops[:-1]])
+    history = ad.lstm_scan(kinds, np.arange(-1, len(gold_ops) - 2),
+                           model.hist_init_h, model.hist_init_c,
+                           model.hist_cell)
+    hist_h = ad.concat([ad.reshape(model.hist_init_h, (1, h)), history])
+    return tree_h, seq_h, hist_h
+
+
 def sequence_loss(model: Model, src, gold_ops, composed):
     """Negative log-likelihood of one valid gold operation sequence.
 
     ``composed`` maps the op index of each GEN and each word-to-word
     reduce to the vector the batch plan computed for this instance.  The
-    gold ops fix every recurrent state before any step is scored, so the
-    states are stepped first and all steps are then scored as the rows of
-    one `Model.score_rows` pass.  Returns (scalar loss tensor, StepStats).
+    gold ops fix every recurrent state before any step is scored, so
+    `teacher_forced_rows` builds the states of all steps first, and they
+    are scored as the rows of one `Model.score_rows` pass.  Returns
+    (scalar loss tensor, StepStats).
     """
-    states = [model.initial_state()]
-    for t, op in enumerate(gold_ops):
-        states.append(model.step(states[-1], op, composed=composed.get(t)))
-    if not states[-1].is_terminal:
-        raise TrainingError(f"gold sequence of {len(gold_ops)} ops did not "
-                            f"terminate: {states[-1].symbolic}")
+    tree_h, seq_h, hist_h = teacher_forced_rows(model, gold_ops, composed)
     gen_rows = [t for t, op in enumerate(gold_ops) if op.kind == tr.GEN]
-    logits, word_dist = model.score_rows(states[:-1], src, gen_rows)
+    logits, word_dist = model.score_rows(tree_h, seq_h, hist_h, src,
+                                         gen_rows)
     op_ids = [OP_INDEX[op.kind] for op in gold_ops]
     op_loss = ad.neg(ad.total(ad.pick(ad.log_softmax(logits), op_ids)))
     uids = [src.union_id(gold_ops[t].word) for t in gen_rows]
@@ -166,8 +221,9 @@ def batch_loss(model: Model, instances):
 
     Every gold sequence is validated first.  The composition work of the
     whole batch then runs through the level plan, in the order each gold
-    sequence reduces; results are identical to the per-step fold in
-    `Model.step`.
+    sequence reduces, and each instance's recurrences run as scans
+    (`teacher_forced_rows`); results match the per-step fold of
+    `Model.step` that decoding runs.
     """
     if not instances:
         raise TrainingError("empty batch")

@@ -8,7 +8,9 @@ operation space.
 
 import numpy as np
 
+from treesum import autodiff as ad
 from treesum import transition as tr
+from treesum.model import OP_INDEX
 
 
 def random_gold_ops(rng, n, alphabet=None):
@@ -203,3 +205,51 @@ def pairwise_relation_matches(predicted, target, vectors=None, sigma=1.0):
             used_p.add(i)
             used_t.add(j)
     return len(used_p), len(predicted), len(target)
+
+
+def tree_state(model, stack_reps):
+    """From-scratch unroll of the stack LSTM, bottom (R) to top, one
+    `lstm_cell` per stack element."""
+    h = c = ad.Tensor(np.zeros(model.config.hidden_size, dtype=model.dtype))
+    for rep in stack_reps:
+        h, c = ad.lstm_cell(rep, h, c, model.tree_cell)
+    return h
+
+
+def seq_state(model, words):
+    """From-scratch summary-prefix state; the learned initial when empty."""
+    h, c = model.seq_init_h, model.seq_init_c
+    for word in words:
+        h, c = ad.lstm_cell(model.word_embedding(word), h, c, model.seq_cell)
+    return h
+
+
+def history_state(model, ops):
+    """From-scratch operation-history state over op-kind embeddings."""
+    h, c = model.hist_init_h, model.hist_init_c
+    for op in ops:
+        x = ad.row(model.op_embed, OP_INDEX[op.kind])
+        h, c = ad.lstm_cell(x, h, c, model.hist_cell)
+    return h
+
+
+def step_fold_rows(model, gold_ops):
+    """The decoder states before each gold op, from `Model.step` over the
+    ops (one `lstm_cell` per recurrence per op, compositions inside the
+    step), stacked as (tree_h, seq_h, hist_h) row matrices: the reference
+    for `training.teacher_forced_rows`."""
+    states = [model.initial_state()]
+    for op in gold_ops[:-1]:
+        states.append(model.step(states[-1], op))
+    return tuple(ad.stack_rows([getattr(state, name) for state in states])
+                 for name in ("tree_h", "seq_h", "hist_h"))
+
+
+def lstm_cell_fold(x, parents, h0, c0, params):
+    """`lstm_scan` as one `lstm_cell` per row: row t continues row
+    parents[t], or (h0, c0) at -1; the hidden rows stacked."""
+    states = []
+    for t, p in enumerate(parents):
+        h, c = (h0, c0) if p < 0 else states[p]
+        states.append(ad.lstm_cell(ad.row(x, t), h, c, params))
+    return ad.stack_rows([h for h, _ in states])

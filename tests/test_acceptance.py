@@ -26,6 +26,7 @@ from helpers import (
     random_gold_ops,
     random_projective_tree,
     seeded_rng,
+    tree_state,
     walkthrough_tree,
     toy_corpus,
 )
@@ -251,7 +252,7 @@ def test_criterion_06_stack_lstm_consistency():
             (tr.RL if kind == tr.REDUCE_L else tr.RR)
         state = m.step(state, op)
         applied += 1
-        scratch = m.tree_state(state.stack_reps)
+        scratch = tree_state(m, state.stack_reps)
         worst = max(worst, float(np.abs(state.tree_h.data
                                         - scratch.data).max()))
     elapsed = time.perf_counter() - start

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from treesum import autodiff as ad
+from helpers import lstm_cell_fold
 
 
 def t64(values):
@@ -195,6 +196,103 @@ class TestLstmCell:
                                   t64(np.zeros(4)), params)
             np.testing.assert_allclose(hb.data[r], hv.data, atol=1e-12)
             np.testing.assert_allclose(cb.data[r], cv.data, atol=1e-12)
+
+
+# a chain; a stack pointer whose rows 1, 3 and 6 continue row 0 and rows
+# 4 and 5 row 3; chains that restart from (h0, c0)
+SCAN_PARENTS = {
+    "chain": [-1, 0, 1, 2, 3, 4, 5],
+    "stack": [-1, 0, 1, 0, 3, 3, 0],
+    "restarts": [-1, 0, -1, 2, 1, -1, 5],
+}
+
+
+class TestLstmScan:
+    """`lstm_scan` against one `lstm_cell` per row, in float64."""
+
+    @staticmethod
+    def _case(initial):
+        rng = np.random.default_rng(14)
+        params = ad.LstmParams(3, 4, "cell", rng, dtype=np.float64, scale=0.5)
+        params.b.data[...] = rng.uniform(-0.5, 0.5, size=params.b.shape)
+        x = p64(rng, (7, 3), "x", scale=1.0)
+        if initial == "parameters":
+            h0, c0 = p64(rng, (4,), "h0"), p64(rng, (4,), "c0")
+        else:
+            h0, c0 = t64(np.zeros(4)), t64(np.zeros(4))
+        probe = t64(rng.normal(size=(7, 4)))
+        return params, x, h0, c0, probe
+
+    @staticmethod
+    def _trainable(params, x, h0, c0):
+        return params.parameters() + [x] + [
+            t for t in (h0, c0) if isinstance(t, ad.Parameter)]
+
+    @pytest.mark.parametrize("initial", ["parameters", "zeros"])
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    @pytest.mark.parametrize("shape", sorted(SCAN_PARENTS))
+    def test_backward_matches_finite_differences(self, shape, order, initial):
+        params, x, h0, c0, probe = self._case(initial)
+        parents = SCAN_PARENTS[shape]
+
+        def f():
+            rows = x if order == "forward" else ad.rows(x, range(6, -1, -1))
+            hs = ad.lstm_scan(rows, parents, h0, c0, params)
+            return ad.total(ad.mul(hs, probe))
+
+        err = ad.grad_check(f, self._trainable(params, x, h0, c0))
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("initial", ["parameters", "zeros"])
+    @pytest.mark.parametrize("shape", sorted(SCAN_PARENTS))
+    def test_matches_lstm_cell_fold(self, shape, initial):
+        params, x, h0, c0, probe = self._case(initial)
+        trainable = self._trainable(params, x, h0, c0)
+        results = []
+        for run in (ad.lstm_scan, lstm_cell_fold):
+            ad.zero_grads(trainable)
+            with ad.Tape() as tape:
+                hs = run(x, SCAN_PARENTS[shape], h0, c0, params)
+                tape.backward(ad.total(ad.mul(hs, probe)))
+            results.append((hs.data, {p.name: p.grad.copy()
+                                      for p in trainable}))
+            if initial == "zeros":   # constants take no gradient
+                assert h0.grad is None and c0.grad is None
+        (scan, scan_grads), (fold, fold_grads) = results
+        np.testing.assert_allclose(scan, fold, rtol=0, atol=1e-12)
+        for name, g in fold_grads.items():
+            assert np.abs(g).max() > 0, name
+            np.testing.assert_allclose(scan_grads[name], g, rtol=0,
+                                       atol=1e-12, err_msg=name)
+
+    def test_forward_only_without_a_tape(self):
+        params, x, h0, c0, _ = self._case("parameters")
+        hs = ad.lstm_scan(x, SCAN_PARENTS["stack"], h0, c0, params)
+        assert hs._backward is None and hs.shape == (7, 4)
+
+    @pytest.mark.parametrize("parents", [
+        [-1, 0, 1], [-1, 0, 1, 2, 3, 4, 5, 6], [-1, 0, 2, 2, 3, 4, 5],
+        [-1, 0, 1, 2, 9, 4, 5], [-2, 0, 1, 2, 3, 4, 5], [-1, 0, 1, 2, -3, 4, 5],
+        [0, 0, 1, 2, 3, 4, 5]])
+    def test_bad_parents_raise_shape_error(self, parents):
+        params, x, h0, c0, _ = self._case("zeros")
+        with pytest.raises(ad.ShapeError, match="parents"):
+            ad.lstm_scan(x, parents, h0, c0, params)
+
+    def test_bad_shapes_raise_shape_error(self):
+        params, x, h0, c0, _ = self._case("zeros")
+        chain = SCAN_PARENTS["chain"]
+        with pytest.raises(ad.ShapeError, match="rows"):
+            ad.lstm_scan(ad.rows(x, [0]), [-1], h0, c0, ad.LstmParams(
+                5, 4, "wide", np.random.default_rng(1), np.float64))
+        with pytest.raises(ad.ShapeError, match="initial state"):
+            ad.lstm_scan(x, chain, t64(np.zeros(3)), c0, params)
+
+    def test_non_finite_output_is_an_error(self):
+        params, x, h0, c0, _ = self._case("zeros")
+        x.data[2, 0] = np.nan
+        with pytest.raises(ad.NonFiniteError, match="lstm_scan"):
+            ad.lstm_scan(x, SCAN_PARENTS["chain"], h0, c0, params)
 
 
 class TestDeterminism:

@@ -7,6 +7,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesum import autodiff as ad
 from treesum import cli
@@ -79,6 +81,37 @@ def _with_first_record_twice(blob):
                         + record + blob[start:-4])
 
 
+def _with_first_record_shape(ndim, dims):
+    """Checkpoint rewrite: the first record declares ``ndim`` and ``dims``
+    (packed as given), its values are kept; a valid CRC."""
+    def rewrite(blob):
+        (meta_len,) = struct.unpack_from("<I", blob, 8)
+        start = 12 + meta_len + 4
+        (name_len,) = struct.unpack_from("<H", blob, start)
+        at = start + 3 + name_len   # the ndim byte
+        (old_ndim,) = struct.unpack_from("<B", blob, at)
+        header = struct.pack("<B", ndim) + struct.pack(f"<{len(dims)}I",
+                                                       *dims)
+        return _checksummed(blob[:at] + header
+                            + blob[at + 1 + 4 * old_ndim:-4])
+    return rewrite
+
+
+def _record_header_offsets(body, meta_len):
+    """Offsets of every record's name length, dtype code, ndim and
+    dimension bytes."""
+    offsets = []
+    at = 12 + meta_len + 4
+    while at < len(body):
+        (name_len,) = struct.unpack_from("<H", body, at)
+        code, ndim = struct.unpack_from("<BB", body, at + 2 + name_len)
+        dims = struct.unpack_from(f"<{ndim}I", body, at + 4 + name_len)
+        end = at + 4 + name_len + 4 * ndim
+        offsets += [at, at + 1, *range(end - 4 * ndim - 2, end)]
+        at = end + code * int(np.prod(dims))
+    return offsets
+
+
 # each file is checksummed, but its metadata is unusable or its records
 # are not one list of distinct names ending at the checksum
 BAD_METADATA = {
@@ -91,6 +124,20 @@ BAD_METADATA = {
     "not_utf8": _with_metadata(lambda old: b'{"config": "\xff"}'),
     "trailing_bytes": _with_trailing_bytes,
     "repeated_record": _with_first_record_twice,
+    # sizes checked against the stored arrays before a model is built;
+    # a billion encoder layers would otherwise allocate until memory ran out
+    "encoder_layers_huge": _with_metadata(
+        _json_config_with("encoder_layers", 10 ** 9)),
+    "hidden_size_mismatch": _with_metadata(
+        _json_config_with("hidden_size", 13)),
+    "embed_size_mismatch": _with_metadata(
+        _json_config_with("embed_size", 11)),
+    # zero-sized, so only the dimension count is wrong
+    "ndim_above_32": _with_first_record_shape(213, (0,) * 213),
+    "shape_beyond_bytes_left": _with_first_record_shape(2, (70000, 70000)),
+    # a u32 product that wraps around in int64
+    "shape_overflowing_int64": _with_first_record_shape(
+        2, (2 ** 32 - 1, 2 ** 32 - 1)),
 }
 
 
@@ -287,6 +334,45 @@ class TestDecodeAndEval:
         assert str(bad) in capsys.readouterr().err
         assert not decoded.exists()
 
+    @pytest.mark.parametrize("case", ["encoder_layers_huge",
+                                      "hidden_size_mismatch",
+                                      "embed_size_mismatch"])
+    def test_sizes_checked_before_a_model_is_built(self, workdir, tmp_path,
+                                                   monkeypatch, case):
+        def build(*args, **kwargs):
+            raise AssertionError("a model was built")
+        monkeypatch.setattr(Model, "__init__", build)
+        bad = tmp_path / f"{case}.ckpt"
+        bad.write_bytes(BAD_METADATA[case](workdir["ckpt"].read_bytes()))
+        field = case.rsplit("_", 1)[0]
+        with pytest.raises(ModelError, match=f"{field} .* does not match"):
+            Model.load(bad)
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(data=st.data())
+    def test_any_corrupted_checkpoint_raises_only_module_errors(self, workdir,
+                                                                data):
+        # one byte replaced or the file cut short, then re-checksummed:
+        # the load succeeds or raises CheckpointError or ModelError
+        body = bytearray(workdir["ckpt"].read_bytes()[:-4])
+        (meta_len,) = struct.unpack_from("<I", body, 8)
+        if data.draw(st.booleans(), label="truncate"):
+            body = body[:data.draw(st.integers(0, len(body) - 1),
+                                   label="length")]
+        else:
+            at = data.draw(st.one_of(
+                st.integers(0, 16 + meta_len),
+                st.sampled_from(_record_header_offsets(body, meta_len)),
+                st.integers(0, len(body) - 1)), label="offset")
+            body[at] = data.draw(st.sampled_from(range(256)), label="byte")
+        path = workdir["root"] / "mutated.ckpt"
+        path.write_bytes(_checksummed(bytes(body)))
+        try:
+            Model.load(path)
+        except (ad.CheckpointError, ModelError) as e:
+            assert str(path) in str(e)
+
     @pytest.mark.parametrize("case", sorted(BAD_EVAL_INPUT))
     def test_bad_eval_input_names_the_file(self, workdir, tmp_path, capsys,
                                            case):
@@ -374,6 +460,30 @@ class TestDecodeAndEval:
         text = report.read_text()
         assert "relsrc_f" in text
         assert "# relation preservation vs source" in text
+
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_serial_run_keeps_no_worker_state(self, workdir, tmp_path,
+                                              monkeypatch, command, fails):
+        # the loaded model or embedding table must not outlive the run,
+        # also when a record fails mid-run
+        if command == "decode":
+            source = tmp_path / "source.jsonl"
+            records = [{"source": " ".join(ex.source)}
+                       for ex in workdir["examples"][:2]]
+            if fails:   # longer than the model's max_source_len
+                records.append({"source": " ".join(["alice"] * 500)})
+            source.write_text("".join(json.dumps(r) + "\n" for r in records))
+            argv = ["decode", "--checkpoint", str(workdir["ckpt"]),
+                    "--input", str(source), "--max-words", "3"]
+        else:
+            if fails:
+                def broken(*args):
+                    raise cli.metrics.MetricsError("scoring failed")
+                monkeypatch.setattr(cli.metrics, "rouge_l", broken)
+            argv = _eval_argv(tmp_path, _eval_inputs(workdir["examples"]))
+        assert cli.run(argv + ["--out", str(tmp_path / "out")]) == int(fails)
+        assert cli._WORKER_STATE == {}
 
     def test_failed_eval_leaves_no_partial_output(self, workdir, tmp_path):
         report = tmp_path / "report.tsv"

@@ -13,7 +13,13 @@ from treesum.model import (
     ModelConfig,
     ModelError,
 )
-from helpers import WALKTHROUGH_OPS, seeded_rng
+from helpers import (
+    WALKTHROUGH_OPS,
+    history_state,
+    seeded_rng,
+    seq_state,
+    tree_state,
+)
 
 
 def tiny_vocab(words):
@@ -101,7 +107,7 @@ class TestStackLstm:
         state = m.initial_state()
         assert len(state.tree_states) == 2
         np.testing.assert_array_equal(
-            state.tree_h.data, m.tree_state([m.root_embed]).data)
+            state.tree_h.data, tree_state(m, [m.root_embed]).data)
 
     def test_walkthrough_step7_unrolls_three_stack_elements(self):
         m = tiny_model(out_words=("a", "man", "escaped", "from", "prison"))
@@ -111,7 +117,7 @@ class TestStackLstm:
         assert len(state.symbolic.stack) == 3
         assert len(state.stack_reps) == 3
         np.testing.assert_allclose(
-            state.tree_h.data, m.tree_state(state.stack_reps).data,
+            state.tree_h.data, tree_state(m, state.stack_reps).data,
             atol=1e-12)
 
     def test_incremental_equals_from_scratch_over_random_walk(self):
@@ -133,7 +139,7 @@ class TestStackLstm:
                 op = tr.RL if kind == tr.REDUCE_L else tr.RR
             state = m.step(state, op)
             applied += 1
-            scratch = m.tree_state(state.stack_reps)
+            scratch = tree_state(m, state.stack_reps)
             worst = max(worst, np.abs(state.tree_h.data - scratch.data).max())
         assert worst < 1e-6
 
@@ -158,13 +164,13 @@ class TestSeqAndHistoryStates:
         # five words generated in total: from-scratch agrees
         np.testing.assert_allclose(
             state.seq_h.data,
-            m.seq_state(["a", "man", "escaped", "from", "prison"]).data,
+            seq_state(m, ["a", "man", "escaped", "from", "prison"]).data,
             atol=1e-12)
 
     def test_history_differs_when_one_op_differs(self):
         m = tiny_model(out_words=("a", "b", "c"))
-        h1 = m.history_state(tr.ops_from_text("GEN(a) GEN(b) RL")).data
-        h2 = m.history_state(tr.ops_from_text("GEN(a) GEN(b) RR")).data
+        h1 = history_state(m, tr.ops_from_text("GEN(a) GEN(b) RL")).data
+        h2 = history_state(m, tr.ops_from_text("GEN(a) GEN(b) RR")).data
         assert np.abs(h1 - h2).max() > 1e-9
 
     def test_incremental_history_matches_from_scratch(self):
@@ -173,7 +179,7 @@ class TestSeqAndHistoryStates:
         for op in WALKTHROUGH_OPS[:6]:
             state = m.step(state, op)
         np.testing.assert_allclose(
-            state.hist_h.data, m.history_state(WALKTHROUGH_OPS[:6]).data,
+            state.hist_h.data, history_state(m, WALKTHROUGH_OPS[:6]).data,
             atol=1e-12)
 
 

@@ -10,7 +10,8 @@ from treesum import corpus as cp
 from treesum import training
 from treesum import transition as tr
 from treesum.model import OP_INDEX, Model, ModelConfig
-from helpers import random_gold_ops, seeded_rng, toy_corpus
+from helpers import random_gold_ops, seeded_rng, step_fold_rows, toy_corpus
+from test_batching import leaf_embeddings, sequential_reps
 from test_model import tiny_model
 
 
@@ -214,6 +215,113 @@ class TestBatchLoss:
         src = m.prepare_source(["the", "cat"])
         with pytest.raises(training.TrainingError, match="terminate"):
             training.sequence_loss(m, src, (tr.gen("cat"),), {})
+
+
+class TestTeacherForcedRows:
+    """The scans of `training.teacher_forced_rows` against `Model.step`
+    folded over the gold ops (`helpers.step_fold_rows`), in float64."""
+
+    @staticmethod
+    def _case():
+        m = tiny_model(hidden=8, embed=8, seed=17, out_words=("a", "h", "r"),
+                       dtype=np.float64)
+        point = seeded_rng(81)
+        for p in m.parameters():
+            p.data = point.uniform(-0.6, 0.6, size=p.data.shape)
+        # one-word sequences with a vocabulary, a copy-only (zzz: source,
+        # not vocabulary) and an UNK (qqq: neither) target; a non-eager
+        # sequence; random valid walks
+        cases = [tuple(tr.ops_from_text(text)) for text in (
+            "GEN(a) RR", "GEN(zzz) RR", "GEN(qqq) RR",
+            "GEN(a) GEN(h) GEN(r) RR RL RR")]
+        walks = seeded_rng(82)
+        cases += [tuple(random_gold_ops(walks, int(walks.integers(2, 7)),
+                                        alphabet=["a", "h", "r", "zzz", "qqq"]))
+                  for _ in range(10)]
+        assert any(ops != tuple(tr.oracle(tr.execute(ops))) for ops in cases)
+        return m, ["the", "cat", "zzz", "sat"], cases
+
+    @staticmethod
+    def _composed(m, ops):
+        leaf = leaf_embeddings(m, [ops])
+        reps = {**leaf, **sequential_reps(m, 0, ops, leaf)}
+        return {t: vec for (_, t), vec in reps.items()}
+
+    @staticmethod
+    def _assert_close(got, want, name):
+        scale = np.abs(want).max()
+        assert scale > 0, name
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale,
+                                   err_msg=name)
+
+    def test_rows_and_their_gradients_match_step_fold(self):
+        m, _, cases = self._case()
+        probe = seeded_rng(83)
+        for ops in cases:
+            weights = [ad.Tensor(probe.normal(size=(len(ops), 8)))
+                       for _ in range(3)]
+            runs = []
+            for rows_of in (
+                    lambda: training.teacher_forced_rows(
+                        m, ops, self._composed(m, ops)),
+                    lambda: step_fold_rows(m, ops)):
+                ad.zero_grads(m.parameters())
+                with ad.Tape() as tape:
+                    rows = rows_of()
+                    loss = None
+                    for r, w in zip(rows, weights):
+                        term = ad.total(ad.mul(r, w))
+                        loss = term if loss is None else ad.add(loss, term)
+                    tape.backward(loss)
+                runs.append(([r.data for r in rows],
+                             {p.name: p.grad.copy() for p in m.parameters()}))
+            (scan, scan_grads), (fold, fold_grads) = runs
+            for name, got, want in zip(("tree", "seq", "hist"), scan, fold):
+                assert got.shape == (len(ops), 8)
+                self._assert_close(got, want, name)
+            for name, g in fold_grads.items():
+                if np.abs(g).max() > 0:
+                    self._assert_close(scan_grads[name], g, name)
+                else:
+                    assert not scan_grads[name].any(), name
+
+    def test_batch_loss_and_gradients_match_step_fold(self, monkeypatch):
+        m, tokens, cases = self._case()
+        batch = [(tokens, ops) for ops in cases[:6]] + [
+            (["mat", "zzz"], ops) for ops in cases[6:]]
+        runs = []
+        for fold in (False, True):
+            with monkeypatch.context() as patch:
+                if fold:
+                    patch.setattr(training, "teacher_forced_rows",
+                                  lambda model, ops, composed:
+                                  step_fold_rows(model, ops))
+                ad.zero_grads(m.parameters())
+                with ad.Tape() as tape:
+                    loss, stats = training.batch_loss(m, batch)
+                    tape.backward(loss)
+            runs.append((loss.item(), stats,
+                         {p.name: p.grad.copy() for p in m.parameters()}))
+        (loss, stats, grads), (ref_loss, ref_stats, ref_grads) = runs
+        assert abs(loss - ref_loss) < 1e-12 * abs(ref_loss)
+        for name in ("op_loss", "word_loss"):
+            assert getattr(stats, name) == pytest.approx(
+                getattr(ref_stats, name), rel=1e-12, abs=0)
+        counts = ("ops", "op_correct", "words", "word_correct", "unk_targets")
+        assert [getattr(stats, n) for n in counts] == \
+            [getattr(ref_stats, n) for n in counts]
+        assert stats.unk_targets > 0
+        for name, g in ref_grads.items():
+            self._assert_close(grads[name], g, name)
+
+    @pytest.mark.parametrize("text", [
+        "GEN(cat) GEN(sat) RR", "RR", "GEN(cat) RL", "GEN(cat) RR RR",
+        "GEN(cat) RR GEN(sat)"])
+    def test_invalid_gold_raises_training_error(self, text):
+        m = tiny_model()
+        src = m.prepare_source(["the", "cat"])
+        with pytest.raises(training.TrainingError):
+            training.sequence_loss(m, src, tuple(tr.ops_from_text(text)), {})
 
 
 class TestEvaluate:
