@@ -5,9 +5,11 @@ active they run forward-only, which is how decoding avoids graph overhead.
 The primitive set is closed and small: matmul, add/sub/mul (with numpy
 broadcasting, un-broadcast on the way back), concat/narrow/reshape,
 row/rows/stack_rows gathers, tanh, sigmoid, softmax, log_softmax, log,
-clip, total, pick, and `lstm_scan`, a whole LSTM recurrence over rows
-whose inputs are known up front.  Every primitive checks its output for
-NaN/Inf and raises `NonFiniteError` on the first occurrence.
+clip, total, pick, the gates of `lstm_cell` (one LSTM step, whose new
+cell and hidden states are one node each), and `lstm_scan`, a whole LSTM
+recurrence over rows whose inputs are known up front.  Every primitive
+checks its output for NaN/Inf and raises `NonFiniteError` on the first
+occurrence.
 
 Only Parameters and taped nodes take gradients; constants (tensors made
 off the tape, such as copy matrices, zero states and lifted scalars) get
@@ -189,7 +191,7 @@ class Tape:
 
 
 def _make(data, backward, op):
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"non-finite output of {op}")
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -395,10 +397,14 @@ def tanh(a: Tensor) -> Tensor:
     return _make(data, backward, "tanh")
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def _sigmoid_np(a):
     # exp(-|a|) never overflows: 1 / (1 + e) where a >= 0, e / (1 + e) below
-    e = np.exp(-np.abs(a.data))
-    data = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0, e) / (1.0 + e)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    data = _sigmoid_np(a.data)
 
     def backward(g):
         if _takes_grad(a):
@@ -504,17 +510,54 @@ class LstmParams:
         return [self.w, self.b]
 
 
+def _lstm_gates(z, n):
+    """The activations i, f, g, o of pre-activations z (..., 4n).  One
+    sigmoid call over all four quarters is cheaper than two around g,
+    whose quarter then takes its tanh."""
+    s = _sigmoid_np(z)
+    s[..., 2 * n:3 * n] = np.tanh(z[..., 2 * n:3 * n])
+    return s
+
+
+def _lstm_slopes(s, c_prev, tc, n):
+    """Per row, d(pre-activation)/dc of gates i, f, g and
+    d(pre-activation)/dh of gate o, so dz = [dc | dc | dc | dh] * slopes;
+    ``tc`` is tanh of the new cell state."""
+    i, f, g, o = (s[..., k * n:(k + 1) * n] for k in range(4))
+    return np.concatenate([g * i * (1.0 - i), c_prev * f * (1.0 - f),
+                           i * (1.0 - g * g), tc * o * (1.0 - o)], axis=-1)
+
+
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, params: LstmParams):
-    """One step of a standard LSTM; works on vectors or (batch, dim) rows."""
+    """One step of a standard LSTM; works on vectors or (batch, dim) rows.
+
+    ``z = [x || h] @ w + b`` runs as taped matmul and add.  The gates and
+    the state update are two nodes, the new cell state and then the new
+    hidden state; the hidden state's backward hands its gradient to the
+    cell state's, which passes dz to z.
+    """
     n = params.hidden_size
     axis = x.data.ndim - 1
     z = add(matmul(concat([x, h], axis=axis), params.w), params.b)
-    i = sigmoid(narrow(z, axis, 0, n))
-    f = sigmoid(narrow(z, axis, n, 2 * n))
-    g = tanh(narrow(z, axis, 2 * n, 3 * n))
-    o = sigmoid(narrow(z, axis, 3 * n, 4 * n))
-    c_new = add(mul(f, c), mul(i, g))
-    h_new = mul(o, tanh(c_new))
+    s = _lstm_gates(z.data, n)
+    f, g, o = s[..., n:2 * n], s[..., 2 * n:3 * n], s[..., 3 * n:]
+    c_data = f * c.data + s[..., :n] * g
+    tc = np.tanh(c_data)
+    dh = []     # the new hidden state's gradient, once its backward ran
+
+    def backward_c(dc):
+        dh_o = dh[0] if dh else np.zeros_like(dc)
+        z.accumulate(np.concatenate([dc, dc, dc, dh_o], axis=-1)
+                     * _lstm_slopes(s, c.data, tc, n))
+        if _takes_grad(c):
+            c.accumulate(_unbroadcast(dc * f, c.shape))
+
+    def backward_h(g_h):
+        dh.append(g_h)
+        c_new.accumulate(g_h * o * (1.0 - tc * tc))
+
+    c_new = _make(c_data, backward_c, "lstm_cell")
+    h_new = _make(o * tc, backward_h, "lstm_cell")
     return h_new, c_new
 
 
@@ -556,10 +599,7 @@ def lstm_scan(x: Tensor, parents, h0: Tensor, c0: Tensor,
         h_prev, c_prev = (h0.data, c0.data) if p < 0 else (hs[p], cs[p])
         z = h_prev @ w_h
         z += zx[t]
-        # the gate math of lstm_cell, as in `sigmoid` and `tanh`
-        a = np.exp(-np.abs(z))
-        s = np.where(z >= 0, 1.0, a) / (1.0 + a)
-        s[2 * n:3 * n] = np.tanh(z[2 * n:3 * n])
+        s = _lstm_gates(z, n)
         c = cs[t]
         np.multiply(s[n:2 * n], c_prev, out=c)
         c += s[:n] * s[2 * n:3 * n]
@@ -568,16 +608,13 @@ def lstm_scan(x: Tensor, parents, h0: Tensor, c0: Tensor,
             gates[t] = s
 
     def backward(g):
-        i, f, gg, o = (gates[:, k * n:(k + 1) * n] for k in range(4))
+        f, o = gates[:, n:2 * n], gates[:, 3 * n:]
         roots = parents < 0
         h_prev = np.where(roots[:, None], h0.data, hs[parents])
         c_prev = np.where(roots[:, None], c0.data, cs[parents])
         tc = np.tanh(cs)
         dc_dh = o * (1.0 - tc * tc)
-        # d(pre-activation)/dc for i, f, g and d(pre-activation)/dh for o
-        slope = np.concatenate([gg * i * (1.0 - i), c_prev * f * (1.0 - f),
-                                i * (1.0 - gg * gg), tc * o * (1.0 - o)],
-                               axis=1)
+        slope = _lstm_slopes(gates, c_prev, tc, n)
         dh = np.array(g, dtype=zx.dtype)
         dc = np.zeros_like(cs)
         dz = np.empty_like(zx)

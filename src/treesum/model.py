@@ -11,9 +11,10 @@ In decoding the stack-LSTM is maintained incrementally by `Model.step`:
 GEN pushes an LSTM step over the new word embedding, a reduce pops two
 steps and pushes one over the composed pair.  By construction the
 incremental states coincide with re-running the LSTM over the current
-stack bottom-to-top.  Under teacher forcing every recurrent input is
-known up front, so training runs each recurrence, like the encoder's, as
-one `autodiff.lstm_scan` (see `training.teacher_forced_rows`).
+stack bottom-to-top.  The encoder steps one `autodiff.lstm_cell` per
+token.  Under teacher forcing every decoder recurrence's input is known
+up front, so training runs each one as one `autodiff.lstm_scan` (see
+`training.teacher_forced_rows`).
 """
 
 from __future__ import annotations
@@ -228,11 +229,7 @@ class Model:
     # ------------------------------------------------------------------
 
     def encode(self, tokens) -> EncoderStates:
-        """Run the bidirectional encoder; unknown tokens map to UNK.
-
-        Each layer and direction is one `lstm_scan`; the backward
-        direction scans the reversed rows.
-        """
+        """Run the bidirectional encoder; unknown tokens map to UNK."""
         if not tokens:
             raise ModelError("cannot encode an empty source")
         if len(tokens) > self.config.max_source_len:
@@ -240,15 +237,21 @@ class Model:
                 f"source length {len(tokens)} exceeds configured maximum "
                 f"{self.config.max_source_len}")
         ids = [self.input_vocab.id(token) for token in tokens]
-        chain = np.arange(-1, len(ids) - 1)
-        reverse = np.arange(len(ids) - 1, -1, -1)
-        zeros = self._zeros(self.config.hidden_size)
-        matrix = ad.rows(self.src_embed, ids)
+        inputs = [ad.row(self.src_embed, i) for i in ids]
+        h = self.config.hidden_size
         for fwd, bwd in self.encoder_cells:
-            forward = ad.lstm_scan(matrix, chain, zeros, zeros, fwd)
-            backward = ad.lstm_scan(ad.rows(matrix, reverse), chain, zeros,
-                                    zeros, bwd)
-            matrix = ad.concat([forward, ad.rows(backward, reverse)], axis=1)
+            fh, fc = self._zeros(h), self._zeros(h)
+            forward = []
+            for x in inputs:
+                fh, fc = ad.lstm_cell(x, fh, fc, fwd)
+                forward.append(fh)
+            bh, bc = self._zeros(h), self._zeros(h)
+            backward = [None] * len(inputs)
+            for i in range(len(inputs) - 1, -1, -1):
+                bh, bc = ad.lstm_cell(inputs[i], bh, bc, bwd)
+                backward[i] = bh
+            inputs = [ad.concat([f, b]) for f, b in zip(forward, backward)]
+        matrix = ad.stack_rows(inputs)
         return EncoderStates(matrix=matrix,
                              keys=ad.matmul(matrix, self.attn_enc_w))
 

@@ -141,32 +141,28 @@ def teacher_forced_rows(model: Model, gold_ops, composed):
     - hist: over the op-kind embeddings of all ops but the last.
 
     The final reduce onto R pushes nothing a later step reads.  Raises
-    `TrainingError` unless the sequence ends exactly at that reduce.
+    `TrainingError` unless `transition.execute` accepts the sequence.
     """
+    try:
+        tr.execute(gold_ops)
+    except tr.TransitionError as e:
+        raise TrainingError(f"gold sequence of {len(gold_ops)} ops does not "
+                            f"terminate in one tree: {e}") from e
     parents = [-1]      # tree row 0 is R, over the zero state
     stack = [0]         # the tree row of each stack element, R first
     words_before = []   # per op, the number of GENs before it
     gen_ops = []
-    for t, op in enumerate(gold_ops):
-        if not stack:
-            raise TrainingError(f"gold op {t} follows the final reduce")
+    for t, op in enumerate(gold_ops[:-1]):   # the last op is the final reduce
         words_before.append(len(gen_ops))
         if op.kind == tr.GEN:
             gen_ops.append(t)
         else:
-            if len(stack) < 2 or (op.kind == tr.REDUCE_L and len(stack) == 2):
-                raise TrainingError(f"gold op {t} ({op}) has no word tree "
-                                    f"to reduce")
             del stack[-2:]
-            if not stack:   # the final reduce onto R
-                continue
         parents.append(stack[-1])
         stack.append(t + 1)
-    if stack:
-        raise TrainingError(f"gold sequence of {len(gold_ops)} ops did not "
-                            f"terminate: {tr.ops_to_text(gold_ops)}")
+    words_before.append(len(gen_ops))
     h = model.config.hidden_size
-    zeros = ad.constant(np.zeros(h), model.dtype)
+    zeros = model._zeros(h)
     pushed = ad.stack_rows(
         [model.root_embed] + [composed[t] for t in range(len(gold_ops) - 1)])
     tree_h = ad.lstm_scan(pushed, parents, zeros, zeros, model.tree_cell)
@@ -219,20 +215,15 @@ def sequence_loss(model: Model, src, gold_ops, composed):
 def batch_loss(model: Model, instances):
     """Mean per-instance loss over a batch of (source tokens, gold ops).
 
-    Every gold sequence is validated first.  The composition work of the
-    whole batch then runs through the level plan, in the order each gold
-    sequence reduces, and each instance's recurrences run as scans
-    (`teacher_forced_rows`); results match the per-step fold of
-    `Model.step` that decoding runs.
+    The composition work of the whole batch runs through the level plan,
+    in the order each gold sequence reduces, and each instance's
+    recurrences run as scans (`teacher_forced_rows`); results match the
+    per-step fold of `Model.step` that decoding runs.  A gold sequence
+    that `transition.execute` rejects raises `TrainingError` naming its
+    batch instance.
     """
     if not instances:
         raise TrainingError("empty batch")
-    for i, (_, ops) in enumerate(instances):
-        try:
-            tr.execute(ops)
-        except tr.TransitionError as e:
-            raise TrainingError(f"gold sequence of batch instance {i}: "
-                                f"{e}") from e
     contexts = [model.prepare_source(tokens) for tokens, _ in instances]
     sequences = [ops for _, ops in instances]
     leaf_reps = {(i, t): model.word_embedding(op.word)
@@ -245,8 +236,12 @@ def batch_loss(model: Model, instances):
         composed[i][t] = vec
     total = None
     stats = StepStats()
-    for (_, ops), src, inst_composed in zip(instances, contexts, composed):
-        loss, inst_stats = sequence_loss(model, src, ops, inst_composed)
+    for i, ((_, ops), src, inst_composed) in enumerate(
+            zip(instances, contexts, composed)):
+        try:
+            loss, inst_stats = sequence_loss(model, src, ops, inst_composed)
+        except TrainingError as e:
+            raise TrainingError(f"batch instance {i}: {e}") from e
         stats.merge(inst_stats)
         total = loss if total is None else ad.add(total, loss)
     mean = ad.mul(total, 1.0 / len(instances))

@@ -253,3 +253,17 @@ def lstm_cell_fold(x, parents, h0, c0, params):
         h, c = (h0, c0) if p < 0 else states[p]
         states.append(ad.lstm_cell(ad.row(x, t), h, c, params))
     return ad.stack_rows([h for h, _ in states])
+
+
+def lstm_cell_composite(x, h, c, params):
+    """`lstm_cell` composed of tape primitives, one node per gate op: the
+    reference whose arithmetic the fused cell repeats."""
+    n = params.hidden_size
+    axis = x.data.ndim - 1
+    z = ad.add(ad.matmul(ad.concat([x, h], axis=axis), params.w), params.b)
+    i = ad.sigmoid(ad.narrow(z, axis, 0, n))
+    f = ad.sigmoid(ad.narrow(z, axis, n, 2 * n))
+    g = ad.tanh(ad.narrow(z, axis, 2 * n, 3 * n))
+    o = ad.sigmoid(ad.narrow(z, axis, 3 * n, 4 * n))
+    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
+    return ad.mul(o, ad.tanh(c_new)), c_new

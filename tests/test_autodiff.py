@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from treesum import autodiff as ad
-from helpers import lstm_cell_fold
+from helpers import lstm_cell_composite, lstm_cell_fold
 
 
 def t64(values):
@@ -196,6 +196,51 @@ class TestLstmCell:
                                   t64(np.zeros(4)), params)
             np.testing.assert_allclose(hb.data[r], hv.data, atol=1e-12)
             np.testing.assert_allclose(cb.data[r], cv.data, atol=1e-12)
+
+    # (x, h, c) shapes: vectors, rows, and rows over one shared cell state
+    CELL_SHAPES = {"vector": ((3,), (4,), (4,)),
+                   "rows": ((5, 3), (5, 4), (5, 4)),
+                   "shared_c": ((5, 3), (5, 4), (4,))}
+
+    @pytest.mark.parametrize("used", ["h", "c", "both"])
+    @pytest.mark.parametrize("shape", sorted(CELL_SHAPES))
+    def test_matches_primitive_composition(self, shape, used):
+        # forward bit for bit, so decodes do not change; gradients through
+        # either output or both within 1e-12
+        rng = np.random.default_rng(12)
+        params = ad.LstmParams(3, 4, "cell", rng, dtype=np.float64, scale=0.5)
+        params.b.data[...] = rng.uniform(-0.5, 0.5, size=params.b.shape)
+        x_shape, h_shape, c_shape = self.CELL_SHAPES[shape]
+        x, h, c = (p64(rng, s_, name, scale=1.0) for s_, name in
+                   ((x_shape, "x"), (h_shape, "h"), (c_shape, "c")))
+        probe = t64(rng.normal(size=(2,) + h_shape))
+        trainable = params.parameters() + [x, h, c]
+        results = []
+        for cell in (ad.lstm_cell, lstm_cell_composite):
+            ad.zero_grads(trainable)
+            with ad.Tape() as tape:
+                h_new, c_new = cell(x, h, c, params)
+                terms = [ad.total(ad.mul(out, ad.row(probe, k)))
+                         for k, out in enumerate((h_new, c_new))
+                         if used in ("both", "hc"[k])]
+                tape.backward(terms[0] if len(terms) == 1
+                              else ad.add(*terms))
+            results.append(((h_new.data, c_new.data),
+                            {p.name: p.grad.copy() for p in trainable}))
+        (fused, fused_grads), (reference, reference_grads) = results
+        for a, b in zip(fused, reference):
+            np.testing.assert_array_equal(a, b)
+        for name, g in reference_grads.items():
+            assert np.abs(g).max() > 0, name
+            np.testing.assert_allclose(fused_grads[name], g, rtol=0,
+                                       atol=1e-12, err_msg=name)
+
+    def test_non_finite_state_is_an_error(self):
+        rng = np.random.default_rng(13)
+        params = ad.LstmParams(2, 3, "cell", rng, dtype=np.float64)
+        c = t64([0.0, np.inf, 0.0])
+        with pytest.raises(ad.NonFiniteError, match="lstm_cell"):
+            ad.lstm_cell(t64([1.0, 2.0]), t64(np.zeros(3)), c, params)
 
 
 # a chain; a stack pointer whose rows 1, 3 and 6 continue row 0 and rows
