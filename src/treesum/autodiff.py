@@ -20,8 +20,8 @@ parameter once, as one GEMM, after every node has run; `lstm_scan` hands
 its weight gradient to the same flush.
 
 A checkpoint is rejected unless its records end exactly at the checksum,
-no parameter name repeats, and each record has at most 32 dimensions and
-no more values than the bytes left hold.
+no parameter name repeats, and each record has at most 32 dimensions, no
+more values than the bytes left hold, and only finite values.
 
 Checkpoint container byte layout (version ``TSCKPT01``, all integers
 little-endian, arrays C-order):
@@ -776,6 +776,9 @@ def load_checkpoint(path):
                 f"bytes, {len(view)} left")
         arrays[name] = np.frombuffer(
             take(nbytes), dtype=dtype).reshape(shape).copy()
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(
+                f"{path}: parameter {name!r} holds non-finite values")
     if len(view):
         raise CheckpointError(
             f"{path}: {len(view)} trailing bytes after the last record")

@@ -11,9 +11,13 @@ In decoding the stack-LSTM is maintained incrementally by `Model.step`:
 GEN pushes an LSTM step over the new word embedding, a reduce pops two
 steps and pushes one over the composed pair.  By construction the
 incremental states coincide with re-running the LSTM over the current
-stack bottom-to-top.  The encoder steps one `autodiff.lstm_cell` per
-token.  Under teacher forcing every decoder recurrence's input is known
-up front, so training runs each one as one `autodiff.lstm_scan` (see
+stack bottom-to-top.  The encoder takes a batch of sources and runs them
+in lockstep (operation batching, Neubig et al. 2017): each layer and
+direction steps one `autodiff.lstm_cell` per time step over the rows of
+the sources still running, so a batch of B sources costs as many cells
+as its longest source; decoding encodes a batch of one.  Under teacher
+forcing every decoder recurrence's input is known up front, so training
+runs each one as one `autodiff.lstm_scan` (see
 `training.teacher_forced_rows`).
 """
 
@@ -34,6 +38,16 @@ OP_INDEX = {kind: i for i, kind in enumerate(OP_ORDER)}
 
 class ModelError(Exception):
     pass
+
+
+class SourceError(ModelError):
+    """A source the encoder cannot take, at position ``index`` of its
+    batch."""
+
+    def __init__(self, index, reason):
+        super().__init__(f"source {index}: {reason}")
+        self.index = index
+        self.reason = reason
 
 
 @dataclass
@@ -228,36 +242,86 @@ class Model:
     # Encoder
     # ------------------------------------------------------------------
 
-    def encode(self, tokens) -> EncoderStates:
-        """Run the bidirectional encoder; unknown tokens map to UNK."""
-        if not tokens:
-            raise ModelError("cannot encode an empty source")
-        if len(tokens) > self.config.max_source_len:
-            raise ModelError(
-                f"source length {len(tokens)} exceeds configured maximum "
-                f"{self.config.max_source_len}")
-        ids = [self.input_vocab.id(token) for token in tokens]
-        inputs = [ad.row(self.src_embed, i) for i in ids]
-        h = self.config.hidden_size
+    def encode(self, sources) -> list[EncoderStates]:
+        """Run the bidirectional encoder over a batch of token lists in
+        lockstep; unknown tokens map to UNK.  Returns one `EncoderStates`
+        per source, in the order given.
+
+        The sources are ordered longest first (stable), so the sources
+        still running at step s are a prefix of that order: each layer and
+        direction runs one `autodiff.lstm_cell` per step over their rows,
+        and the state narrows to the prefix when a source ends.  At step s
+        the forward direction reads token s of a source and the backward
+        direction token L-1-s, L its length.  Raises `SourceError` naming
+        the first source that is empty, over-long or a string.
+        """
+        if not sources:
+            raise ModelError("no sources to encode")
+        for i, tokens in enumerate(sources):
+            if isinstance(tokens, str):
+                raise SourceError(i, "a source is a list of tokens, "
+                                     "not a string")
+            if not tokens:
+                raise SourceError(i, "cannot encode an empty source")
+            if len(tokens) > self.config.max_source_len:
+                raise SourceError(
+                    i, f"source length {len(tokens)} exceeds configured "
+                       f"maximum {self.config.max_source_len}")
+        lengths = [len(tokens) for tokens in sources]
+        order = sorted(range(len(sources)), key=lambda i: -lengths[i])
+        starts = np.cumsum([0] + lengths[:-1]).tolist()
+        # per direction, the token row each running source reads per step
+        forward, backward = [], []
+        for s in range(lengths[order[0]]):
+            running = [i for i in order if lengths[i] > s]
+            forward.append([starts[i] + s for i in running])
+            backward.append([starts[i] + lengths[i] - 1 - s
+                             for i in running])
+        x = ad.rows(self.src_embed, [self.input_vocab.id(token)
+                                     for tokens in sources
+                                     for token in tokens])
         for fwd, bwd in self.encoder_cells:
-            fh, fc = self._zeros(h), self._zeros(h)
-            forward = []
-            for x in inputs:
-                fh, fc = ad.lstm_cell(x, fh, fc, fwd)
-                forward.append(fh)
-            bh, bc = self._zeros(h), self._zeros(h)
-            backward = [None] * len(inputs)
-            for i in range(len(inputs) - 1, -1, -1):
-                bh, bc = ad.lstm_cell(inputs[i], bh, bc, bwd)
-                backward[i] = bh
-            inputs = [ad.concat([f, b]) for f, b in zip(forward, backward)]
-        matrix = ad.stack_rows(inputs)
-        return EncoderStates(matrix=matrix,
-                             keys=ad.matmul(matrix, self.attn_enc_w))
+            x = ad.concat([self._encode_direction(x, forward, fwd),
+                           self._encode_direction(x, backward, bwd)],
+                          axis=1)
+        keys = ad.matmul(x, self.attn_enc_w)
+        return [EncoderStates(matrix=ad.narrow(x, 0, start, start + length),
+                              keys=ad.narrow(keys, 0, start, start + length))
+                for start, length in zip(starts, lengths)]
+
+    def _encode_direction(self, x, step_rows, params):
+        """One encoder direction over the rows of ``x``: step s runs one
+        cell over the rows ``step_rows[s]``, a prefix of the rows before.
+        Returns the hidden states with one row per row of ``x``."""
+        h = self._zeros((len(step_rows[0]), self.config.hidden_size))
+        c = h
+        outputs = []
+        for read in step_rows:
+            if len(read) < h.shape[0]:
+                h = ad.narrow(h, 0, 0, len(read))
+                c = ad.narrow(c, 0, 0, len(read))
+            h, c = ad.lstm_cell(ad.rows(x, read), h, c, params)
+            outputs.append(h)
+        # outputs are step-major; put each row back at the token it read
+        read = np.concatenate(step_rows)
+        return ad.rows(ad.concat(outputs), np.argsort(read))
+
+    def prepare_sources(self, sources) -> list[SourceContext]:
+        """Encode a batch of sources in lockstep and set up each one's copy
+        bookkeeping."""
+        return [self._source_context(tokens, enc)
+                for tokens, enc in zip(sources, self.encode(sources))]
 
     def prepare_source(self, tokens) -> SourceContext:
-        """Encode a source and set up its copy bookkeeping."""
-        enc = self.encode(tokens)
+        """Encode one source and set up its copy bookkeeping.  A source the
+        encoder rejects raises `ModelError` without a batch position, which
+        would read 0 whatever record the source came from."""
+        try:
+            return self.prepare_sources([tokens])[0]
+        except SourceError as e:
+            raise ModelError(e.reason) from e
+
+    def _source_context(self, tokens, enc) -> SourceContext:
         vocab_size = self.config.output_vocab_size
         extensions = []
         union_of = []

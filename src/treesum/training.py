@@ -20,7 +20,7 @@ from . import autodiff as ad
 from . import batching
 from . import corpus as cp
 from . import transition as tr
-from .model import OP_INDEX, Model
+from .model import OP_INDEX, Model, SourceError
 
 logger = logging.getLogger(__name__)
 
@@ -57,12 +57,21 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment accumulators, one pair per parameter."""
+    """First/second moment accumulators, one pair per parameter, plus one
+    scratch buffer for `adam_step`'s temporaries, sized to the largest
+    parameter (rounded up to even)."""
 
     def __init__(self, params):
-        self.m = {p.name: np.zeros_like(p.data) for p in params}
-        self.v = {p.name: np.zeros_like(p.data) for p in params}
+        self.m = {p.name: np.zeros_like(p.data, order="C") for p in params}
+        self.v = {p.name: np.zeros_like(p.data, order="C") for p in params}
         self.step = 0
+        dtypes = {p.data.dtype for p in params}
+        if len(dtypes) > 1:
+            raise TrainingError(f"parameters of mixed dtypes "
+                                f"{sorted(map(str, dtypes))}")
+        largest = max((p.data.size for p in params), default=0)
+        self.scratch = np.empty(largest + largest % 2,
+                                dtype=dtypes.pop() if dtypes else np.float32)
 
 
 def clip_gradients(params, bound=5.0):
@@ -85,22 +94,46 @@ def clip_gradients(params, bound=5.0):
 
 def adam_step(params, state: AdamState, config: TrainConfig):
     """One Adam update with bias correction; weight decay is applied as a
-    decoupled multiplicative shrink before the Adam delta."""
+    decoupled multiplicative shrink before the Adam delta.
+
+    Every temporary goes into ``state.scratch``: the moment updates use it
+    whole, and the delta ``lr * m_hat / (sqrt(v_hat) + eps)`` runs in
+    pieces of half the scratch, the numerator in one half and the
+    denominator in the other.  Each value is the same expression, in the
+    same order, as with fresh arrays, so the update is the same bit for
+    bit, and no step allocates a parameter-sized array.
+    """
     state.step += 1
     t = state.step
     shrink = 1.0 - config.lr * config.weight_decay
+    bias1 = 1.0 - config.beta1 ** t
+    bias2 = 1.0 - config.beta2 ** t
+    half = state.scratch.size // 2
     for p in params:
         g = p.grad
         p.data *= shrink
         m = state.m[p.name]
         v = state.v[p.name]
+        tmp = state.scratch[:g.size].reshape(g.shape)
         m *= config.beta1
-        m += (1.0 - config.beta1) * g
+        m += np.multiply(1.0 - config.beta1, g, out=tmp)
         v *= config.beta2
-        v += (1.0 - config.beta2) * g * g
-        m_hat = m / (1.0 - config.beta1 ** t)
-        v_hat = v / (1.0 - config.beta2 ** t)
-        p.data -= config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        np.multiply(1.0 - config.beta2, g, out=tmp)
+        v += np.multiply(tmp, g, out=tmp)
+        if not p.data.flags.c_contiguous:   # its flat view must not copy
+            p.data = np.ascontiguousarray(p.data)
+        data, m, v = p.data.reshape(-1), m.reshape(-1), v.reshape(-1)
+        for start in range(0, g.size, half):
+            stop = min(start + half, g.size)
+            num = state.scratch[:stop - start]
+            den = state.scratch[half:half + stop - start]
+            np.divide(m[start:stop], bias1, out=num)
+            num *= config.lr
+            np.divide(v[start:stop], bias2, out=den)
+            np.sqrt(den, out=den)
+            den += config.eps
+            num /= den
+            data[start:stop] -= num
 
 
 @dataclass
@@ -215,16 +248,21 @@ def sequence_loss(model: Model, src, gold_ops, composed):
 def batch_loss(model: Model, instances):
     """Mean per-instance loss over a batch of (source tokens, gold ops).
 
-    The composition work of the whole batch runs through the level plan,
-    in the order each gold sequence reduces, and each instance's
-    recurrences run as scans (`teacher_forced_rows`); results match the
-    per-step fold of `Model.step` that decoding runs.  A gold sequence
-    that `transition.execute` rejects raises `TrainingError` naming its
-    batch instance.
+    The sources of the batch are encoded in lockstep
+    (`Model.prepare_sources`), the composition work of the whole batch
+    runs through the level plan, in the order each gold sequence reduces,
+    and each instance's recurrences run as scans (`teacher_forced_rows`);
+    results match the per-step fold of `Model.step` that decoding runs.
+    A source the encoder rejects, or a gold sequence that
+    `transition.execute` rejects, raises `TrainingError` naming its batch
+    instance.
     """
     if not instances:
         raise TrainingError("empty batch")
-    contexts = [model.prepare_source(tokens) for tokens, _ in instances]
+    try:
+        contexts = model.prepare_sources([tokens for tokens, _ in instances])
+    except SourceError as e:
+        raise TrainingError(f"batch instance {e.index}: {e.reason}") from e
     sequences = [ops for _, ops in instances]
     leaf_reps = {(i, t): model.word_embedding(op.word)
                  for i, ops in enumerate(sequences)

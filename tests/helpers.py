@@ -267,3 +267,27 @@ def lstm_cell_composite(x, h, c, params):
     o = ad.sigmoid(ad.narrow(z, axis, 3 * n, 4 * n))
     c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
     return ad.mul(o, ad.tanh(c_new)), c_new
+
+
+def encode_per_token(model, tokens):
+    """One source through the bidirectional encoder as one vector
+    `lstm_cell` per token, layer and direction: the reference for the
+    lockstep `Model.encode`.  Returns (matrix, keys) arrays."""
+    inputs = [ad.row(model.src_embed, model.input_vocab.id(token))
+              for token in tokens]
+    zeros = ad.Tensor(np.zeros(model.config.hidden_size, dtype=model.dtype))
+    for fwd, bwd in model.encoder_cells:
+        h = c = zeros
+        forward = []
+        for x in inputs:
+            h, c = ad.lstm_cell(x, h, c, fwd)
+            forward.append(h)
+        h = c = zeros
+        backward = []
+        for x in reversed(inputs):
+            h, c = ad.lstm_cell(x, h, c, bwd)
+            backward.append(h)
+        inputs = [ad.concat([f, b])
+                  for f, b in zip(forward, reversed(backward))]
+    matrix = ad.stack_rows(inputs)
+    return matrix.data, ad.matmul(matrix, model.attn_enc_w).data

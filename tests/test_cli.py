@@ -112,8 +112,30 @@ def _record_header_offsets(body, meta_len):
     return offsets
 
 
+def _with_value(name, row, value):
+    """Checkpoint rewrite: the first value of row ``row`` of record
+    ``name`` becomes ``value``; a valid CRC."""
+    def rewrite(blob):
+        (meta_len,) = struct.unpack_from("<I", blob, 8)
+        at = 12 + meta_len + 4
+        while True:
+            (name_len,) = struct.unpack_from("<H", blob, at)
+            code, ndim = struct.unpack_from("<BB", blob, at + 2 + name_len)
+            dims = struct.unpack_from(f"<{ndim}I", blob, at + 4 + name_len)
+            values = at + 4 + name_len + 4 * ndim
+            if blob[at + 2:at + 2 + name_len].decode() == name:
+                break
+            at = values + code * int(np.prod(dims))
+        dtype = "<f4" if code == 4 else "<f8"
+        offset = values + code * row * int(np.prod(dims[1:]))
+        return _checksummed(blob[:offset] + np.array(value, dtype).tobytes()
+                            + blob[offset + code:-4])
+    return rewrite
+
+
 # each file is checksummed, but its metadata is unusable or its records
-# are not one list of distinct names ending at the checksum
+# are not one list of distinct names ending at the checksum, of finite
+# values
 BAD_METADATA = {
     "missing_output_vocab": _with_metadata(_json_without("output_vocab")),
     "unknown_config_key": _with_metadata(_json_config_with("depth", 3)),
@@ -138,6 +160,12 @@ BAD_METADATA = {
     # a u32 product that wraps around in int64
     "shape_overflowing_int64": _with_first_record_shape(
         2, (2 ** 32 - 1, 2 ** 32 - 1)),
+    # the PAD row of src_embed is read by no source, so it must be caught
+    # at load time
+    "nan_in_root_embed": _with_value("root_embed", 0, np.nan),
+    "nan_in_src_embed_pad_row": _with_value(
+        "src_embed", cp.SPECIALS.index(cp.PAD), np.nan),
+    "inf_in_word_out_w": _with_value("word_out_w", 1, -np.inf),
 }
 
 
@@ -333,6 +361,19 @@ class TestDecodeAndEval:
                         "--out", str(decoded)]) == 1
         assert str(bad) in capsys.readouterr().err
         assert not decoded.exists()
+
+    @pytest.mark.parametrize("case, name", [
+        ("nan_in_root_embed", "root_embed"),
+        ("nan_in_src_embed_pad_row", "src_embed"),
+        ("inf_in_word_out_w", "word_out_w")])
+    def test_non_finite_value_names_the_parameter(self, workdir, tmp_path,
+                                                  case, name):
+        bad = tmp_path / f"{case}.ckpt"
+        bad.write_bytes(BAD_METADATA[case](workdir["ckpt"].read_bytes()))
+        with pytest.raises(ad.CheckpointError,
+                           match=f"{re.escape(str(bad))}: parameter "
+                                 f"'{name}' holds non-finite values"):
+            Model.load(bad)
 
     @pytest.mark.parametrize("case", ["encoder_layers_huge",
                                       "hidden_size_mismatch",

@@ -12,9 +12,11 @@ from treesum.model import (
     Model,
     ModelConfig,
     ModelError,
+    SourceError,
 )
 from helpers import (
     WALKTHROUGH_OPS,
+    encode_per_token,
     history_state,
     seeded_rng,
     seq_state,
@@ -43,7 +45,7 @@ def tiny_model(hidden=6, embed=6, src_words=("the", "cat", "sat", "mat"),
 class TestEncoder:
     def test_single_token_source_gives_one_state(self):
         m = tiny_model()
-        enc = m.encode(["cat"])
+        enc = m.encode([["cat"]])[0]
         assert len(enc) == 1
         assert enc.matrix.shape == (1, 2 * m.config.hidden_size)
 
@@ -51,29 +53,111 @@ class TestEncoder:
         m = tiny_model()
         for p in m.parameters():
             p.data[...] = 0.0
-        enc = m.encode(["the", "cat", "sat"])
+        enc = m.encode([["the", "cat", "sat"]])[0]
         np.testing.assert_array_equal(enc.matrix.data, 0.0)
 
     def test_reversal_changes_states(self):
         m = tiny_model()
-        fwd = m.encode(["the", "cat", "sat"]).matrix.data
-        rev = m.encode(["sat", "cat", "the"]).matrix.data
+        fwd = m.encode([["the", "cat", "sat"]])[0].matrix.data
+        rev = m.encode([["sat", "cat", "the"]])[0].matrix.data
         assert np.abs(fwd - rev[::-1]).max() > 1e-8
 
     def test_empty_source_is_an_error(self):
         with pytest.raises(ModelError, match="empty"):
-            tiny_model().encode([])
+            tiny_model().encode([[]])[0]
 
     def test_over_long_source_is_an_error(self):
         m = tiny_model()
         with pytest.raises(ModelError, match="exceeds"):
-            m.encode(["cat"] * (m.config.max_source_len + 1))
+            m.encode([["cat"] * (m.config.max_source_len + 1)])[0]
 
     def test_unknown_tokens_map_to_unk(self):
         m = tiny_model()
-        a = m.encode(["qqq"]).matrix.data
-        b = m.encode(["zzz"]).matrix.data
+        a = m.encode([["qqq"]])[0].matrix.data
+        b = m.encode([["zzz"]])[0].matrix.data
         np.testing.assert_array_equal(a, b)
+
+
+class TestLockstepEncoder:
+    """A batch of sources runs through the encoder in lockstep: one
+    `lstm_cell` per step, layer and direction over the running rows."""
+
+    @staticmethod
+    def _model():
+        m = tiny_model(hidden=5, embed=4, seed=31)
+        point = seeded_rng(32)
+        for p in m.parameters():
+            p.data = point.uniform(-0.6, 0.6, size=p.shape)
+        return m
+
+    @staticmethod
+    def _sources(m, lengths):
+        rng = seeded_rng(33)
+        words = ["the", "cat", "sat", "mat", "qqq"]
+        return [[words[k] for k in rng.integers(len(words), size=n)]
+                for n in lengths]
+
+    def test_batch_matches_each_source_alone(self):
+        m = self._model()
+        sources = self._sources(m, [1, 5, 3, 5, m.config.max_source_len])
+        batch = m.encode(sources)
+        assert len(batch) == len(sources)
+        for tokens, enc in zip(sources, batch):
+            alone = m.encode([tokens])[0]
+            matrix, keys = encode_per_token(m, tokens)
+            assert enc.matrix.shape == (len(tokens), 2 * 5)
+            for got in (enc, alone):
+                np.testing.assert_allclose(got.matrix.data, matrix,
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got.keys.data, keys,
+                                           rtol=0, atol=1e-12)
+
+    def test_reordering_the_batch_changes_no_state(self):
+        m = self._model()
+        sources = self._sources(m, [2, 6, 1, 6, 4])
+        first = m.encode(sources)
+        for order in ([4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
+            again = m.encode([sources[i] for i in order])
+            for i, enc in zip(order, again):
+                np.testing.assert_allclose(enc.matrix.data,
+                                           first[i].matrix.data,
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(enc.keys.data, first[i].keys.data,
+                                           rtol=0, atol=1e-12)
+
+    def test_one_cell_per_step_layer_and_direction(self, monkeypatch):
+        m = self._model()
+        rows = []
+        cell = ad.lstm_cell
+
+        def counted(x, h, c, params):
+            rows.append(x.shape[0])
+            return cell(x, h, c, params)
+        monkeypatch.setattr(ad, "lstm_cell", counted)
+        m.encode(self._sources(m, [3, 1, 5, 3]))
+        # per layer and direction: 4 rows, then 3 after the 1-token source
+        # ends, then 1 after both 3-token sources end
+        assert rows == [4, 3, 3, 1, 1] * 2 * m.config.encoder_layers
+
+    @pytest.mark.parametrize("bad, reason", [
+        ([], "empty"),
+        (["cat"] * 101, "exceeds configured maximum 100"),
+        ("cat", "not a string")])
+    def test_rejected_source_is_named_by_position(self, bad, reason):
+        m = self._model()
+        with pytest.raises(SourceError, match=f"source 2: .*{reason}") as e:
+            m.encode([["the"], ["cat", "sat"], bad, []])
+        assert e.value.index == 2
+
+    def test_single_source_error_names_no_position(self):
+        # prepare_source serves decoding, one record at a time
+        with pytest.raises(ModelError,
+                           match="^cannot encode an empty source$"):
+            self._model().prepare_source([])
+
+    def test_empty_batch_is_an_error(self):
+        with pytest.raises(ModelError, match="no sources"):
+            self._model().encode([])
 
 
 class TestCompose:
@@ -389,7 +473,8 @@ class TestPersistence:
         assert loaded.config == m.config
         src = ["the", "cat", "sat"]
         np.testing.assert_array_equal(
-            m.encode(src).matrix.data, loaded.encode(src).matrix.data)
+            m.encode([src])[0].matrix.data,
+            loaded.encode([src])[0].matrix.data)
 
     def test_vocab_hash_mismatch_detected(self, tmp_path):
         m = tiny_model(seed=7, dtype=np.float32)

@@ -80,6 +80,42 @@ class TestAdamStep:
 
         np.testing.assert_array_equal(run(), run())
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_plain_formula_bit_for_bit(self, dtype):
+        # the update written with a fresh array per expression; the
+        # largest parameter takes two pieces of the scratch, and one
+        # parameter is a transposed (non-contiguous) view
+        def reference(data, grad, m, v, t, c):
+            data *= 1.0 - c.lr * c.weight_decay
+            m *= c.beta1
+            m += (1.0 - c.beta1) * grad
+            v *= c.beta2
+            v += (1.0 - c.beta2) * grad * grad
+            m_hat = m / (1.0 - c.beta1 ** t)
+            v_hat = v / (1.0 - c.beta2 ** t)
+            data -= c.lr * m_hat / (np.sqrt(v_hat) + c.eps)
+
+        config = training.TrainConfig(lr=3e-2, weight_decay=1e-3)
+        rng = seeded_rng(62)
+        params = [ad.Parameter(rng.normal(size=shape).astype(dtype), name)
+                  for name, shape in (("w", (7, 5)), ("b", (3,)),
+                                      ("s", (1,)))]
+        params.append(ad.Parameter(
+            rng.normal(size=(6, 4)).astype(dtype).T, "t"))
+        expected = [(p.data.copy(), np.zeros(p.shape, dtype),
+                     np.zeros(p.shape, dtype)) for p in params]
+        state = training.AdamState(params)
+        for t in range(1, 6):
+            for p, (data, m, v) in zip(params, expected):
+                p.grad = rng.normal(scale=2.0, size=p.shape).astype(dtype)
+                reference(data, p.grad, m, v, t, config)
+            training.adam_step(params, state, config)
+            for p, (data, m, v) in zip(params, expected):
+                assert p.data.dtype == dtype
+                np.testing.assert_array_equal(p.data, data, p.name)
+                np.testing.assert_array_equal(state.m[p.name], m, p.name)
+                np.testing.assert_array_equal(state.v[p.name], v, p.name)
+
 
 class TestSequenceLoss:
     def test_zero_params_give_uniform_op_term(self):
@@ -164,6 +200,17 @@ class TestBatchLoss:
                  (["the", "cat"], (tr.RL, tr.gen("cat"), tr.RR))]
         with pytest.raises(training.TrainingError,
                            match="instance 1.*index 0"):
+            training.batch_loss(m, items)
+
+    @pytest.mark.parametrize("source, reason", [
+        ([], "cannot encode an empty source"),
+        (["cat"] * 101, "source length 101 exceeds configured maximum 100")])
+    def test_unencodable_source_names_its_instance(self, source, reason):
+        m = tiny_model()
+        ops = tuple(tr.ops_from_text("GEN(cat) RR"))
+        items = [(["the", "cat"], ops), (["sat"], ops), (source, ops)]
+        with pytest.raises(training.TrainingError,
+                           match=f"^batch instance 2: {reason}$"):
             training.batch_loss(m, items)
 
     def test_non_eager_gold_matches_per_step_fold(self):
@@ -371,6 +418,30 @@ class TestEndToEndGradient:
                             samples_per_param=4)
         assert err < 1e-4
 
+    def test_encoder_gradient_with_unequal_source_lengths(self):
+        # the lockstep encoder narrows its state as sources end: lengths
+        # 4, 1 and 3 narrow it at steps 1 and 3, in both directions
+        m = tiny_model(hidden=6, embed=5, seed=12, dtype=np.float64)
+        point = seeded_rng(78)
+        for p in m.parameters():
+            p.data = point.uniform(-0.6, 0.6, size=p.data.shape)
+        items = [
+            (["the", "cat", "sat", "mat"],
+             tuple(tr.ops_from_text("GEN(cat) GEN(sat) RL RR"))),
+            (["cat"], tuple(tr.ops_from_text("GEN(cat) RR"))),
+            (["mat", "zzz", "sat"],
+             tuple(tr.ops_from_text("GEN(sat) GEN(zzz) RR RR"))),
+        ]
+        encoder = [m.src_embed, m.attn_enc_w] + [
+            p for cells in m.encoder_cells for cell in cells
+            for p in cell.parameters()]
+
+        def f():
+            loss, _ = training.batch_loss(m, items)
+            return loss
+
+        assert ad.grad_check(f, encoder, samples_per_param=6) < 1e-5
+
 
 class TestTrainLoop:
     def test_loss_decreases_on_toy_corpus(self):
@@ -522,7 +593,7 @@ class TestDeferredWeightGradients:
         attn_enc_w and attn_v (rows in the encoder and the heads) from a
         vector, and the tree cell (vectors in Model.step) from rows."""
         loss, _ = training.batch_loss(m, instances)
-        enc = m.encode(instances[0][0])
+        enc = m.encode([instances[0][0]])[0]
         key = ad.tanh(ad.matmul(ad.row(enc.matrix, 0), m.attn_enc_w))
         zeros = ad.constant(np.zeros((3, m.config.hidden_size)), np.float64)
         rows_h, _ = ad.lstm_cell(ad.rows(m.out_embed, [1, 2, 3]), zeros,
@@ -565,7 +636,7 @@ class TestDeferredWeightGradients:
         m, instances = self._case()
         made = []
         lift, constant, zeros = ad._lift, ad.constant, Model._zeros
-        prepare = Model.prepare_source
+        prepare = Model.prepare_sources
 
         def lifted(x, like):
             out = lift(x, like)
@@ -579,16 +650,16 @@ class TestDeferredWeightGradients:
                 return made[-1]
             return wrapper
 
-        def prepare_source(self, tokens):
-            src = prepare(self, tokens)
-            made.append(src.copy_matrix)
-            return src
+        def prepare_sources(self, sources):
+            contexts = prepare(self, sources)
+            made.extend(src.copy_matrix for src in contexts)
+            return contexts
 
         with monkeypatch.context() as patch:
             patch.setattr(ad, "_lift", lifted)
             patch.setattr(ad, "constant", recorded(constant))
             patch.setattr(Model, "_zeros", recorded(zeros))
-            patch.setattr(Model, "prepare_source", prepare_source)
+            patch.setattr(Model, "prepare_sources", prepare_sources)
             grads = self._grads(m, instances)
         kinds = {(type(t).__name__, t.shape) for t in made}
         assert len(kinds) >= 4
