@@ -5,19 +5,24 @@ active they run forward-only, which is how decoding avoids graph overhead.
 The primitive set is closed and small: matmul, add/sub/mul (with numpy
 broadcasting, un-broadcast on the way back), concat/narrow/reshape,
 row/rows/stack_rows gathers, tanh, sigmoid, softmax, log_softmax, log,
-clip, total, pick, the gates of `lstm_cell` (one LSTM step, whose new
-cell and hidden states are one node each), and `lstm_scan`, a whole LSTM
-recurrence over rows whose inputs are known up front.  Every primitive
-checks its output for NaN/Inf and raises `NonFiniteError` on the first
-occurrence.
+clip, total, pick, and three for LSTMs.  `lstm_input` is an LSTM's input
+projection ``zx = x @ w[:E] + b`` as one node, over all the rows a
+recurrence reads, so it is one GEMM hoisted out of the recurrence.  The
+two recurrence primitives take that ``zx`` and run only the recurrent
+product ``h @ w[E:]``: `lstm_cell` is one LSTM step, whose new cell and
+hidden states are one node each, and `lstm_scan` a whole recurrence over
+rows whose inputs are known up front.  Every primitive checks its output
+for NaN/Inf and raises `NonFiniteError` on the first occurrence.
 
 Only Parameters and taped nodes take gradients; constants (tensors made
 off the tape, such as copy matrices, zero states and lifted scalars) get
 none, and no backward product is computed for them.  The weight gradient
 of ``x @ p`` for a Parameter ``p`` is not computed per product: its (x, g)
 rows are kept on the tape, and `Tape.backward` flushes each such
-parameter once, as one GEMM, after every node has run; `lstm_scan` hands
-its weight gradient to the same flush.
+parameter once, as one GEMM, after every node has run.  The LSTM
+primitives hand their weight gradients to the same flush, each into its
+own block of rows of ``w``: `lstm_input` into the input rows ``[:E]``,
+`lstm_cell` and `lstm_scan` into the recurrent rows ``[E:]``.
 
 A checkpoint is rejected unless its records end exactly at the checksum,
 no parameter name repeats, and each record has at most 32 dimensions, no
@@ -142,7 +147,8 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
-        self._deferred = {}   # Parameter -> ([x rows], [g rows]) of x @ p
+        # (Parameter, first row) -> ([x rows], [g rows]) of x @ p[first:]
+        self._deferred = {}
 
     def __enter__(self):
         global _ACTIVE_TAPE
@@ -156,8 +162,10 @@ class Tape:
         _ACTIVE_TAPE = None
         return False
 
-    def _defer(self, param, x, g):
-        xs, gs = self._deferred.setdefault(param, ([], []))
+    def _defer(self, param, x, g, start=0):
+        """Keep the (x, g) rows of ``x @ param[start:start + k]``, k the
+        width of x, for the flush."""
+        xs, gs = self._deferred.setdefault((param, start), ([], []))
         xs.append(x)
         gs.append(g)
 
@@ -168,8 +176,9 @@ class Tape:
         Each taped node's own .grad is released once its backward has run.
         The weight gradient of ``x @ p`` for a Parameter ``p`` is deferred:
         the (x, g) rows of every such product are kept, and once every node
-        has run each parameter gets one GEMM, ``p.grad += X.T @ G``.  The
-        kept rows are released as each parameter is flushed, or on error.
+        has run each parameter gets one GEMM per block of rows it was used
+        in, ``p.grad[start:start + k] += X.T @ G``.  The kept rows are
+        released as each block is flushed, or on error.
         """
         if loss.data.ndim != 0 and loss.data.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -182,9 +191,10 @@ class Tape:
                 g, node.grad = node.grad, None
                 node._backward(g)
             while self._deferred:
-                param, (xs, gs) = self._deferred.popitem()
-                param.grad += (np.concatenate(xs).T
-                               @ np.concatenate(gs)).reshape(param.shape)
+                (param, start), (xs, gs) = self._deferred.popitem()
+                block = param.grad[start:start + xs[0].shape[1]]
+                block += (np.concatenate(xs).T
+                          @ np.concatenate(gs)).reshape(block.shape)
         finally:
             self._deferred.clear()
             self.nodes = []
@@ -358,8 +368,13 @@ def rows(table: Tensor, indices) -> Tensor:
     data = table.data[idx]
 
     def backward(g):
-        if _takes_grad(table):
-            np.add.at(_grad_buffer(table), idx, g)
+        if not _takes_grad(table):
+            return
+        grad = _grad_buffer(table)
+        if len(set(idx.tolist())) == idx.size and not (idx < 0).any():
+            grad[idx] += g          # distinct rows: each is added once
+        else:
+            np.add.at(grad, idx, g)
     return _make(data, backward, "rows")
 
 
@@ -496,7 +511,12 @@ def constant(value, dtype=np.float32) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class LstmParams:
-    """Weights of one LSTM cell: y = [x || h] @ w + b, gate order i,f,g,o."""
+    """Weights of one LSTM cell: z = [x || h] @ w + b, gate order i,f,g,o.
+
+    The rows ``w[:E]`` (E the input size) take the input, the rows
+    ``w[E:]`` the previous hidden state; `lstm_input` applies the first
+    block and the bias, `lstm_cell` and `lstm_scan` the second.
+    """
 
     def __init__(self, input_size, hidden_size, name, rng, dtype=np.float32,
                  scale=0.1):
@@ -505,6 +525,10 @@ class LstmParams:
             uniform_init(rng, (input_size + hidden_size, 4 * hidden_size),
                          scale, dtype), f"{name}.w")
         self.b = Parameter(np.zeros(4 * hidden_size, dtype=dtype), f"{name}.b")
+
+    @property
+    def input_size(self):
+        return self.w.shape[0] - self.hidden_size
 
     def parameters(self):
         return [self.w, self.b]
@@ -528,27 +552,63 @@ def _lstm_slopes(s, c_prev, tc, n):
                            i * (1.0 - g * g), tc * o * (1.0 - o)], axis=-1)
 
 
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor, params: LstmParams):
-    """One step of a standard LSTM; works on vectors or (batch, dim) rows.
-
-    ``z = [x || h] @ w + b`` runs as taped matmul and add.  The gates and
-    the state update are two nodes, the new cell state and then the new
-    hidden state; the hidden state's backward hands its gradient to the
-    cell state's, which passes dz to z.
+def lstm_input(x: Tensor, params: LstmParams) -> Tensor:
+    """The input projection ``zx = x @ w[:E] + b`` of an LSTM, one node for
+    a vector or (rows, E).  Computed once over every row a recurrence
+    reads, it takes the input's share of the pre-activations out of the
+    recurrence, which `lstm_cell` and `lstm_scan` then run on ``zx``.  The
+    backward defers its weight gradient into the rows ``[:E]`` of ``w``.
     """
-    n = params.hidden_size
-    axis = x.data.ndim - 1
-    z = add(matmul(concat([x, h], axis=axis), params.w), params.b)
-    s = _lstm_gates(z.data, n)
+    e = params.input_size
+    if x.data.ndim not in (1, 2) or x.shape[-1] != e:
+        raise ShapeError(f"lstm_input: {x.shape} for input size {e}")
+    w_x = params.w.data[:e]
+    data = x.data @ w_x + params.b.data
+    tape = _ACTIVE_TAPE
+
+    def backward(g):
+        if _takes_grad(x):
+            x.accumulate(g @ w_x.T)
+        params.b.accumulate(_unbroadcast(g, params.b.shape))
+        tape._defer(params.w, x.data.reshape(-1, e),
+                    g.reshape(-1, g.shape[-1]))
+    return _make(data, backward, "lstm_input")
+
+
+def lstm_cell(zx: Tensor, h: Tensor, c: Tensor, params: LstmParams):
+    """One step of a standard LSTM on the projected input ``zx`` of
+    `lstm_input`; works on vectors or (batch, dim) rows.
+
+    ``z = zx + h @ w[E:]``; the gates and the state update are two nodes,
+    the new cell state and then the new hidden state.  The hidden state's
+    backward hands its gradient to the cell state's, which passes dz to
+    ``zx`` and ``h`` and defers the weight gradient into the rows
+    ``[E:]`` of ``w``.
+    """
+    n, e = params.hidden_size, params.input_size
+    if zx.shape[-1] != 4 * n or h.shape != zx.shape[:-1] + (n,):
+        raise ShapeError(f"lstm_cell: input {zx.shape} and hidden state "
+                         f"{h.shape} for hidden size {n}")
+    w_h = params.w.data[e:]
+    z = h.data @ w_h
+    z += zx.data
+    s = _lstm_gates(z, n)
     f, g, o = s[..., n:2 * n], s[..., 2 * n:3 * n], s[..., 3 * n:]
     c_data = f * c.data + s[..., :n] * g
     tc = np.tanh(c_data)
+    tape = _ACTIVE_TAPE
     dh = []     # the new hidden state's gradient, once its backward ran
 
     def backward_c(dc):
         dh_o = dh[0] if dh else np.zeros_like(dc)
-        z.accumulate(np.concatenate([dc, dc, dc, dh_o], axis=-1)
-                     * _lstm_slopes(s, c.data, tc, n))
+        dz = np.concatenate([dc, dc, dc, dh_o], axis=-1) \
+            * _lstm_slopes(s, c.data, tc, n)
+        if _takes_grad(zx):
+            zx.accumulate(dz)
+        if _takes_grad(h):
+            h.accumulate(dz @ w_h.T)
+        tape._defer(params.w, h.data.reshape(-1, n), dz.reshape(-1, 4 * n),
+                    start=e)
         if _takes_grad(c):
             c.accumulate(_unbroadcast(dc * f, c.shape))
 
@@ -561,44 +621,41 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, params: LstmParams):
     return h_new, c_new
 
 
-def lstm_scan(x: Tensor, parents, h0: Tensor, c0: Tensor,
+def lstm_scan(zx: Tensor, parents, h0: Tensor, c0: Tensor,
               params: LstmParams) -> Tensor:
-    """`lstm_cell` over every row of ``x`` (T, input) as one primitive.
+    """`lstm_cell` over every row of ``zx`` (T, 4 * hidden), the projected
+    input of `lstm_input`, as one primitive.
 
     Row t continues the state of row ``parents[t]``, which must lie below
     t, or starts from the vectors (h0, c0) where ``parents[t] == -1``.  A
     chain gives a sequence LSTM; a stack pointer gives the stack-LSTM.
-    Returns the (T, hidden) hidden rows.  The input projection of all
-    rows is one GEMM and only the recurrent product runs per row.  The
-    backward walks the rows in reverse and hands the weight gradient to
-    the tape as ``[x | h_prev]`` rows, so it joins the parameter's one
-    flush GEMM.
+    Returns the (T, hidden) hidden rows.  Only the recurrent product runs
+    per row.  The backward walks the rows in reverse and hands the weight
+    gradient to the tape as ``h_prev`` rows for the rows ``[E:]`` of
+    ``w``, so it joins the parameter's flush.
     """
-    n = params.hidden_size
-    w, b = params.w.data, params.b.data
-    if x.data.ndim != 2 or x.shape[1] + n != w.shape[0]:
-        raise ShapeError(f"lstm_scan: rows {x.shape} for weights {w.shape}")
+    n, e = params.hidden_size, params.input_size
+    w_h = params.w.data[e:]
+    if zx.data.ndim != 2 or zx.shape[1] != 4 * n:
+        raise ShapeError(f"lstm_scan: rows {zx.shape} for hidden size {n}")
     if h0.shape != (n,) or c0.shape != (n,):
         raise ShapeError(f"lstm_scan: initial state {h0.shape}, {c0.shape} "
                          f"for hidden size {n}")
-    steps = x.shape[0]
+    steps = zx.shape[0]
     parents = np.asarray(parents, dtype=np.int64)
     if parents.shape != (steps,) or np.any(parents < -1) \
             or np.any(parents >= np.arange(steps)):
         raise ShapeError(f"lstm_scan: parents must hold one index in "
                          f"-1..t-1 per row t of {steps}")
-    e = x.shape[1]
-    w_h = w[e:]
-    zx = x.data @ w[:e] + b
     hs = np.empty((steps, n), dtype=zx.dtype)
     cs = np.empty((steps, n), dtype=zx.dtype)
     tape = _ACTIVE_TAPE
     # the gate values i, f, g, o of every row, kept for the backward
-    gates = np.empty_like(zx) if tape is not None else None
+    gates = np.empty_like(zx.data) if tape is not None else None
     for t, p in enumerate(parents.tolist()):
         h_prev, c_prev = (h0.data, c0.data) if p < 0 else (hs[p], cs[p])
         z = h_prev @ w_h
-        z += zx[t]
+        z += zx.data[t]
         s = _lstm_gates(z, n)
         c = cs[t]
         np.multiply(s[n:2 * n], c_prev, out=c)
@@ -615,9 +672,9 @@ def lstm_scan(x: Tensor, parents, h0: Tensor, c0: Tensor,
         tc = np.tanh(cs)
         dc_dh = o * (1.0 - tc * tc)
         slope = _lstm_slopes(gates, c_prev, tc, n)
-        dh = np.array(g, dtype=zx.dtype)
+        dh = np.array(g, dtype=hs.dtype)
         dc = np.zeros_like(cs)
-        dz = np.empty_like(zx)
+        dz = np.empty_like(gates)
         for t, p in reversed(list(enumerate(parents.tolist()))):
             dh_t, dc_t = dh[t], dc[t]
             dc_t += dh_t * dc_dh[t]
@@ -626,14 +683,13 @@ def lstm_scan(x: Tensor, parents, h0: Tensor, c0: Tensor,
             if p >= 0:
                 dh[p] += w_h @ dz[t]
                 dc[p] += dc_t * f[t]
-        if _takes_grad(x):
-            x.accumulate(dz @ w[:e].T)
+        if _takes_grad(zx):
+            zx.accumulate(dz)
         if _takes_grad(h0):
             h0.accumulate(w_h @ dz[roots].sum(axis=0))
         if _takes_grad(c0):
             c0.accumulate((dc[roots] * f[roots]).sum(axis=0))
-        params.b.accumulate(dz.sum(axis=0))
-        tape._defer(params.w, np.concatenate([x.data, h_prev], axis=1), dz)
+        tape._defer(params.w, h_prev, dz, start=e)
     return _make(hs, backward, "lstm_scan")
 
 

@@ -11,14 +11,18 @@ In decoding the stack-LSTM is maintained incrementally by `Model.step`:
 GEN pushes an LSTM step over the new word embedding, a reduce pops two
 steps and pushes one over the composed pair.  By construction the
 incremental states coincide with re-running the LSTM over the current
-stack bottom-to-top.  The encoder takes a batch of sources and runs them
-in lockstep (operation batching, Neubig et al. 2017): each layer and
-direction steps one `autodiff.lstm_cell` per time step over the rows of
+stack bottom-to-top.  Every LSTM splits its pre-activations as
+``z = zx + h @ w[E:]``: the input projection ``zx`` is one
+`autodiff.lstm_input` node over all the rows a recurrence reads, and
+only the recurrent product runs per step.  The encoder takes a batch of
+sources and runs them in lockstep (operation batching, Neubig et al.
+2017): each layer and direction projects every token's input with one
+GEMM, then steps one `autodiff.lstm_cell` per time step over the rows of
 the sources still running, so a batch of B sources costs as many cells
 as its longest source; decoding encodes a batch of one.  Under teacher
 forcing every decoder recurrence's input is known up front, so training
-runs each one as one `autodiff.lstm_scan` (see
-`training.teacher_forced_rows`).
+runs each one as one `autodiff.lstm_input` and one `autodiff.lstm_scan`
+(see `training.teacher_forced_rows`).
 """
 
 from __future__ import annotations
@@ -250,7 +254,9 @@ class Model:
         The sources are ordered longest first (stable), so the sources
         still running at step s are a prefix of that order: each layer and
         direction runs one `autodiff.lstm_cell` per step over their rows,
-        and the state narrows to the prefix when a source ends.  At step s
+        and the state narrows to the prefix when a source ends; the input
+        projection of all tokens is one GEMM per layer and direction,
+        outside the steps.  At step s
         the forward direction reads token s of a source and the backward
         direction token L-1-s, L its length.  Raises `SourceError` naming
         the first source that is empty, over-long or a string.
@@ -290,9 +296,12 @@ class Model:
                 for start, length in zip(starts, lengths)]
 
     def _encode_direction(self, x, step_rows, params):
-        """One encoder direction over the rows of ``x``: step s runs one
-        cell over the rows ``step_rows[s]``, a prefix of the rows before.
-        Returns the hidden states with one row per row of ``x``."""
+        """One encoder direction over the rows of ``x``: the input
+        projection of every row is one `autodiff.lstm_input`, and step s
+        runs one cell over the rows ``step_rows[s]`` of it, a prefix of the
+        rows before.  Returns the hidden states with one row per row of
+        ``x``."""
+        zx = ad.lstm_input(x, params)
         h = self._zeros((len(step_rows[0]), self.config.hidden_size))
         c = h
         outputs = []
@@ -300,7 +309,7 @@ class Model:
             if len(read) < h.shape[0]:
                 h = ad.narrow(h, 0, 0, len(read))
                 c = ad.narrow(c, 0, 0, len(read))
-            h, c = ad.lstm_cell(ad.rows(x, read), h, c, params)
+            h, c = ad.lstm_cell(ad.rows(zx, read), h, c, params)
             outputs.append(h)
         # outputs are step-major; put each row back at the token it read
         read = np.concatenate(step_rows)
@@ -366,8 +375,9 @@ class Model:
     def initial_state(self) -> DecoderState:
         h = self.config.hidden_size
         base = (self._zeros(h), self._zeros(h))
-        after_root = ad.lstm_cell(self.root_embed, base[0], base[1],
-                                  self.tree_cell)
+        after_root = ad.lstm_cell(
+            ad.lstm_input(self.root_embed, self.tree_cell), base[0], base[1],
+            self.tree_cell)
         return DecoderState(
             symbolic=tr.StackState(),
             stack_reps=(self.root_embed,),
@@ -380,14 +390,14 @@ class Model:
         """Advance every component by one operation."""
         symbolic = tr.apply_op(state.symbolic, op)
         x = ad.row(self.op_embed, OP_INDEX[op.kind])
-        hist = ad.lstm_cell(x, state.hist_state[0], state.hist_state[1],
-                            self.hist_cell)
+        hist = ad.lstm_cell(ad.lstm_input(x, self.hist_cell),
+                            *state.hist_state, self.hist_cell)
         if op.kind == tr.GEN:
             rep = self.word_embedding(op.word)
-            tree_top = ad.lstm_cell(rep, *state.tree_states[-1],
-                                    self.tree_cell)
-            seq = ad.lstm_cell(rep, state.seq_state[0], state.seq_state[1],
-                               self.seq_cell)
+            tree_top = ad.lstm_cell(ad.lstm_input(rep, self.tree_cell),
+                                    *state.tree_states[-1], self.tree_cell)
+            seq = ad.lstm_cell(ad.lstm_input(rep, self.seq_cell),
+                               *state.seq_state, self.seq_cell)
             return DecoderState(
                 symbolic=symbolic,
                 stack_reps=state.stack_reps + (rep,),
@@ -400,7 +410,8 @@ class Model:
             rep = self.compose(top, second)
         else:
             rep = self.compose(second, top)
-        tree_top = ad.lstm_cell(rep, *state.tree_states[-3], self.tree_cell)
+        tree_top = ad.lstm_cell(ad.lstm_input(rep, self.tree_cell),
+                                *state.tree_states[-3], self.tree_cell)
         return DecoderState(
             symbolic=symbolic,
             stack_reps=state.stack_reps[:-2] + (rep,),

@@ -165,7 +165,7 @@ def teacher_forced_rows(model: Model, gold_ops, composed):
     Returns (tree_h, seq_h, hist_h), each (len(gold_ops), hidden), whose
     row t is the state `Model.step` reaches after ``gold_ops[:t]``.  The
     gold ops fix every recurrent input, so each recurrence is one
-    `lstm_scan`:
+    `lstm_input` over its input rows and one `lstm_scan`:
 
     - tree: over ``root_embed`` and the vector each op but the last
       pushes (``composed``, keyed by op index), each row continuing the
@@ -198,15 +198,19 @@ def teacher_forced_rows(model: Model, gold_ops, composed):
     zeros = model._zeros(h)
     pushed = ad.stack_rows(
         [model.root_embed] + [composed[t] for t in range(len(gold_ops) - 1)])
-    tree_h = ad.lstm_scan(pushed, parents, zeros, zeros, model.tree_cell)
+    tree_h = ad.lstm_scan(ad.lstm_input(pushed, model.tree_cell), parents,
+                          zeros, zeros, model.tree_cell)
     chain = np.arange(-1, len(gen_ops) - 1)
-    words = ad.lstm_scan(ad.rows(pushed, [t + 1 for t in gen_ops]), chain,
-                         model.seq_init_h, model.seq_init_c, model.seq_cell)
+    words = ad.lstm_scan(
+        ad.lstm_input(ad.rows(pushed, [t + 1 for t in gen_ops]),
+                      model.seq_cell),
+        chain, model.seq_init_h, model.seq_init_c, model.seq_cell)
     seq_h = ad.rows(ad.concat([ad.reshape(model.seq_init_h, (1, h)), words]),
                     words_before)
     kinds = ad.rows(model.op_embed,
                     [OP_INDEX[op.kind] for op in gold_ops[:-1]])
-    history = ad.lstm_scan(kinds, np.arange(-1, len(gold_ops) - 2),
+    history = ad.lstm_scan(ad.lstm_input(kinds, model.hist_cell),
+                           np.arange(-1, len(gold_ops) - 2),
                            model.hist_init_h, model.hist_init_c,
                            model.hist_cell)
     hist_h = ad.concat([ad.reshape(model.hist_init_h, (1, h)), history])

@@ -207,12 +207,18 @@ def pairwise_relation_matches(predicted, target, vectors=None, sigma=1.0):
     return len(used_p), len(predicted), len(target)
 
 
+def lstm_step(x, h, c, params):
+    """One LSTM step as the model takes it: `lstm_input`, then
+    `lstm_cell`."""
+    return ad.lstm_cell(ad.lstm_input(x, params), h, c, params)
+
+
 def tree_state(model, stack_reps):
     """From-scratch unroll of the stack LSTM, bottom (R) to top, one
-    `lstm_cell` per stack element."""
+    `lstm_step` per stack element."""
     h = c = ad.Tensor(np.zeros(model.config.hidden_size, dtype=model.dtype))
     for rep in stack_reps:
-        h, c = ad.lstm_cell(rep, h, c, model.tree_cell)
+        h, c = lstm_step(rep, h, c, model.tree_cell)
     return h
 
 
@@ -220,7 +226,7 @@ def seq_state(model, words):
     """From-scratch summary-prefix state; the learned initial when empty."""
     h, c = model.seq_init_h, model.seq_init_c
     for word in words:
-        h, c = ad.lstm_cell(model.word_embedding(word), h, c, model.seq_cell)
+        h, c = lstm_step(model.word_embedding(word), h, c, model.seq_cell)
     return h
 
 
@@ -229,7 +235,7 @@ def history_state(model, ops):
     h, c = model.hist_init_h, model.hist_init_c
     for op in ops:
         x = ad.row(model.op_embed, OP_INDEX[op.kind])
-        h, c = ad.lstm_cell(x, h, c, model.hist_cell)
+        h, c = lstm_step(x, h, c, model.hist_cell)
     return h
 
 
@@ -246,18 +252,20 @@ def step_fold_rows(model, gold_ops):
 
 
 def lstm_cell_fold(x, parents, h0, c0, params):
-    """`lstm_scan` as one `lstm_cell` per row: row t continues row
-    parents[t], or (h0, c0) at -1; the hidden rows stacked."""
+    """`lstm_scan` over the input rows ``x`` as one `lstm_cell_composite`
+    per row: row t continues row parents[t], or (h0, c0) at -1; the hidden
+    rows stacked."""
     states = []
     for t, p in enumerate(parents):
         h, c = (h0, c0) if p < 0 else states[p]
-        states.append(ad.lstm_cell(ad.row(x, t), h, c, params))
+        states.append(lstm_cell_composite(ad.row(x, t), h, c, params))
     return ad.stack_rows([h for h, _ in states])
 
 
 def lstm_cell_composite(x, h, c, params):
-    """`lstm_cell` composed of tape primitives, one node per gate op: the
-    reference whose arithmetic the fused cell repeats."""
+    """One LSTM step on the input ``x`` composed of tape primitives, one
+    node per gate op, with ``z = [x || h] @ w + b`` as one product: the
+    reference for `lstm_input` followed by the fused `lstm_cell`."""
     n = params.hidden_size
     axis = x.data.ndim - 1
     z = ad.add(ad.matmul(ad.concat([x, h], axis=axis), params.w), params.b)
@@ -271,8 +279,8 @@ def lstm_cell_composite(x, h, c, params):
 
 def encode_per_token(model, tokens):
     """One source through the bidirectional encoder as one vector
-    `lstm_cell` per token, layer and direction: the reference for the
-    lockstep `Model.encode`.  Returns (matrix, keys) arrays."""
+    `lstm_cell_composite` per token, layer and direction: the reference
+    for the lockstep `Model.encode`.  Returns (matrix, keys) arrays."""
     inputs = [ad.row(model.src_embed, model.input_vocab.id(token))
               for token in tokens]
     zeros = ad.Tensor(np.zeros(model.config.hidden_size, dtype=model.dtype))
@@ -280,12 +288,12 @@ def encode_per_token(model, tokens):
         h = c = zeros
         forward = []
         for x in inputs:
-            h, c = ad.lstm_cell(x, h, c, fwd)
+            h, c = lstm_cell_composite(x, h, c, fwd)
             forward.append(h)
         h = c = zeros
         backward = []
         for x in reversed(inputs):
-            h, c = ad.lstm_cell(x, h, c, bwd)
+            h, c = lstm_cell_composite(x, h, c, bwd)
             backward.append(h)
         inputs = [ad.concat([f, b])
                   for f, b in zip(forward, reversed(backward))]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from treesum import autodiff as ad
-from helpers import lstm_cell_composite, lstm_cell_fold
+from helpers import lstm_cell_composite, lstm_cell_fold, lstm_step
 
 
 def t64(values):
@@ -13,6 +13,10 @@ def t64(values):
 
 def p64(rng, shape, name, scale=0.5):
     return ad.Parameter(ad.uniform_init(rng, shape, scale, np.float64), name)
+
+
+def lstm_input_scan(x, parents, h0, c0, params):
+    return ad.lstm_scan(ad.lstm_input(x, params), parents, h0, c0, params)
 
 
 class TestPrimitiveValues:
@@ -147,6 +151,25 @@ class TestGradCheckPrimitives:
         assert err < 1e-6
 
 
+class TestRowsBackward:
+    @pytest.mark.parametrize("indices", [
+        [4, 0, 2], [2, 2, 0, 2], [1, -4], [3, 1, 0, 2, 4], []],
+        ids=["distinct", "repeated", "negative-alias", "permutation", "none"])
+    def test_scatter_matches_add_at_bit_for_bit(self, indices):
+        # distinct rows take a fancy-index add, repeated ones np.add.at;
+        # either way the gradient is what np.add.at gives
+        rng = np.random.default_rng(16)
+        table = p64(rng, (5, 3), "table")
+        table.grad[...] = rng.normal(size=(5, 3))
+        g = rng.normal(size=(len(indices), 3))
+        want = table.grad.copy()
+        np.add.at(want, np.asarray(indices, dtype=np.int64), g)
+        with ad.Tape() as tape:
+            out = ad.rows(table, indices)
+            tape.backward(ad.total(ad.mul(out, t64(g))))
+        np.testing.assert_array_equal(table.grad, want)
+
+
 class TestLstmCell:
     def test_zero_params_zero_state_give_zero_outputs(self):
         rng = np.random.default_rng(5)
@@ -154,7 +177,7 @@ class TestLstmCell:
         params.w.data[...] = 0.0
         h = t64(np.zeros(4))
         c = t64(np.zeros(4))
-        h2, c2 = ad.lstm_cell(t64([1.0, -2.0, 0.5]), h, c, params)
+        h2, c2 = lstm_step(t64([1.0, -2.0, 0.5]), h, c, params)
         np.testing.assert_array_equal(h2.data, np.zeros(4))
         np.testing.assert_array_equal(c2.data, np.zeros(4))
 
@@ -166,7 +189,7 @@ class TestLstmCell:
         params.b.data[3:6] = 50.0
         params.b.data[0:3] = -50.0
         c = t64([0.3, -0.7, 1.1])
-        _, c2 = ad.lstm_cell(t64([5.0, -5.0]), t64(np.zeros(3)), c, params)
+        _, c2 = lstm_step(t64([5.0, -5.0]), t64(np.zeros(3)), c, params)
         np.testing.assert_allclose(c2.data, c.data, atol=1e-12)
 
     def test_backward_matches_finite_differences(self):
@@ -177,11 +200,32 @@ class TestLstmCell:
         c0 = t64(np.zeros(4))
 
         def f():
-            h1, c1 = ad.lstm_cell(x, h0, c0, params)
-            h2, _ = ad.lstm_cell(x, h1, c1, params)
+            h1, c1 = lstm_step(x, h0, c0, params)
+            h2, _ = lstm_step(x, h1, c1, params)
             return ad.total(ad.mul(h2, h2))
 
         err = ad.grad_check(f, params.parameters())
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("rows", [None, 5])
+    def test_input_and_state_gradients_match_finite_differences(self, rows):
+        # through lstm_input into lstm_cell, twice, for vectors and rows:
+        # the input, both states and both blocks of w take gradients
+        rng = np.random.default_rng(17)
+        params = ad.LstmParams(3, 4, "cell", rng, dtype=np.float64, scale=0.5)
+        params.b.data[...] = rng.uniform(-0.5, 0.5, size=params.b.shape)
+        lead = () if rows is None else (rows,)
+        x, h0, c0 = (p64(rng, lead + (size,), name, scale=1.0)
+                     for size, name in ((3, "x"), (4, "h0"), (4, "c0")))
+        probe = t64(rng.normal(size=lead + (4,)))
+
+        def f():
+            zx = ad.lstm_input(x, params)
+            h1, c1 = ad.lstm_cell(zx, h0, c0, params)
+            h2, c2 = ad.lstm_cell(zx, h1, c1, params)
+            return ad.add(ad.total(ad.mul(h2, probe)), ad.total(c2))
+
+        err = ad.grad_check(f, params.parameters() + [x, h0, c0])
         assert err < 1e-6
 
     def test_batched_rows_match_vector_calls(self):
@@ -190,10 +234,10 @@ class TestLstmCell:
         xs = rng.normal(size=(5, 3))
         h0 = t64(np.zeros((5, 4)))
         c0 = t64(np.zeros((5, 4)))
-        hb, cb = ad.lstm_cell(t64(xs), h0, c0, params)
+        hb, cb = lstm_step(t64(xs), h0, c0, params)
         for r in range(5):
-            hv, cv = ad.lstm_cell(t64(xs[r]), t64(np.zeros(4)),
-                                  t64(np.zeros(4)), params)
+            hv, cv = lstm_step(t64(xs[r]), t64(np.zeros(4)),
+                               t64(np.zeros(4)), params)
             np.testing.assert_allclose(hb.data[r], hv.data, atol=1e-12)
             np.testing.assert_allclose(cb.data[r], cv.data, atol=1e-12)
 
@@ -205,8 +249,9 @@ class TestLstmCell:
     @pytest.mark.parametrize("used", ["h", "c", "both"])
     @pytest.mark.parametrize("shape", sorted(CELL_SHAPES))
     def test_matches_primitive_composition(self, shape, used):
-        # forward bit for bit, so decodes do not change; gradients through
-        # either output or both within 1e-12
+        # against [x || h] @ w + b as one product: the split projection
+        # zx + h @ w[E:] rounds differently, so forward values and the
+        # gradients through either output or both agree within 1e-12
         rng = np.random.default_rng(12)
         params = ad.LstmParams(3, 4, "cell", rng, dtype=np.float64, scale=0.5)
         params.b.data[...] = rng.uniform(-0.5, 0.5, size=params.b.shape)
@@ -216,7 +261,7 @@ class TestLstmCell:
         probe = t64(rng.normal(size=(2,) + h_shape))
         trainable = params.parameters() + [x, h, c]
         results = []
-        for cell in (ad.lstm_cell, lstm_cell_composite):
+        for cell in (lstm_step, lstm_cell_composite):
             ad.zero_grads(trainable)
             with ad.Tape() as tape:
                 h_new, c_new = cell(x, h, c, params)
@@ -229,7 +274,7 @@ class TestLstmCell:
                             {p.name: p.grad.copy() for p in trainable}))
         (fused, fused_grads), (reference, reference_grads) = results
         for a, b in zip(fused, reference):
-            np.testing.assert_array_equal(a, b)
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
         for name, g in reference_grads.items():
             assert np.abs(g).max() > 0, name
             np.testing.assert_allclose(fused_grads[name], g, rtol=0,
@@ -240,7 +285,20 @@ class TestLstmCell:
         params = ad.LstmParams(2, 3, "cell", rng, dtype=np.float64)
         c = t64([0.0, np.inf, 0.0])
         with pytest.raises(ad.NonFiniteError, match="lstm_cell"):
-            ad.lstm_cell(t64([1.0, 2.0]), t64(np.zeros(3)), c, params)
+            lstm_step(t64([1.0, 2.0]), t64(np.zeros(3)), c, params)
+
+    def test_bad_shapes_raise_shape_error(self):
+        params = ad.LstmParams(2, 3, "cell", np.random.default_rng(15),
+                               dtype=np.float64)
+        zeros = t64(np.zeros(3))
+        with pytest.raises(ad.ShapeError, match="lstm_input"):
+            ad.lstm_input(t64(np.ones(3)), params)
+        # the unprojected input, and rows against a vector state
+        with pytest.raises(ad.ShapeError, match="lstm_cell"):
+            ad.lstm_cell(t64(np.ones(2)), zeros, zeros, params)
+        with pytest.raises(ad.ShapeError, match="lstm_cell"):
+            ad.lstm_cell(ad.lstm_input(t64(np.ones((2, 2))), params), zeros,
+                         zeros, params)
 
 
 # a chain; a stack pointer whose rows 1, 3 and 6 continue row 0 and rows
@@ -253,7 +311,8 @@ SCAN_PARENTS = {
 
 
 class TestLstmScan:
-    """`lstm_scan` against one `lstm_cell` per row, in float64."""
+    """`lstm_input` then `lstm_scan` against one step per row, in
+    float64."""
 
     @staticmethod
     def _case(initial):
@@ -282,7 +341,7 @@ class TestLstmScan:
 
         def f():
             rows = x if order == "forward" else ad.rows(x, range(6, -1, -1))
-            hs = ad.lstm_scan(rows, parents, h0, c0, params)
+            hs = lstm_input_scan(rows, parents, h0, c0, params)
             return ad.total(ad.mul(hs, probe))
 
         err = ad.grad_check(f, self._trainable(params, x, h0, c0))
@@ -294,7 +353,7 @@ class TestLstmScan:
         params, x, h0, c0, probe = self._case(initial)
         trainable = self._trainable(params, x, h0, c0)
         results = []
-        for run in (ad.lstm_scan, lstm_cell_fold):
+        for run in (lstm_input_scan, lstm_cell_fold):
             ad.zero_grads(trainable)
             with ad.Tape() as tape:
                 hs = run(x, SCAN_PARENTS[shape], h0, c0, params)
@@ -312,7 +371,7 @@ class TestLstmScan:
 
     def test_forward_only_without_a_tape(self):
         params, x, h0, c0, _ = self._case("parameters")
-        hs = ad.lstm_scan(x, SCAN_PARENTS["stack"], h0, c0, params)
+        hs = lstm_input_scan(x, SCAN_PARENTS["stack"], h0, c0, params)
         assert hs._backward is None and hs.shape == (7, 4)
 
     @pytest.mark.parametrize("parents", [
@@ -322,22 +381,22 @@ class TestLstmScan:
     def test_bad_parents_raise_shape_error(self, parents):
         params, x, h0, c0, _ = self._case("zeros")
         with pytest.raises(ad.ShapeError, match="parents"):
-            ad.lstm_scan(x, parents, h0, c0, params)
+            lstm_input_scan(x, parents, h0, c0, params)
 
     def test_bad_shapes_raise_shape_error(self):
         params, x, h0, c0, _ = self._case("zeros")
         chain = SCAN_PARENTS["chain"]
         with pytest.raises(ad.ShapeError, match="rows"):
-            ad.lstm_scan(ad.rows(x, [0]), [-1], h0, c0, ad.LstmParams(
-                5, 4, "wide", np.random.default_rng(1), np.float64))
+            ad.lstm_scan(x, chain, h0, c0, params)   # not projected
         with pytest.raises(ad.ShapeError, match="initial state"):
-            ad.lstm_scan(x, chain, t64(np.zeros(3)), c0, params)
+            lstm_input_scan(x, chain, t64(np.zeros(3)), c0, params)
 
     def test_non_finite_output_is_an_error(self):
         params, x, h0, c0, _ = self._case("zeros")
-        x.data[2, 0] = np.nan
+        zx = ad.lstm_input(x, params)
+        zx.data[2, 0] = np.nan
         with pytest.raises(ad.NonFiniteError, match="lstm_scan"):
-            ad.lstm_scan(x, SCAN_PARENTS["chain"], h0, c0, params)
+            ad.lstm_scan(zx, SCAN_PARENTS["chain"], h0, c0, params)
 
 
 class TestDeterminism:

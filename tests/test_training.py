@@ -568,9 +568,19 @@ def _per_step_matmul(a, b):
     return ad._make(data, backward, "matmul")
 
 
+def _per_step_defer(tape, param, x, g, start=0):
+    """Tape._defer that adds one outer product per row into the rows
+    ``start:`` of the weight on the spot: the LSTM primitives' reference
+    for the deferred flush."""
+    block = param.grad[start:start + x.shape[1]]
+    for x_row, g_row in zip(x, g):
+        block += np.outer(x_row, g_row).reshape(block.shape)
+
+
 class TestDeferredWeightGradients:
     """Weight gradients of ``x @ Parameter`` are flushed as one GEMM per
-    parameter at the end of `Tape.backward`; constants get none."""
+    parameter and block of rows at the end of `Tape.backward`; constants
+    get none."""
 
     @staticmethod
     def _case():
@@ -596,8 +606,9 @@ class TestDeferredWeightGradients:
         enc = m.encode([instances[0][0]])[0]
         key = ad.tanh(ad.matmul(ad.row(enc.matrix, 0), m.attn_enc_w))
         zeros = ad.constant(np.zeros((3, m.config.hidden_size)), np.float64)
-        rows_h, _ = ad.lstm_cell(ad.rows(m.out_embed, [1, 2, 3]), zeros,
-                                 zeros, m.tree_cell)
+        rows_h, _ = ad.lstm_cell(
+            ad.lstm_input(ad.rows(m.out_embed, [1, 2, 3]), m.tree_cell),
+            zeros, zeros, m.tree_cell)
         return ad.add(ad.add(loss, ad.matmul(key, m.attn_v)),
                       ad.total(rows_h))
 
@@ -609,18 +620,27 @@ class TestDeferredWeightGradients:
 
     def test_flush_matches_per_step_outer_products(self, monkeypatch):
         m, instances = self._case()
-        defer, names = ad.Tape._defer, set()
+        defer, blocks = ad.Tape._defer, set()
 
-        def spy(tape, param, x, g):
-            names.add(param.name)
-            defer(tape, param, x, g)
+        def spy(tape, param, x, g, start=0):
+            blocks.add((param.name, start))
+            defer(tape, param, x, g, start)
         with monkeypatch.context() as patch:
             patch.setattr(ad.Tape, "_defer", spy)
             deferred = self._grads(m, instances)
-        assert {"attn_enc_w", "attn_v", "tree_cell.w", "encoder.1.fwd.w",
-                "compose_w", "word_out_w"} <= names
+        assert {("attn_enc_w", 0), ("attn_v", 0), ("compose_w", 0),
+                ("word_out_w", 0)} <= blocks
+        # an LSTM's w takes its input rows from lstm_input and its
+        # recurrent rows from lstm_cell (the encoder, Model.step) or
+        # lstm_scan (the tree cell), both in one flush
+        e, h = m.config.embed_size, m.config.hidden_size
+        for name, inputs in (("tree_cell.w", e), ("seq_cell.w", e),
+                             ("encoder.0.bwd.w", e),
+                             ("encoder.1.fwd.w", 2 * h)):
+            assert {(name, 0), (name, inputs)} <= blocks, name
         with monkeypatch.context() as patch:
             patch.setattr(ad, "matmul", _per_step_matmul)
+            patch.setattr(ad.Tape, "_defer", _per_step_defer)
             reference = self._grads(m, instances)
         for p in m.parameters():
             scale = np.abs(reference[p.name]).max()
