@@ -5,8 +5,9 @@ active they run forward-only, which is how decoding avoids graph overhead.
 The primitive set is closed and small: matmul, add/sub/mul (with numpy
 broadcasting, un-broadcast on the way back), concat/narrow/reshape,
 row/rows/stack_rows gathers, tanh, sigmoid, softmax, log_softmax, log,
-clip, total, pick, and three for LSTMs.  `lstm_input` is an LSTM's input
-projection ``zx = x @ w[:E] + b`` as one node, over all the rows a
+clip, total, pick, a `scatter` of columns into a wider last axis, whose
+backward is a gather, and three for LSTMs.  `lstm_input` is an LSTM's
+input projection ``zx = x @ w[:E] + b`` as one node, over all the rows a
 recurrence reads, so it is one GEMM hoisted out of the recurrence.  The
 two recurrence primitives take that ``zx`` and run only the recurrent
 product ``h @ w[E:]``: `lstm_cell` is one LSTM step, whose new cell and
@@ -14,15 +15,30 @@ hidden states are one node each, and `lstm_scan` a whole recurrence over
 rows whose inputs are known up front.  Every primitive checks its output
 for NaN/Inf and raises `NonFiniteError` on the first occurrence.
 
-Only Parameters and taped nodes take gradients; constants (tensors made
-off the tape, such as copy matrices, zero states and lifted scalars) get
-none, and no backward product is computed for them.  The weight gradient
-of ``x @ p`` for a Parameter ``p`` is not computed per product: its (x, g)
-rows are kept on the tape, and `Tape.backward` flushes each such
-parameter once, as one GEMM, after every node has run.  The LSTM
-primitives hand their weight gradients to the same flush, each into its
-own block of rows of ``w``: `lstm_input` into the input rows ``[:E]``,
-`lstm_cell` and `lstm_scan` into the recurrent rows ``[E:]``.
+A tape keeps gradient slots apart from data.  Each taped output is a
+`Tensor` holding its array and a small `Node`: the output's gradient, its
+backward closure, and the gradient's shape and dtype.  `Tape.nodes`
+lists the nodes, one per taped output.  A closure captures its operands'
+nodes and only the arrays its formula reads (its saved arrays, as in
+PyTorch): `mul` keeps both operands, `matmul` and `lstm_input` their x and
+w, `log` its input, `clip` its mask, `tanh`, `sigmoid`, `softmax` and
+`log_softmax` their own outputs, `lstm_cell` and `lstm_scan` their gates
+and states, and `add`, `sub`, `neg`, `concat`, `narrow`, `reshape`,
+`rows`, `row`, `stack_rows`, `scatter`, `pick` and `total` only shapes and
+indices.  An output that no backward reads is freed as soon as the
+forward drops its Tensor, and each closure, with what it saved, is
+dropped once it has run.
+
+Only Parameters, whose nodes live as long as they do, and taped outputs
+take gradients; constants (tensors made off the tape, such as zero states
+and lifted scalars) have no node, and no backward product is computed
+for them.  The weight gradient of ``x @ p`` for a Parameter ``p`` is not
+computed per product: its (x, g) rows are kept on the tape, and
+`Tape.backward` flushes each such parameter once, as one GEMM, after
+every node has run.  The LSTM primitives hand their weight gradients to
+the same flush, each into its own block of rows of ``w``: `lstm_input`
+into the input rows ``[:E]``, `lstm_cell` and `lstm_scan` into the
+recurrent rows ``[E:]``.
 
 A checkpoint is rejected unless its records end exactly at the checksum,
 no parameter name repeats, and each record has at most 32 dimensions, no
@@ -75,18 +91,46 @@ class CheckpointError(AutodiffError):
 _ACTIVE_TAPE = None
 
 
-class Tensor:
-    """A dense array plus the bookkeeping to participate in a tape."""
+class Node:
+    """The gradient slot of one taped output or Parameter: the gradient
+    accumulated so far, the backward closure, and the shape and dtype a
+    gradient takes.  It holds no reference to the output's data."""
 
-    __slots__ = ("data", "grad", "_backward")
+    __slots__ = ("grad", "backward", "shape", "dtype")
+
+    def __init__(self, shape, dtype, backward=None, grad=None):
+        self.grad = grad
+        self.backward = backward
+        self.shape = shape
+        self.dtype = dtype
+
+    def accumulate(self, g):
+        if self.grad is None:
+            # a copy: `add` hands the same g to both of its operands
+            self.grad = np.array(g, dtype=self.dtype)
+        else:
+            self.grad += g
+
+    def buffer(self):
+        """The gradient, zeros until something accumulates, for backward
+        formulas that add into part of it."""
+        if self.grad is None:
+            self.grad = np.zeros(self.shape, dtype=self.dtype)
+        return self.grad
+
+
+class Tensor:
+    """A dense array plus, once taped, the `Node` that takes its
+    gradient; a constant has no node."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, dtype=None):
         self.data = np.asarray(data, dtype=dtype if dtype is not None
                                else getattr(data, "dtype", np.float32))
         if self.data.dtype not in (np.float32, np.float64):
             self.data = self.data.astype(np.float32)
-        self.grad = None
-        self._backward = None
+        self.node = None
 
     @property
     def shape(self):
@@ -96,15 +140,16 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self.node.grad = value
+
     def item(self) -> float:
         return self.data.item()
-
-    def accumulate(self, g):
-        if self.grad is None:
-            # a copy: `add` hands the same g to both of its operands
-            self.grad = np.array(g, dtype=self.data.dtype)
-        else:
-            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
@@ -126,14 +171,16 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named, trainable tensor; gradients persist across tapes."""
+    """A named, trainable tensor; its node's gradient persists across
+    tapes."""
 
     __slots__ = ("name",)
 
     def __init__(self, data, name, dtype=None):
         super().__init__(data, dtype=dtype)
         self.name = name
-        self.grad = np.zeros_like(self.data)
+        self.node = Node(self.data.shape, self.data.dtype,
+                         grad=np.zeros_like(self.data))
 
     def zero_grad(self):
         self.grad[...] = 0.0
@@ -143,7 +190,8 @@ class Parameter(Tensor):
 
 
 class Tape:
-    """Execution-ordered record of operations; context manager activates it."""
+    """Execution-ordered record of operations, one `Node` per taped
+    output; context manager activates it."""
 
     def __init__(self):
         self.nodes = []
@@ -173,9 +221,10 @@ class Tape:
         """Accumulate d(loss)/d(x) into .grad of every Parameter and taped
         node the tape reaches; constants get no gradient.
 
-        Each taped node's own .grad is released once its backward has run.
-        The weight gradient of ``x @ p`` for a Parameter ``p`` is deferred:
-        the (x, g) rows of every such product are kept, and once every node
+        Each node's gradient and backward closure, with the arrays the
+        closure saved, are released once its backward has run.  The weight
+        gradient of ``x @ p`` for a Parameter ``p`` is deferred: the
+        (x, g) rows of every such product are kept, and once every node
         has run each parameter gets one GEMM per block of rows it was used
         in, ``p.grad[start:start + k] += X.T @ G``.  The kept rows are
         released as each block is flushed, or on error.
@@ -183,13 +232,15 @@ class Tape:
         if loss.data.ndim != 0 and loss.data.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
         try:
-            loss.accumulate(np.ones_like(loss.data))
+            if loss.node is not None:
+                loss.node.accumulate(np.ones_like(loss.data))
             for node in reversed(self.nodes):
-                if node.grad is None or node._backward is None:
+                if node.grad is None:
                     continue
                 # every consumer has already run, so the buffer can go now
                 g, node.grad = node.grad, None
-                node._backward(g)
+                backward, node.backward = node.backward, None
+                backward(g)
             while self._deferred:
                 (param, start), (xs, gs) = self._deferred.popitem()
                 block = param.grad[start:start + xs[0].shape[1]]
@@ -205,19 +256,19 @@ def _make(data, backward, op):
         raise NonFiniteError(f"non-finite output of {op}")
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    out._backward = None
+    out.node = None
     if _ACTIVE_TAPE is not None:
-        out._backward = backward
-        _ACTIVE_TAPE.nodes.append(out)
+        out.node = Node(data.shape, data.dtype, backward)
+        _ACTIVE_TAPE.nodes.append(out.node)
     return out
 
 
-def _takes_grad(t: Tensor) -> bool:
-    """Parameters and taped nodes take gradients; constants (tensors made
-    off the tape, lifted scalars) take none, so no product is computed
-    for them."""
-    return t._backward is not None or isinstance(t, Parameter)
+def _node(t: Tensor):
+    """The node an operand's gradient goes to: Parameters and taped
+    outputs have one; constants (tensors made off the tape, lifted
+    scalars) have none, so no product is computed for them.  Backward
+    closures capture this, never the operand."""
+    return t.node
 
 
 def _lift(x, like: Tensor) -> Tensor:
@@ -242,12 +293,13 @@ def add(a: Tensor, b) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: {a.shape} vs {b.shape}")
+    na, nb, sa, sb = _node(a), _node(b), a.shape, b.shape
 
     def backward(g):
-        if _takes_grad(a):
-            a.accumulate(_unbroadcast(g, a.shape))
-        if _takes_grad(b):
-            b.accumulate(_unbroadcast(g, b.shape))
+        if na is not None:
+            na.accumulate(_unbroadcast(g, sa))
+        if nb is not None:
+            nb.accumulate(_unbroadcast(g, sb))
     return _make(data, backward, "add")
 
 
@@ -257,19 +309,22 @@ def sub(a: Tensor, b) -> Tensor:
         data = a.data - b.data
     except ValueError:
         raise ShapeError(f"sub: {a.shape} vs {b.shape}")
+    na, nb, sa, sb = _node(a), _node(b), a.shape, b.shape
 
     def backward(g):
-        if _takes_grad(a):
-            a.accumulate(_unbroadcast(g, a.shape))
-        if _takes_grad(b):
-            b.accumulate(-_unbroadcast(g, b.shape))
+        if na is not None:
+            na.accumulate(_unbroadcast(g, sa))
+        if nb is not None:
+            nb.accumulate(-_unbroadcast(g, sb))
     return _make(data, backward, "sub")
 
 
 def neg(a: Tensor) -> Tensor:
+    na = _node(a)
+
     def backward(g):
-        if _takes_grad(a):
-            a.accumulate(-g)
+        if na is not None:
+            na.accumulate(-g)
     return _make(-a.data, backward, "neg")
 
 
@@ -279,12 +334,13 @@ def mul(a: Tensor, b) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}")
+    na, nb, a_data, b_data = _node(a), _node(b), a.data, b.data
 
     def backward(g):
-        if _takes_grad(a):
-            a.accumulate(_unbroadcast(g * b.data, a.shape))
-        if _takes_grad(b):
-            b.accumulate(_unbroadcast(g * a.data, b.shape))
+        if na is not None:
+            na.accumulate(_unbroadcast(g * b_data, a_data.shape))
+        if nb is not None:
+            nb.accumulate(_unbroadcast(g * a_data, b_data.shape))
     return _make(data, backward, "mul")
 
 
@@ -298,18 +354,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul: {a.shape} x {b.shape}")
     tape = _ACTIVE_TAPE
+    na, nb, a_data, b_data = _node(a), _node(b), a.data, b.data
+    param = b if isinstance(b, Parameter) else None
 
     def backward(g):
         # vectors and rows alike as matrices: x (rows, k) @ w (k, n) = g
-        w = b.data.reshape(b.shape[0], -1)
-        x = a.data.reshape(-1, w.shape[0])
+        w = b_data.reshape(b_data.shape[0], -1)
+        x = a_data.reshape(-1, w.shape[0])
         g = g.reshape(x.shape[0], w.shape[1])
-        if _takes_grad(a):
-            a.accumulate((g @ w.T).reshape(a.shape))
-        if isinstance(b, Parameter):
-            tape._defer(b, x, g)
-        elif _takes_grad(b):
-            b.accumulate((x.T @ g).reshape(b.shape))
+        if na is not None:
+            na.accumulate((g @ w.T).reshape(a_data.shape))
+        if param is not None:
+            tape._defer(param, x, g)
+        elif nb is not None:
+            nb.accumulate((x.T @ g).reshape(b_data.shape))
     return _make(data, backward, "matmul")
 
 
@@ -320,23 +378,17 @@ def concat(tensors, axis=0) -> Tensor:
     except ValueError:
         raise ShapeError(
             "concat: " + " | ".join(str(t.shape) for t in tensors))
-    sizes = [t.data.shape[axis] for t in tensors]
+    parts = [(_node(t), t.data.shape[axis]) for t in tensors]
 
     def backward(g):
         start = 0
-        for t, size in zip(tensors, sizes):
-            if _takes_grad(t):
+        for node, size in parts:
+            if node is not None:
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(start, start + size)
-                t.accumulate(g[tuple(index)])
+                node.accumulate(g[tuple(index)])
             start += size
     return _make(data, backward, "concat")
-
-
-def _grad_buffer(a: Tensor):
-    if a.grad is None:
-        a.grad = np.zeros_like(a.data)
-    return a.grad
 
 
 def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -344,10 +396,11 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     index[axis] = slice(start, stop)
     index = tuple(index)
     data = a.data[index].copy()
+    na = _node(a)
 
     def backward(g):
-        if _takes_grad(a):
-            _grad_buffer(a)[index] += g
+        if na is not None:
+            na.buffer()[index] += g
     return _make(data, backward, "narrow")
 
 
@@ -355,10 +408,11 @@ def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
     if data.shape == a.shape:   # no node, so no gradient buffer to hold
         return a
+    na, sa = _node(a), a.shape
 
     def backward(g):
-        if _takes_grad(a):
-            a.accumulate(g.reshape(a.shape))
+        if na is not None:
+            na.accumulate(g.reshape(sa))
     return _make(data, backward, "reshape")
 
 
@@ -366,11 +420,12 @@ def rows(table: Tensor, indices) -> Tensor:
     """Embedding lookup: gather rows of a 2-D table."""
     idx = np.asarray(indices, dtype=np.int64)
     data = table.data[idx]
+    nt = _node(table)
 
     def backward(g):
-        if not _takes_grad(table):
+        if nt is None:
             return
-        grad = _grad_buffer(table)
+        grad = nt.buffer()
         if len(set(idx.tolist())) == idx.size and not (idx < 0).any():
             grad[idx] += g          # distinct rows: each is added once
         else:
@@ -380,10 +435,11 @@ def rows(table: Tensor, indices) -> Tensor:
 
 def row(a: Tensor, i: int) -> Tensor:
     data = a.data[i].copy()
+    na = _node(a)
 
     def backward(g):
-        if _takes_grad(a):
-            _grad_buffer(a)[i] += g
+        if na is not None:
+            na.buffer()[i] += g
     return _make(data, backward, "row")
 
 
@@ -395,20 +451,50 @@ def stack_rows(vectors) -> Tensor:
     except ValueError:
         raise ShapeError(
             "stack_rows: " + " | ".join(str(v.shape) for v in vectors))
+    nodes = [_node(v) for v in vectors]
 
     def backward(g):
-        for r, v in enumerate(vectors):
-            if _takes_grad(v):
-                v.accumulate(g[r])
+        for r, node in enumerate(nodes):
+            if node is not None:
+                node.accumulate(g[r])
     return _make(data, backward, "stack_rows")
+
+
+def scatter(base: Tensor, index, values: Tensor, size: int) -> Tensor:
+    """``base`` widened with zeros to ``size`` along its last axis, with
+    column j of ``values`` then added into column ``index[j]``; indices
+    may repeat.  ``base`` is (..., n) with n <= size, ``values`` (..., m)
+    with the same leading axes, and ``index`` m integers in 0..size-1.
+    The backward narrows the gradient to base's columns and gathers the
+    columns ``index`` of it for ``values``; it keeps only the index."""
+    idx = np.asarray(index, dtype=np.int64)
+    lead, width = base.shape[:-1], base.shape[-1]
+    if values.shape != lead + idx.shape or width > size \
+            or ((idx < 0) | (idx >= size)).any():
+        raise ShapeError(f"scatter: base {base.shape} and values "
+                         f"{values.shape} at {idx.shape} indices into "
+                         f"{size} columns")
+    data = np.zeros(lead + (size,), dtype=base.dtype)
+    data[..., :width] = base.data
+    np.add.at(data.reshape(-1, size), (slice(None), idx),
+              values.data.reshape(-1, idx.size))
+    nb, nv = _node(base), _node(values)
+
+    def backward(g):
+        if nb is not None:
+            nb.accumulate(g[..., :width])
+        if nv is not None:
+            nv.accumulate(g[..., idx])
+    return _make(data, backward, "scatter")
 
 
 def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
+    na = _node(a)
 
     def backward(g):
-        if _takes_grad(a):
-            a.accumulate(g * (1.0 - data * data))
+        if na is not None:
+            na.accumulate(g * (1.0 - data * data))
     return _make(data, backward, "tanh")
 
 
@@ -420,10 +506,11 @@ def _sigmoid_np(a):
 
 def sigmoid(a: Tensor) -> Tensor:
     data = _sigmoid_np(a.data)
+    na = _node(a)
 
     def backward(g):
-        if _takes_grad(a):
-            a.accumulate(g * data * (1.0 - data))
+        if na is not None:
+            na.accumulate(g * data * (1.0 - data))
     return _make(data, backward, "sigmoid")
 
 
@@ -431,11 +518,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
+    na = _node(a)
 
     def backward(g):
-        if _takes_grad(a):
+        if na is not None:
             inner = (g * data).sum(axis=axis, keepdims=True)
-            a.accumulate(data * (g - inner))
+            na.accumulate(data * (g - inner))
     return _make(data, backward, "softmax")
 
 
@@ -443,21 +531,23 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
+    na = _node(a)
 
     def backward(g):
-        if _takes_grad(a):
+        if na is not None:
             soft = np.exp(data)
-            a.accumulate(g - soft * g.sum(axis=axis, keepdims=True))
+            na.accumulate(g - soft * g.sum(axis=axis, keepdims=True))
     return _make(data, backward, "log_softmax")
 
 
 def log(a: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         data = np.log(a.data)
+    na, a_data = _node(a), a.data
 
     def backward(g):
-        if _takes_grad(a):
-            a.accumulate(g / a.data)
+        if na is not None:
+            na.accumulate(g / a_data)
     return _make(data, backward, "log")
 
 
@@ -465,24 +555,26 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values; gradient passes through inside [lo, hi] inclusive."""
     data = np.clip(a.data, lo, hi)
     mask = (a.data >= lo) & (a.data <= hi)
+    na = _node(a)
 
     def backward(g):
-        if _takes_grad(a):
-            a.accumulate(g * mask)
+        if na is not None:
+            na.accumulate(g * mask)
     return _make(data, backward, "clip")
 
 
 def total(a: Tensor, axis=None) -> Tensor:
     data = a.data.sum(axis=axis)
+    na, sa = _node(a), a.shape
 
     def backward(g):
-        if not _takes_grad(a):
+        if na is None:
             return
         if axis is None:
-            a.accumulate(np.broadcast_to(g, a.shape).copy())
+            na.accumulate(np.broadcast_to(g, sa).copy())
         else:
-            a.accumulate(np.broadcast_to(
-                np.expand_dims(g, axis), a.shape).copy())
+            na.accumulate(np.broadcast_to(
+                np.expand_dims(g, axis), sa).copy())
     return _make(data, backward, "total")
 
 
@@ -495,10 +587,11 @@ def pick(a: Tensor, index) -> Tensor:
         raise ShapeError(f"pick expects a vector, or a matrix and one index "
                          f"per row, got {a.shape}")
     data = a.data[index].copy()
+    na = _node(a)
 
     def backward(g):
-        if _takes_grad(a):
-            _grad_buffer(a)[index] += g
+        if na is not None:
+            na.buffer()[index] += g
     return _make(data, backward, "pick")
 
 
@@ -565,12 +658,13 @@ def lstm_input(x: Tensor, params: LstmParams) -> Tensor:
     w_x = params.w.data[:e]
     data = x.data @ w_x + params.b.data
     tape = _ACTIVE_TAPE
+    nx, x_data = _node(x), x.data
 
     def backward(g):
-        if _takes_grad(x):
-            x.accumulate(g @ w_x.T)
-        params.b.accumulate(_unbroadcast(g, params.b.shape))
-        tape._defer(params.w, x.data.reshape(-1, e),
+        if nx is not None:
+            nx.accumulate(g @ w_x.T)
+        params.b.node.accumulate(_unbroadcast(g, params.b.shape))
+        tape._defer(params.w, x_data.reshape(-1, e),
                     g.reshape(-1, g.shape[-1]))
     return _make(data, backward, "lstm_input")
 
@@ -597,26 +691,29 @@ def lstm_cell(zx: Tensor, h: Tensor, c: Tensor, params: LstmParams):
     c_data = f * c.data + s[..., :n] * g
     tc = np.tanh(c_data)
     tape = _ACTIVE_TAPE
+    nzx, nh, nc = _node(zx), _node(h), _node(c)
+    h_prev, c_prev = h.data, c.data
     dh = []     # the new hidden state's gradient, once its backward ran
 
     def backward_c(dc):
         dh_o = dh[0] if dh else np.zeros_like(dc)
         dz = np.concatenate([dc, dc, dc, dh_o], axis=-1) \
-            * _lstm_slopes(s, c.data, tc, n)
-        if _takes_grad(zx):
-            zx.accumulate(dz)
-        if _takes_grad(h):
-            h.accumulate(dz @ w_h.T)
-        tape._defer(params.w, h.data.reshape(-1, n), dz.reshape(-1, 4 * n),
+            * _lstm_slopes(s, c_prev, tc, n)
+        if nzx is not None:
+            nzx.accumulate(dz)
+        if nh is not None:
+            nh.accumulate(dz @ w_h.T)
+        tape._defer(params.w, h_prev.reshape(-1, n), dz.reshape(-1, 4 * n),
                     start=e)
-        if _takes_grad(c):
-            c.accumulate(_unbroadcast(dc * f, c.shape))
+        if nc is not None:
+            nc.accumulate(_unbroadcast(dc * f, c_prev.shape))
 
     def backward_h(g_h):
         dh.append(g_h)
-        c_new.accumulate(g_h * o * (1.0 - tc * tc))
+        c_node.accumulate(g_h * o * (1.0 - tc * tc))
 
     c_new = _make(c_data, backward_c, "lstm_cell")
+    c_node = c_new.node
     h_new = _make(o * tc, backward_h, "lstm_cell")
     return h_new, c_new
 
@@ -652,8 +749,10 @@ def lstm_scan(zx: Tensor, parents, h0: Tensor, c0: Tensor,
     tape = _ACTIVE_TAPE
     # the gate values i, f, g, o of every row, kept for the backward
     gates = np.empty_like(zx.data) if tape is not None else None
+    nzx, nh0, nc0, h0_data, c0_data = \
+        _node(zx), _node(h0), _node(c0), h0.data, c0.data
     for t, p in enumerate(parents.tolist()):
-        h_prev, c_prev = (h0.data, c0.data) if p < 0 else (hs[p], cs[p])
+        h_prev, c_prev = (h0_data, c0_data) if p < 0 else (hs[p], cs[p])
         z = h_prev @ w_h
         z += zx.data[t]
         s = _lstm_gates(z, n)
@@ -667,8 +766,8 @@ def lstm_scan(zx: Tensor, parents, h0: Tensor, c0: Tensor,
     def backward(g):
         f, o = gates[:, n:2 * n], gates[:, 3 * n:]
         roots = parents < 0
-        h_prev = np.where(roots[:, None], h0.data, hs[parents])
-        c_prev = np.where(roots[:, None], c0.data, cs[parents])
+        h_prev = np.where(roots[:, None], h0_data, hs[parents])
+        c_prev = np.where(roots[:, None], c0_data, cs[parents])
         tc = np.tanh(cs)
         dc_dh = o * (1.0 - tc * tc)
         slope = _lstm_slopes(gates, c_prev, tc, n)
@@ -683,12 +782,12 @@ def lstm_scan(zx: Tensor, parents, h0: Tensor, c0: Tensor,
             if p >= 0:
                 dh[p] += w_h @ dz[t]
                 dc[p] += dc_t * f[t]
-        if _takes_grad(zx):
-            zx.accumulate(dz)
-        if _takes_grad(h0):
-            h0.accumulate(w_h @ dz[roots].sum(axis=0))
-        if _takes_grad(c0):
-            c0.accumulate((dc[roots] * f[roots]).sum(axis=0))
+        if nzx is not None:
+            nzx.accumulate(dz)
+        if nh0 is not None:
+            nh0.accumulate(w_h @ dz[roots].sum(axis=0))
+        if nc0 is not None:
+            nc0.accumulate((dc[roots] * f[roots]).sum(axis=0))
         tape._defer(params.w, h_prev, dz, start=e)
     return _make(hs, backward, "lstm_scan")
 

@@ -88,17 +88,19 @@ def _parse_value(key, raw):
 
 def load_config_file(path):
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_SPEC:
-                raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+    for lineno, line in cp.text_lines(path, CliError):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_SPEC:
+            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
             values[key] = _parse_value(key, raw)
+        except CliError as e:
+            raise CliError(f"{path}:{lineno}: {e}") from e
     return values
 
 
@@ -298,17 +300,16 @@ def cmd_decode(args):
 
 def _json_records(path):
     """(line number, object) for each non-blank line of a JSON-lines file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CliError(f"{path}:{lineno}: invalid JSON: {e}")
-            if not isinstance(record, dict):
-                raise CliError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, record
+    for lineno, line in cp.text_lines(path, CliError):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise CliError(f"{path}:{lineno}: invalid JSON: {e}")
+        if not isinstance(record, dict):
+            raise CliError(f"{path}:{lineno}: expected a JSON object")
+        yield lineno, record
 
 
 def _parse_heads(where, heads, n):

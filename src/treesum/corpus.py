@@ -117,46 +117,62 @@ def tokenize(text: str) -> list:
     return text.lower().split()
 
 
+def text_lines(path, error):
+    """(line number from 1, line) of a UTF-8 text file.  A byte sequence
+    that is not UTF-8 raises ``error`` naming the file and its line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as e:
+            # text mode decodes in blocks, so find the line in bytes
+            with open(path, "rb") as raw:
+                for lineno, line in enumerate(raw, start=1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as bad:
+                        raise error(f"{path}:{lineno}: not UTF-8: "
+                                    f"{bad}") from e
+            raise error(f"{path}: not UTF-8: {e}") from e
+
+
 def load_corpus(path, require_heads=True) -> list:
     """Parse the JSON-lines corpus format, reporting the offending line
     number for malformed records."""
     examples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON: {e}")
-            if not isinstance(record, dict) or "source" not in record:
-                raise CorpusError(f"{path}:{lineno}: missing 'source' field")
-            for field in ("source", "summary"):
-                if not isinstance(record.get(field, ""), str):
-                    raise CorpusError(f"{path}:{lineno}: {field!r} must be "
-                                      f"a string")
-            source = tokenize(record["source"])
-            summary = tokenize(record.get("summary", ""))
-            heads = record.get("heads")
-            if require_heads or heads is not None:
-                if heads is None:
-                    raise CorpusError(f"{path}:{lineno}: missing 'heads' field")
-                if not isinstance(heads, list):
-                    raise CorpusError(f"{path}:{lineno}: 'heads' must be "
-                                      f"a list")
-                if len(heads) != len(summary):
-                    raise CorpusError(
-                        f"{path}:{lineno}: {len(heads)} heads for "
-                        f"{len(summary)} summary tokens")
-                try:   # via str, so 1.5 and true are refused
-                    heads = [int(str(h)) for h in heads]
-                except ValueError:
-                    raise CorpusError(f"{path}:{lineno}: heads must be "
-                                      f"integers")
-            else:
-                heads = []
-            examples.append(Example(source=source, summary=summary,
-                                    heads=heads))
+    for lineno, line in text_lines(path, CorpusError):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise CorpusError(f"{path}:{lineno}: invalid JSON: {e}")
+        if not isinstance(record, dict) or "source" not in record:
+            raise CorpusError(f"{path}:{lineno}: missing 'source' field")
+        for field in ("source", "summary"):
+            if not isinstance(record.get(field, ""), str):
+                raise CorpusError(f"{path}:{lineno}: {field!r} must be "
+                                  f"a string")
+        source = tokenize(record["source"])
+        summary = tokenize(record.get("summary", ""))
+        heads = record.get("heads")
+        if require_heads or heads is not None:
+            if heads is None:
+                raise CorpusError(f"{path}:{lineno}: missing 'heads' field")
+            if not isinstance(heads, list):
+                raise CorpusError(f"{path}:{lineno}: 'heads' must be a list")
+            if len(heads) != len(summary):
+                raise CorpusError(
+                    f"{path}:{lineno}: {len(heads)} heads for "
+                    f"{len(summary)} summary tokens")
+            try:   # via str, so 1.5 and true are refused
+                heads = [int(str(h)) for h in heads]
+            except ValueError:
+                raise CorpusError(f"{path}:{lineno}: heads must be "
+                                  f"integers")
+        else:
+            heads = []
+        examples.append(Example(source=source, summary=summary,
+                                heads=heads))
     return examples
 
 
@@ -222,36 +238,37 @@ def convert_conll(conll_path, sources_path, out_path):
     """
     blocks = []
     current = []
-    with open(conll_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                if current:
-                    blocks.append(current)
-                    current = []
+    for lineno, line in text_lines(conll_path, CorpusError):
+        line = line.rstrip("\n")
+        if not line.strip():
+            if current:
+                blocks.append(current)
+                current = []
+            continue
+        if line.lstrip().startswith("#"):
+            continue
+        cols = line.split("\t") if "\t" in line else line.split()
+        if len(cols) >= 10:
+            # full CoNLL-X/U row; multi-word and empty nodes have
+            # range/decimal ids and carry no head
+            if "-" in cols[0] or "." in cols[0]:
                 continue
-            if line.lstrip().startswith("#"):
-                continue
-            cols = line.split("\t") if "\t" in line else line.split()
-            if len(cols) >= 10:
-                # full CoNLL-X/U row; multi-word and empty nodes have
-                # range/decimal ids and carry no head
-                if "-" in cols[0] or "." in cols[0]:
-                    continue
-                token, head = cols[1], cols[6]
-            elif len(cols) >= 2:
-                token, head = cols[0], cols[1]
-            else:
-                raise CorpusError(f"{conll_path}: unparseable row {line!r}")
-            try:
-                current.append((token, int(head)))
-            except ValueError:
-                raise CorpusError(
-                    f"{conll_path}: non-integer head in row {line!r}")
+            token, head = cols[1], cols[6]
+        elif len(cols) >= 2:
+            token, head = cols[0], cols[1]
+        else:
+            raise CorpusError(
+                f"{conll_path}:{lineno}: unparseable row {line!r}")
+        try:
+            current.append((token, int(head)))
+        except ValueError:
+            raise CorpusError(
+                f"{conll_path}:{lineno}: non-integer head in row {line!r}")
     if current:
         blocks.append(current)
-    with open(sources_path, "r", encoding="utf-8") as fh:
-        sources = [line.strip() for line in fh if line.strip()]
+    sources = [line.strip() for _, line in text_lines(sources_path,
+                                                      CorpusError)
+               if line.strip()]
     if len(sources) != len(blocks):
         raise CorpusError(
             f"{sources_path}: {len(sources)} sources for "

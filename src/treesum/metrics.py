@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import text_lines
+
 
 class MetricsError(ValueError):
     pass
@@ -134,31 +136,30 @@ def load_embeddings(path) -> EmbeddingTable:
     line number.  Vectors go straight into one matrix (no second copy),
     sized by a first pass that counts the lines."""
     index, rows = {}, np.zeros((1, 0))
-    with open(path, "r", encoding="utf-8") as fh:
-        count = sum(1 for line in fh if line.strip())
-        fh.seek(0)
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            word, values = parts[0], parts[1:]
-            if not values:
-                raise MetricsError(f"{path}:{lineno}: no vector values")
-            try:
-                vec = np.array(values, dtype=np.float64)
-            except ValueError:
-                raise MetricsError(f"{path}:{lineno}: unparseable value")
-            if not np.isfinite(vec).all():
-                raise MetricsError(f"{path}:{lineno}: non-finite value")
-            if not index:
-                rows = np.zeros((count + 1, len(vec)))
-            elif len(vec) != rows.shape[1]:
-                raise MetricsError(
-                    f"{path}:{lineno}: dimension {len(vec)} != "
-                    f"{rows.shape[1]}")
-            if word not in index:
-                rows[len(index)] = vec
-                index[word] = len(index)
+    count = sum(1 for _, line in text_lines(path, MetricsError)
+                if line.strip())
+    for lineno, line in text_lines(path, MetricsError):
+        parts = line.split()
+        if not parts:
+            continue
+        word, values = parts[0], parts[1:]
+        if not values:
+            raise MetricsError(f"{path}:{lineno}: no vector values")
+        try:
+            vec = np.array(values, dtype=np.float64)
+        except ValueError:
+            raise MetricsError(f"{path}:{lineno}: unparseable value")
+        if not np.isfinite(vec).all():
+            raise MetricsError(f"{path}:{lineno}: non-finite value")
+        if not index:
+            rows = np.zeros((count + 1, len(vec)))
+        elif len(vec) != rows.shape[1]:
+            raise MetricsError(
+                f"{path}:{lineno}: dimension {len(vec)} != "
+                f"{rows.shape[1]}")
+        if word not in index:
+            rows[len(index)] = vec
+            index[word] = len(index)
     table = EmbeddingTable(dim=rows.shape[1] if index else None)
     table._adopt(index, rows[:len(index) + 1])
     return table

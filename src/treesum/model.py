@@ -99,12 +99,19 @@ class ContextVector:
 
 @dataclass
 class SourceContext:
-    """Everything decoding needs to know about one encoded source text."""
+    """Everything decoding needs to know about one encoded source text.
+
+    The union vocabulary is the output vocabulary followed by the
+    extensions.  ``union_ids`` holds the union id of each source token, so
+    `Model.predict_word` adds token i's copy mass into column
+    ``union_ids[i]`` with one `autodiff.scatter`; repeated tokens share a
+    column.
+    """
 
     tokens: list
     enc: EncoderStates
     extensions: list            # source tokens outside the output vocabulary
-    copy_matrix: ad.Tensor      # (source_len, union_size) 0/1 constant
+    union_ids: np.ndarray       # (source_len,) int64
     vocab: object               # the output vocabulary
 
     @property
@@ -136,6 +143,8 @@ class DecoderState:
 
     ``tree_states`` has one (h, c) pair per stack element plus the zero
     base below R; ``stack_reps`` aligns with the symbolic stack.
+    ``hist_inputs`` is the history LSTM's projected input of each op kind,
+    made once per decode by `Model.initial_state` and carried unchanged.
     """
 
     symbolic: tr.StackState
@@ -143,6 +152,7 @@ class DecoderState:
     tree_states: tuple         # (h, c) pairs, len(stack) + 1 entries
     seq_state: tuple           # (h, c) of the summary LSTM
     hist_state: tuple          # (h, c) of the operation-history LSTM
+    hist_inputs: ad.Tensor     # (3, 4 * hidden), OP_ORDER rows
 
     @property
     def tree_h(self) -> ad.Tensor:
@@ -333,23 +343,17 @@ class Model:
     def _source_context(self, tokens, enc) -> SourceContext:
         vocab_size = self.config.output_vocab_size
         extensions = []
-        union_of = []
+        union_ids = []
         for token in tokens:
             uid = self.output_vocab.id_or_none(token)
             if uid is None:
                 if token not in extensions:
                     extensions.append(token)
                 uid = vocab_size + extensions.index(token)
-            union_of.append(uid)
-        copy = np.zeros((vocab_size + len(extensions), len(tokens)),
-                        dtype=self.dtype)
-        for i, uid in enumerate(union_of):
-            copy[uid, i] = 1.0
-        # attention rows multiply the transposed view, which still sums
-        # each union id's copy mass along one contiguous row
+            union_ids.append(uid)
         return SourceContext(tokens=list(tokens), enc=enc,
                              extensions=extensions,
-                             copy_matrix=ad.Tensor(copy.T),
+                             union_ids=np.array(union_ids, dtype=np.int64),
                              vocab=self.output_vocab)
 
     # ------------------------------------------------------------------
@@ -373,6 +377,10 @@ class Model:
     # ------------------------------------------------------------------
 
     def initial_state(self) -> DecoderState:
+        """The state before the first op.  The history LSTM only ever
+        reads one of the three op-kind embeddings, so their input
+        projections are one (3, 4 * hidden) `lstm_input` here, from the
+        current weights, which every `step` of this decode indexes."""
         h = self.config.hidden_size
         base = (self._zeros(h), self._zeros(h))
         after_root = ad.lstm_cell(
@@ -384,13 +392,13 @@ class Model:
             tree_states=(base, after_root),
             seq_state=(self.seq_init_h, self.seq_init_c),
             hist_state=(self.hist_init_h, self.hist_init_c),
+            hist_inputs=ad.lstm_input(self.op_embed, self.hist_cell),
         )
 
     def step(self, state: DecoderState, op: tr.ParserOp) -> DecoderState:
         """Advance every component by one operation."""
         symbolic = tr.apply_op(state.symbolic, op)
-        x = ad.row(self.op_embed, OP_INDEX[op.kind])
-        hist = ad.lstm_cell(ad.lstm_input(x, self.hist_cell),
+        hist = ad.lstm_cell(ad.row(state.hist_inputs, OP_INDEX[op.kind]),
                             *state.hist_state, self.hist_cell)
         if op.kind == tr.GEN:
             rep = self.word_embedding(op.word)
@@ -404,6 +412,7 @@ class Model:
                 tree_states=state.tree_states + (tree_top,),
                 seq_state=seq,
                 hist_state=hist,
+                hist_inputs=state.hist_inputs,
             )
         top, second = state.stack_reps[-1], state.stack_reps[-2]
         if op.kind == tr.REDUCE_L:
@@ -418,6 +427,7 @@ class Model:
             tree_states=state.tree_states[:-2] + (tree_top,),
             seq_state=state.seq_state,   # carried: no word at reduce steps
             hist_state=hist,
+            hist_inputs=state.hist_inputs,
         )
 
     # ------------------------------------------------------------------
@@ -452,10 +462,13 @@ class Model:
                      src: SourceContext) -> tuple[ad.Tensor, ad.Tensor]:
         """Word distribution over output vocabulary plus source extensions.
 
-        Mixes vocabulary generation with copying: the switch gives the
-        generation share, attention mass summed per source word gives the
-        copy share.  Vectors or rows, like `attend`.  Returns
-        (distribution, switch).
+        Mixes vocabulary generation with copying: the switch s gives the
+        generation share, and the attention mass on the source tokens the
+        copy share.  One `autodiff.scatter` widens the generation term
+        ``s * softmax`` to the union vocabulary and adds each token's
+        ``(1 - s) * alpha`` into the column of its union id
+        (``src.union_ids``); its backward gathers those columns.  Vectors
+        or rows, like `attend`.  Returns (distribution, switch).
         """
         feat = ad.concat([seq_h, tree_h, ctx.context], axis=-1)
         switch = ad.sigmoid(ad.add(ad.matmul(feat, self.switch_w),
@@ -463,13 +476,10 @@ class Model:
         hidden = ad.tanh(ad.add(ad.matmul(feat, self.word_hidden_w),
                                 self.word_hidden_b))
         vocab_dist = ad.softmax(ad.matmul(hidden, self.word_out_w))
-        if src.extensions:
-            pad = self._zeros(vocab_dist.shape[:-1] + (len(src.extensions),))
-            vocab_dist = ad.concat([vocab_dist, pad], axis=-1)
-        copy_dist = ad.matmul(ctx.alpha, src.copy_matrix)
         one = ad.constant(1.0, dtype=self.dtype)
-        dist = ad.add(ad.mul(vocab_dist, switch),
-                      ad.mul(copy_dist, ad.sub(one, switch)))
+        dist = ad.scatter(ad.mul(vocab_dist, switch), src.union_ids,
+                          ad.mul(ctx.alpha, ad.sub(one, switch)),
+                          src.union_size)
         return dist, switch
 
     def score_rows(self, tree_h, seq_h, hist_h, src: SourceContext,

@@ -299,3 +299,28 @@ def encode_per_token(model, tokens):
                   for f, b in zip(forward, reversed(backward))]
     matrix = ad.stack_rows(inputs)
     return matrix.data, ad.matmul(matrix, model.attn_enc_w).data
+
+
+def predict_word_dense(model, seq_h, tree_h, ctx, src):
+    """`Model.predict_word` with the copy term as a dense product: the
+    generation distribution padded with zeros to the union vocabulary,
+    plus attention times a (source_len, union_size) 0/1 matrix with one 1
+    per source token, at its union id.  The reference for the scatter.
+    Returns (distribution, switch)."""
+    feat = ad.concat([seq_h, tree_h, ctx.context], axis=-1)
+    switch = ad.sigmoid(ad.add(ad.matmul(feat, model.switch_w),
+                               model.switch_b))
+    hidden = ad.tanh(ad.add(ad.matmul(feat, model.word_hidden_w),
+                            model.word_hidden_b))
+    vocab_dist = ad.softmax(ad.matmul(hidden, model.word_out_w))
+    if src.extensions:
+        pad = ad.Tensor(np.zeros(vocab_dist.shape[:-1]
+                                 + (len(src.extensions),), model.dtype))
+        vocab_dist = ad.concat([vocab_dist, pad], axis=-1)
+    copy = np.zeros((len(src.tokens), src.union_size), dtype=model.dtype)
+    copy[np.arange(len(src.tokens)), src.union_ids] = 1.0
+    copy_dist = ad.matmul(ctx.alpha, ad.Tensor(copy))
+    one = ad.constant(1.0, dtype=model.dtype)
+    dist = ad.add(ad.mul(vocab_dist, switch),
+                  ad.mul(copy_dist, ad.sub(one, switch)))
+    return dist, switch

@@ -1,5 +1,8 @@
 """Autodiff core: primitives, LSTM cell, backward, checkpoints."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -122,6 +125,9 @@ class TestGradCheckPrimitives:
         lambda p, x: ad.total(ad.stack_rows([ad.matmul(p["w"], x), p["b"]])),
         lambda p, x: ad.total(ad.pick(ad.log_softmax(ad.mul(p["w"], p["w"])),
                                       [4, 0, 2, 4])),
+        lambda p, x: ad.total(ad.mul(ad.scatter(
+            ad.matmul(p["w"], x), [5, 0, 5, 2], ad.tanh(p["b"]), 6),
+            t64(np.arange(1.0, 7.0)))),
     ])
     def test_backward_matches_finite_differences(self, build):
         rng = np.random.default_rng(42)
@@ -149,6 +155,49 @@ class TestGradCheckPrimitives:
         err = ad.grad_check(
             lambda: ad.total(ad.tanh(ad.add(w, b))), [w, b])
         assert err < 1e-6
+
+
+class TestSavedArrays:
+    """A backward closure keeps its operands' nodes and only the arrays
+    its formula reads, so an output no backward reads dies with the
+    forward."""
+
+    def test_unread_output_dies_and_read_output_survives(self):
+        rng = np.random.default_rng(45)
+        w = p64(rng, (3, 4), "w")
+        with ad.Tape() as tape:
+            total = ad.add(w, w)
+            summed = weakref.ref(total.data)
+            squashed = ad.tanh(total)
+            kept = weakref.ref(squashed.data)
+            del total, squashed
+            gc.collect()
+            assert summed() is None     # tanh reads its own output
+            assert kept() is not None
+            assert len(tape.nodes) == 2     # one node per taped output
+            tape.backward(ad.total(ad.tanh(ad.add(w, w))))
+        np.testing.assert_allclose(
+            w.grad, 2 * (1 - np.tanh(2 * w.data) ** 2), rtol=0, atol=1e-12)
+
+    def test_scatter_adds_repeated_columns_and_gathers_back(self):
+        base = ad.Parameter(np.array([[1.0, 2.0], [3.0, 4.0]]), "base")
+        values = ad.Parameter(np.array([[0.5, 0.25, 2.0],
+                                        [1.0, 3.0, 5.0]]), "values")
+        with ad.Tape() as tape:
+            out = ad.scatter(base, [3, 0, 3], values, 4)
+            np.testing.assert_array_equal(
+                out.data, [[1.25, 2.0, 0.0, 2.5], [6.0, 4.0, 0.0, 6.0]])
+            g = np.arange(8.0).reshape(2, 4)
+            tape.backward(ad.total(ad.mul(out, ad.Tensor(g))))
+        np.testing.assert_array_equal(base.grad, g[:, :2])
+        np.testing.assert_array_equal(values.grad, g[:, [3, 0, 3]])
+
+    @pytest.mark.parametrize("index, size", [
+        ([0, 1], 4), ([0, 1, 4], 4), ([0, -1, 2], 4), ([0, 1, 2], 1)])
+    def test_scatter_rejects_bad_shapes(self, index, size):
+        with pytest.raises(ad.ShapeError, match="scatter"):
+            ad.scatter(t64(np.ones((2, 2))), index, t64(np.ones((2, 3))),
+                       size)
 
 
 class TestRowsBackward:
@@ -372,7 +421,7 @@ class TestLstmScan:
     def test_forward_only_without_a_tape(self):
         params, x, h0, c0, _ = self._case("parameters")
         hs = lstm_input_scan(x, SCAN_PARENTS["stack"], h0, c0, params)
-        assert hs._backward is None and hs.shape == (7, 4)
+        assert hs.node is None and hs.shape == (7, 4)
 
     @pytest.mark.parametrize("parents", [
         [-1, 0, 1], [-1, 0, 1, 2, 3, 4, 5, 6], [-1, 0, 2, 2, 3, 4, 5],

@@ -1,5 +1,8 @@
 """Architecture forward passes: encoder, composition, states, heads."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from helpers import (
     WALKTHROUGH_OPS,
     encode_per_token,
     history_state,
+    predict_word_dense,
     seeded_rng,
     seq_state,
     tree_state,
@@ -312,6 +316,39 @@ class TestAttention:
         assert err < 1e-6
 
 
+    def test_tape_frees_the_unread_sum_and_keeps_tanh_output(self,
+                                                             monkeypatch):
+        # tanh's backward reads its own output, so no backward reads the
+        # (rows, source_len, hidden) keys + dec sum: it dies with the
+        # forward, before backward, while the tanh output stays saved
+        m = tiny_model()
+        src = m.prepare_source(["the", "cat", "sat", "mat"])
+        states = [m.initial_state()]
+        states.append(m.step(states[-1], tr.gen("cat")))
+        refs = {}
+
+        def recording(name, fn):
+            def wrapper(*args):
+                out = fn(*args)
+                if out.data.ndim == 3:
+                    refs[name] = weakref.ref(out.data)
+                return out
+            return wrapper
+
+        for name in ("add", "tanh"):
+            monkeypatch.setattr(ad, name, recording(name, getattr(ad, name)))
+        with ad.Tape() as tape:
+            ctx = m.attend(ad.stack_rows([s.tree_h for s in states]),
+                           ad.stack_rows([s.seq_h for s in states]), src.enc)
+            loss = ad.total(ctx.context)
+            gc.collect()
+            assert refs["add"]() is None
+            assert refs["tanh"]() is not None
+            assert refs["tanh"]().shape == (2, 4, 6)
+            tape.backward(loss)
+        assert np.abs(m.attn_dec_w.grad).max() > 0
+
+
 class TestPredictOp:
     def test_zero_params_give_uniform_distribution(self):
         m = tiny_model()
@@ -397,6 +434,52 @@ class TestPredictWord:
         assert src.union_id("zzz") == len(m.output_vocab)
         assert src.union_id("never-seen") == m.output_vocab.unk_id
         assert src.union_token(len(m.output_vocab)) == "zzz"
+
+
+class TestCopyScatter:
+    """The copy term is one scatter of attention into union columns; the
+    dense 0/1 product it replaced is the reference."""
+
+    TOKENS = ["cat", "zzz", "sat", "zzz", "qqq", "cat", "the"]
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["vector", "rows"])
+    def test_matches_dense_product(self, rows):
+        m = tiny_model(seed=21)
+        src = m.prepare_source(self.TOKENS)
+        # repeated in-vocabulary and extension words share a column
+        assert src.extensions == ["zzz", "qqq", "the"]
+        cat, sat, v = (m.output_vocab.id("cat"), m.output_vocab.id("sat"),
+                       len(m.output_vocab))
+        assert src.union_ids.tolist() == [cat, v, sat, v, v + 1, cat, v + 2]
+        params = m.parameters()
+        results = []
+        for predict in (m.predict_word, lambda *a: predict_word_dense(m, *a)):
+            ad.zero_grads(params)
+            with ad.Tape() as tape:
+                src = m.prepare_source(self.TOKENS)
+                states = [m.initial_state()]
+                for op in (tr.gen("cat"), tr.gen("zzz")):
+                    states.append(m.step(states[-1], op))
+                if rows:
+                    tree_h, seq_h = (ad.stack_rows([getattr(s, name)
+                                                    for s in states])
+                                     for name in ("tree_h", "seq_h"))
+                else:
+                    tree_h, seq_h = states[-1].tree_h, states[-1].seq_h
+                ctx = m.attend(tree_h, seq_h, src.enc)
+                dist, _ = predict(seq_h, tree_h, ctx, src)
+                probe = np.cos(np.arange(dist.data.size)).reshape(dist.shape)
+                tape.backward(ad.total(ad.mul(dist, ad.Tensor(probe))))
+            results.append((dist.data, {p.name: p.grad.copy()
+                                        for p in params}))
+        (scatter, grads), (dense, dense_grads) = results
+        assert scatter.shape == ((len(states),) if rows else ()) \
+            + (src.union_size,)
+        np.testing.assert_allclose(scatter, dense, rtol=0, atol=1e-12)
+        for name, g in dense_grads.items():
+            np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12,
+                                       err_msg=name)
+        assert np.abs(grads["attn_v"]).max() > 0
 
 
 class TestJointDistribution:

@@ -1,0 +1,193 @@
+"""Check that a change to treesum keeps its parent's decodes and gradients.
+
+Run from anywhere, with numpy only:
+
+    python3 tools/identity.py --parent 3a08df5
+
+``--parent`` is a git revision of this repository, whose ``src/`` is
+exported with ``git archive`` into a temporary directory, or a directory
+holding a checkout, whose ``src/`` is used as it stands.  The other side
+is the checkout this script sits in.  Each side runs in its own process
+on the same inputs, from this checkout's ``perfbench/gen.py``:
+
+- pinned float32 decodes, as in the benchmark's paper_decode workloads
+  (every hypothesis generates until ``max_words``, then reduces), at each
+  seed of ``--seeds`` and beam size of ``--beams``;
+- float32 and float64 ``training.batch_loss`` gradients on ``--pairs``
+  paper-shaped pairs per seed.
+
+It prints one JSON line: whether every decode has the same ops, the
+largest score delta, and per dtype the largest loss delta and the largest
+gradient delta per parameter.  It exits 1 when the ops differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+DECODE_SOURCES = {1: 8, 10: 2}   # per beam size, as the benchmark decodes
+DTYPES = ("float32", "float64")
+
+
+def _ints(text):
+    return [int(v) for v in text.split(",")]
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True,
+                        help="git revision, or a checkout directory")
+    parser.add_argument("--seeds", type=_ints, default=[1, 2, 3])
+    parser.add_argument("--beams", type=_ints, default=[1, 10])
+    parser.add_argument("--pairs", type=int, default=8)
+    parser.add_argument("--worker", help=argparse.SUPPRESS)
+    parser.add_argument("--out", help=argparse.SUPPRESS)
+    return parser.parse_args(argv)
+
+
+# ---------------------------------------------------------------------------
+# One side: runs in a process that imports that side's package
+# ---------------------------------------------------------------------------
+
+def paper_model(ts, gen, seed, dtype):
+    in_vocab = ts.Vocabulary(gen.input_tokens())
+    out_vocab = ts.Vocabulary(gen.output_tokens())
+    size = 256
+    config = ts.ModelConfig(input_vocab_size=len(in_vocab),
+                            output_vocab_size=len(out_vocab),
+                            hidden_size=size, embed_size=size)
+    return ts.Model(config, in_vocab, out_vocab, seed=seed, dtype=dtype)
+
+
+def run_side(src, args):
+    """Decode ops and scores, and gradients, of the package under
+    ``src``, saved to ``args.out``."""
+    sys.path[:0] = [src, PERFBENCH]
+    import gen
+    import treesum as ts
+    import workloads
+    from treesum import autodiff as ad
+    from treesum import training
+
+    if not os.path.abspath(ts.__file__).startswith(os.path.abspath(src)):
+        raise SystemExit(f"treesum imported from {ts.__file__}, not {src}")
+    out = {}
+    for seed in args.seeds:
+        model = paper_model(ts, gen, seed, np.float32)
+        workloads.pin_lengths(ts, model)
+        for beam in args.beams:
+            count = DECODE_SOURCES.get(beam, 2)
+            rng = np.random.default_rng([seed, 4])
+            records = gen.paper_set(seed, 5, gen.spread_lengths(rng, count))
+            ops, scores = [], []
+            for record in records:
+                hyp = ts.beam_search(
+                    model, model.prepare_source(record["source"]),
+                    ts.BeamConfig(beam_size=beam,
+                                  max_words=len(record["summary"])))
+                ops.append(" ".join(str(op) for op in hyp.ops))
+                scores.append(hyp.score)
+            out[f"ops/{seed}/{beam}"] = np.array(ops)
+            out[f"scores/{seed}/{beam}"] = np.array(scores)
+        rng = np.random.default_rng([seed, 0])
+        pairs = gen.paper_set(seed, 1, gen.spread_lengths(rng, args.pairs))
+        instances = [(ex.source, tuple(ts.corpus.linearize(ex)))
+                     for ex in workloads.examples(ts, pairs)]
+        for dtype in DTYPES:
+            model = paper_model(ts, gen, seed, np.dtype(dtype))
+            ad.zero_grads(model.parameters())
+            with ad.Tape() as tape:
+                loss, _ = training.batch_loss(model, instances)
+                tape.backward(loss)
+            out[f"loss/{seed}/{dtype}"] = np.array(loss.item())
+            for p in model.parameters():
+                out[f"grad/{seed}/{dtype}/{p.name}"] = p.grad
+    np.savez(args.out, **out)
+
+
+# ---------------------------------------------------------------------------
+# Driver
+# ---------------------------------------------------------------------------
+
+def export(rev, directory):
+    """``src/`` of a git revision of this repository, under
+    ``directory``; a directory argument is used as it stands."""
+    if os.path.isdir(rev):
+        return os.path.join(os.path.abspath(rev), "src")
+    blob = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"],
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(directory, filter="data")
+    return os.path.join(directory, "src")
+
+
+def run_worker(src, args, out):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    command = [sys.executable, os.path.abspath(__file__), "--worker", src,
+               "--out", out, "--parent", "-",
+               "--seeds", ",".join(map(str, args.seeds)),
+               "--beams", ",".join(map(str, args.beams)),
+               "--pairs", str(args.pairs)]
+    subprocess.run(command, check=True, env=env)
+
+
+def compare(parent, change):
+    """The JSON report of two sides' saved results."""
+    report = {"ops_equal": True, "decodes": 0, "score_delta": 0.0,
+              "loss_delta": {d: 0.0 for d in DTYPES},
+              "grad_delta": {d: {} for d in DTYPES}}
+    for key in sorted(parent.files):
+        kind, *rest = key.split("/")
+        a, b = parent[key], change[key]
+        if kind == "ops":
+            report["ops_equal"] &= bool(np.array_equal(a, b))
+            report["decodes"] += a.size
+            continue
+        delta = float(np.abs(a.astype(np.float64) - b).max())
+        if kind == "scores":
+            report["score_delta"] = max(report["score_delta"], delta)
+        elif kind == "loss":
+            dtype = rest[1]
+            report["loss_delta"][dtype] = max(report["loss_delta"][dtype],
+                                              delta)
+        else:
+            dtype, name = rest[1], rest[2]
+            grads = report["grad_delta"][dtype]
+            grads[name] = max(grads.get(name, 0.0), delta)
+    return report
+
+
+def main(argv=None):
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    if args.worker:
+        run_side(args.worker, args)
+        return 0
+    with tempfile.TemporaryDirectory(prefix="treesum-identity-") as tmp:
+        sides = {"parent": export(args.parent, os.path.join(tmp, "parent")),
+                 "change": os.path.join(ROOT, "src")}
+        results = {}
+        for side, src in sides.items():
+            path = os.path.join(tmp, side + ".npz")
+            run_worker(src, args, path)
+            results[side] = np.load(path)
+        report = {"parent": args.parent,
+                  **compare(results["parent"], results["change"])}
+    print(json.dumps(report))
+    return 0 if report["ops_equal"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
