@@ -11,6 +11,7 @@ written atomically so failed runs leave nothing partial behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -30,27 +31,27 @@ from .model import Model, ModelConfig, ModelError
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_SEED = 13
+# the TrainConfig fields, in the key order the echoed .config file keeps
+_TRAIN_KEYS = ("batch_size", "lr", "beta1", "beta2", "eps", "grad_clip",
+              "weight_decay", "epochs", "patience", "seed")
+
+
+def _field_defaults(config_class, names):
+    """key -> (type, default) of each named field, in the given order; the
+    type is the default's."""
+    defaults = {f.name: f.default for f in dataclasses.fields(config_class)}
+    return {name: (type(defaults[name]), defaults[name]) for name in names}
+
 
 # key -> (type, default)
 CONFIG_SPEC = {
-    "hidden_size": (int, 256),
-    "embed_size": (int, 256),
-    "encoder_layers": (int, 2),
+    **_field_defaults(ModelConfig,
+                      ("hidden_size", "embed_size", "encoder_layers")),
     "min_freq": (int, cp.INPUT_MIN_FREQ),
     "output_vocab_size": (int, cp.OUTPUT_MAX_SIZE),
     "max_source_len": (int, cp.DEFAULT_MAX_SOURCE_LEN),
     "max_summary_len": (int, cp.DEFAULT_MAX_SUMMARY_LEN),
-    "batch_size": (int, 64),
-    "lr": (float, 1e-3),
-    "beta1": (float, 0.9),
-    "beta2": (float, 0.999),
-    "eps": (float, 1e-8),
-    "grad_clip": (float, 5.0),
-    "weight_decay": (float, 1e-6),
-    "epochs": (int, 10),
-    "patience": (int, 3),
-    "seed": (int, DEFAULT_SEED),
+    **_field_defaults(training.TrainConfig, _TRAIN_KEYS),
     "beam_size": (int, 10),
     "max_words": (int, 60),
     "max_steps": (int, 0),        # 0 means the 2 * max_words default
@@ -196,11 +197,7 @@ def cmd_train(args):
     config = resolve_config(args)
     with settings_check():
         train_config = training.TrainConfig(
-            batch_size=config["batch_size"], lr=config["lr"],
-            beta1=config["beta1"], beta2=config["beta2"], eps=config["eps"],
-            grad_clip=config["grad_clip"],
-            weight_decay=config["weight_decay"], epochs=config["epochs"],
-            seed=config["seed"], patience=config["patience"])
+            **{key: config[key] for key in _TRAIN_KEYS})
     train_examples = _load_and_filter(args.corpus, config)
     dev_examples = _load_and_filter(args.dev, config) if args.dev else None
 
@@ -242,15 +239,21 @@ def cmd_train(args):
 _WORKER_STATE = {}
 
 
-def _decode_worker_init(checkpoint, beam):
+def _decode_worker_init(checkpoint, beam, input_path):
     _WORKER_STATE["model"] = Model.load(checkpoint)
     _WORKER_STATE["beam"] = beam
+    _WORKER_STATE["input"] = input_path
 
 
-def _decode_one(tokens):
+def _decode_one(number, tokens):
+    """Decode record ``number`` (from 1) of the input file."""
     model = _WORKER_STATE["model"]
     beam = _WORKER_STATE["beam"]
-    src = model.prepare_source(tokens)
+    try:
+        src = model.prepare_source(tokens)
+    except ModelError as e:
+        raise CliError(f"{_WORKER_STATE['input']}: record {number}: "
+                       f"{e}") from e
     hyp = decoding.beam_search(model, src, beam)
     summary, tree = decoding.decode_output(hyp)
     return {
@@ -276,12 +279,15 @@ def cmd_decode(args):
         with ProcessPoolExecutor(
                 max_workers=config["workers"],
                 initializer=_decode_worker_init,
-                initargs=(args.checkpoint, beam)) as pool:
-            records = list(pool.map(_decode_one, sources, chunksize=4))
+                initargs=(args.checkpoint, beam, args.input)) as pool:
+            records = list(pool.map(_decode_one,
+                                    range(1, len(sources) + 1), sources,
+                                    chunksize=4))
     else:
         try:
-            _decode_worker_init(args.checkpoint, beam)
-            records = [_decode_one(tokens) for tokens in sources]
+            _decode_worker_init(args.checkpoint, beam, args.input)
+            records = [_decode_one(number, tokens)
+                       for number, tokens in enumerate(sources, start=1)]
         finally:
             _WORKER_STATE.clear()   # the model is not kept past this run
     with atomic_output(args.out) as fh:
@@ -314,10 +320,7 @@ def _json_records(path):
 
 def _parse_heads(where, heads, n):
     """Integer heads of an n-word parse, each in 0..n (0 is the root)."""
-    try:   # via str, so 1.5 and true are refused
-        heads = [int(str(h)) for h in heads]
-    except ValueError:
-        raise CliError(f"{where}: heads must be integers")
+    heads = cp.parse_heads(where, heads, CliError)
     if len(heads) != n:
         raise CliError(f"{where}: {len(heads)} heads for {n} words")
     if not all(0 <= h <= n for h in heads):

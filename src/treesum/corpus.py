@@ -135,6 +135,15 @@ def text_lines(path, error):
             raise error(f"{path}: not UTF-8: {e}") from e
 
 
+def parse_heads(where, heads, error=CorpusError):
+    """Head values as integers; any other value raises ``error`` naming
+    ``where``."""
+    try:   # via str, so 1.5 and true are refused
+        return [int(str(h)) for h in heads]
+    except ValueError:
+        raise error(f"{where}: heads must be integers")
+
+
 def load_corpus(path, require_heads=True) -> list:
     """Parse the JSON-lines corpus format, reporting the offending line
     number for malformed records."""
@@ -164,11 +173,7 @@ def load_corpus(path, require_heads=True) -> list:
                 raise CorpusError(
                     f"{path}:{lineno}: {len(heads)} heads for "
                     f"{len(summary)} summary tokens")
-            try:   # via str, so 1.5 and true are refused
-                heads = [int(str(h)) for h in heads]
-            except ValueError:
-                raise CorpusError(f"{path}:{lineno}: heads must be "
-                                  f"integers")
+            heads = parse_heads(f"{path}:{lineno}", heads)
         else:
             heads = []
         examples.append(Example(source=source, summary=summary,

@@ -159,7 +159,7 @@ class StepStats:
         return self.word_correct / self.words if self.words else 0.0
 
 
-def teacher_forced_rows(model: Model, gold_ops, composed):
+def teacher_forced_rows(model: Model, gold_ops, table, pushed, parents):
     """Decoder states before each op of a gold sequence, as row matrices.
 
     Returns (tree_h, seq_h, hist_h), each (len(gold_ops), hidden), whose
@@ -167,44 +167,24 @@ def teacher_forced_rows(model: Model, gold_ops, composed):
     gold ops fix every recurrent input, so each recurrence is one
     `lstm_input` over its input rows and one `lstm_scan`:
 
-    - tree: over ``root_embed`` and the vector each op but the last
-      pushes (``composed``, keyed by op index), each row continuing the
-      row below the top of the stack after it pops;
+    - tree: over the rows ``pushed`` of ``table`` (R at 0, op t's push at
+      t + 1), in the forest ``parents`` gives (both `batching.plan`'s);
     - seq: over the GEN vectors, row t taken by its count of earlier GENs;
     - hist: over the op-kind embeddings of all ops but the last.
-
-    The final reduce onto R pushes nothing a later step reads.  Raises
-    `TrainingError` unless `transition.execute` accepts the sequence.
     """
-    try:
-        tr.execute(gold_ops)
-    except tr.TransitionError as e:
-        raise TrainingError(f"gold sequence of {len(gold_ops)} ops does not "
-                            f"terminate in one tree: {e}") from e
-    parents = [-1]      # tree row 0 is R, over the zero state
-    stack = [0]         # the tree row of each stack element, R first
-    words_before = []   # per op, the number of GENs before it
-    gen_ops = []
-    for t, op in enumerate(gold_ops[:-1]):   # the last op is the final reduce
-        words_before.append(len(gen_ops))
-        if op.kind == tr.GEN:
-            gen_ops.append(t)
-        else:
-            del stack[-2:]
-        parents.append(stack[-1])
-        stack.append(t + 1)
-    words_before.append(len(gen_ops))
     h = model.config.hidden_size
     zeros = model._zeros(h)
-    pushed = ad.stack_rows(
-        [model.root_embed] + [composed[t] for t in range(len(gold_ops) - 1)])
-    tree_h = ad.lstm_scan(ad.lstm_input(pushed, model.tree_cell), parents,
-                          zeros, zeros, model.tree_cell)
-    chain = np.arange(-1, len(gen_ops) - 1)
+    tree_h = ad.lstm_scan(
+        ad.lstm_input(ad.rows(table, pushed), model.tree_cell), parents,
+        zeros, zeros, model.tree_cell)
+    gen_ops = [t for t, op in enumerate(gold_ops) if op.kind == tr.GEN]
     words = ad.lstm_scan(
-        ad.lstm_input(ad.rows(pushed, [t + 1 for t in gen_ops]),
+        ad.lstm_input(ad.rows(table, [pushed[t + 1] for t in gen_ops]),
                       model.seq_cell),
-        chain, model.seq_init_h, model.seq_init_c, model.seq_cell)
+        np.arange(-1, len(gen_ops) - 1), model.seq_init_h, model.seq_init_c,
+        model.seq_cell)
+    # per op, the number of GENs before it
+    words_before = np.searchsorted(gen_ops, np.arange(len(gold_ops)))
     seq_h = ad.rows(ad.concat([ad.reshape(model.seq_init_h, (1, h)), words]),
                     words_before)
     kinds = ad.rows(model.op_embed,
@@ -217,17 +197,16 @@ def teacher_forced_rows(model: Model, gold_ops, composed):
     return tree_h, seq_h, hist_h
 
 
-def sequence_loss(model: Model, src, gold_ops, composed):
+def sequence_loss(model: Model, src, gold_ops, table, pushed, parents):
     """Negative log-likelihood of one valid gold operation sequence.
 
-    ``composed`` maps the op index of each GEN and each word-to-word
-    reduce to the vector the batch plan computed for this instance.  The
-    gold ops fix every recurrent state before any step is scored, so
+    The gold ops fix every recurrent state before any step is scored, so
     `teacher_forced_rows` builds the states of all steps first, and they
     are scored as the rows of one `Model.score_rows` pass.  Returns
     (scalar loss tensor, StepStats).
     """
-    tree_h, seq_h, hist_h = teacher_forced_rows(model, gold_ops, composed)
+    tree_h, seq_h, hist_h = teacher_forced_rows(model, gold_ops, table,
+                                                pushed, parents)
     gen_rows = [t for t, op in enumerate(gold_ops) if op.kind == tr.GEN]
     logits, word_dist = model.score_rows(tree_h, seq_h, hist_h, src,
                                          gen_rows)
@@ -252,38 +231,37 @@ def sequence_loss(model: Model, src, gold_ops, composed):
 def batch_loss(model: Model, instances):
     """Mean per-instance loss over a batch of (source tokens, gold ops).
 
-    The sources of the batch are encoded in lockstep
-    (`Model.prepare_sources`), the composition work of the whole batch
-    runs through the level plan, in the order each gold sequence reduces,
-    and each instance's recurrences run as scans (`teacher_forced_rows`);
-    results match the per-step fold of `Model.step` that decoding runs.
-    A source the encoder rejects, or a gold sequence that
-    `transition.execute` rejects, raises `TrainingError` naming its batch
-    instance.
+    The sources are encoded in lockstep (`Model.prepare_sources`), every
+    vector the gold sequences push is a row of one table built level by
+    level (`batching`), and each instance's recurrences run as scans over
+    rows of it (`teacher_forced_rows`); results match the per-step fold
+    of `Model.step` that decoding runs.  A gold sequence that
+    `transition.execute` rejects, or a source the encoder rejects, raises
+    `TrainingError` naming its batch instance.
     """
     if not instances:
         raise TrainingError("empty batch")
+    sequences = [ops for _, ops in instances]
+    for i, ops in enumerate(sequences):
+        try:
+            tr.execute(ops)
+        except tr.TransitionError as e:
+            raise TrainingError(
+                f"batch instance {i}: gold sequence of {len(ops)} ops does "
+                f"not terminate in one tree: {e}") from e
     try:
         contexts = model.prepare_sources([tokens for tokens, _ in instances])
     except SourceError as e:
         raise TrainingError(f"batch instance {e.index}: {e.reason}") from e
-    sequences = [ops for _, ops in instances]
-    leaf_reps = {(i, t): model.word_embedding(op.word)
-                 for i, ops in enumerate(sequences)
-                 for t, op in enumerate(ops) if op.kind == tr.GEN}
-    reps = batching.batched_compose(batching.plan(sequences), leaf_reps,
-                                    model.compose)
-    composed = [{} for _ in instances]
-    for (i, t), vec in [*leaf_reps.items(), *reps.items()]:
-        composed[i][t] = vec
+    batch_plan = batching.plan(sequences)
+    table = batching.batched_compose(batch_plan, model)
     total = None
     stats = StepStats()
-    for i, ((_, ops), src, inst_composed) in enumerate(
-            zip(instances, contexts, composed)):
-        try:
-            loss, inst_stats = sequence_loss(model, src, ops, inst_composed)
-        except TrainingError as e:
-            raise TrainingError(f"batch instance {i}: {e}") from e
+    for ops, src, pushed, parents in zip(sequences, contexts,
+                                         batch_plan.pushed,
+                                         batch_plan.parents):
+        loss, inst_stats = sequence_loss(model, src, ops, table, pushed,
+                                         parents)
         stats.merge(inst_stats)
         total = loss if total is None else ad.add(total, loss)
     mean = ad.mul(total, 1.0 / len(instances))

@@ -30,7 +30,7 @@ from helpers import (
     walkthrough_tree,
     toy_corpus,
 )
-from test_batching import leaf_embeddings, sequential_reps
+from test_batching import leaf_embeddings, sequential_reps, table_reps
 from test_metrics import random_relations, strict_reference_match
 from test_model import tiny_model
 
@@ -199,29 +199,27 @@ def test_criterion_05_batching_equivalence():
             params = [m.compose_w, m.compose_b, m.out_embed]
             ad.zero_grads(params)
             with ad.Tape() as tape:
-                leaf = leaf_embeddings(m, sequences)
-                reps = dict(leaf)
+                # the op before the final RR builds the finished tree
+                finals = [(i, len(ops) - 2) for i, ops in enumerate(sequences)]
                 if mode == "batched":
-                    reps.update(batching.batched_compose(
-                        batching.plan(sequences), leaf, m.compose))
+                    batch_plan = batching.plan(sequences)
+                    vecs = table_reps(batch_plan,
+                                      batching.batched_compose(batch_plan, m),
+                                      finals)
+                    batched_values = vecs.data.copy()
+                    loss = ad.total(ad.mul(vecs, vecs))
                 else:
+                    leaf = leaf_embeddings(m, sequences)
+                    reps = dict(leaf)
                     for i, ops in enumerate(sequences):
                         reps.update(sequential_reps(m, i, ops, leaf))
-                # the op before the final RR builds the finished tree
-                finals = [reps[(i, len(ops) - 2)]
-                          for i, ops in enumerate(sequences)]
-                if mode == "batched":
-                    batched_values = [v.data.copy() for v in finals]
-                else:
-                    for got, want in zip(batched_values,
-                                         [v.data for v in finals]):
-                        worst_forward = max(worst_forward,
-                                            np.abs(got - want).max())
-                acc = None
-                for vec in finals:
-                    term = ad.total(ad.mul(vec, vec))
-                    acc = term if acc is None else ad.add(acc, term)
-                tape.backward(acc)
+                    loss = None
+                    for got, key in zip(batched_values, finals):
+                        worst_forward = max(worst_forward, np.abs(
+                            got - reps[key].data).max())
+                        term = ad.total(ad.mul(reps[key], reps[key]))
+                        loss = term if loss is None else ad.add(loss, term)
+                tape.backward(loss)
             grads[mode] = {p.name: p.grad.copy() for p in params}
         for name in grads["batched"]:
             worst_grad = max(worst_grad, np.abs(

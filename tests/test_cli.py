@@ -466,6 +466,24 @@ class TestDecodeAndEval:
                                "--workers", "2"]) == 0
         assert serial.read_text() == parallel.read_text()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_rejected_source_names_the_file_and_record(
+            self, workdir, tmp_path, capsys, workers):
+        # the encoder takes at most max_source_len (100) tokens
+        source = tmp_path / "source.jsonl"
+        good = [" ".join(ex.source) for ex in workdir["examples"][:3]]
+        records = [good[0], " ".join(["alice"] * 150), *good[1:]]
+        source.write_text("".join(json.dumps({"source": r}) + "\n"
+                                  for r in records))
+        decoded = tmp_path / "decoded.jsonl"
+        assert cli.run(["decode", "--checkpoint", str(workdir["ckpt"]),
+                        "--input", str(source), "--out", str(decoded),
+                        "--max-words", "3", "--workers", workers]) == 1
+        assert capsys.readouterr().err.strip() == (
+            f"treesum decode: {source}: record 2: source length 150 "
+            f"exceeds configured maximum 100")
+        assert not decoded.exists()
+
     def test_eval_workers_match_serial(self, workdir, tmp_path):
         inputs = _eval_inputs(workdir["examples"])
         inputs["decoded"] = inputs["decoded"][::-1]   # imperfect decodes

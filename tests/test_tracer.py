@@ -66,3 +66,25 @@ def test_train_and_decode_record_the_pinned_spans():
     assert tracer.counts["decoding.sentences"] == 1
     assert 0 < tracer.counts["decoding.useful_steps"] \
         <= tracer.counts["decoding.beam_steps"]
+
+
+def test_compositions_count_one_per_word_to_word_reduce():
+    # each planned batch composes every summary word but its tree's root,
+    # so the tracer's total_compositions() count is words minus instances
+    tracer = load_tracer().Tracer(treesum)
+    tracer.install()
+    try:
+        model = tiny_model(out_words=("a", "b", "c"))
+        examples = [
+            treesum.Example(source=["the", "cat"], summary=["a", "b", "c"],
+                            heads=[2, 0, 2]),
+            treesum.Example(source=["a", "cat"], summary=["c", "a"],
+                            heads=[0, 1])]
+        treesum.train(model, examples,
+                      config=treesum.TrainConfig(batch_size=2, epochs=1))
+    finally:
+        tracer.restore()
+    instances = tracer.counts["training.batch_instances"]
+    assert instances == 4   # one training batch and one dev pass
+    words = 2 * (3 + 2)
+    assert tracer.counts["batching.compositions"] == words - instances

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from treesum import autodiff as ad
+from treesum import batching
 from treesum import corpus as cp
 from treesum import training
 from treesum import transition as tr
 from treesum.model import OP_INDEX, Model, ModelConfig
 from helpers import random_gold_ops, seeded_rng, step_fold_rows, toy_corpus
-from test_batching import leaf_embeddings, sequential_reps
 from test_model import tiny_model
 
 
@@ -257,11 +257,29 @@ class TestBatchLoss:
         training.batch_loss(m, items)
         assert calls == {"attend": 3, "op_scores": 3, "predict_word": 3}
 
-    def test_sequence_loss_rejects_unterminated_gold(self):
+    def test_words_are_one_gather_and_no_vector_is_a_row(self, monkeypatch):
+        m = tiny_model(seed=5, out_words=("cat", "sat", "mat"))
+        items = [
+            (["the", "cat"], tuple(tr.ops_from_text("GEN(cat) RR"))),
+            (["the", "cat", "sat"],
+             tuple(tr.ops_from_text("GEN(cat) GEN(sat) RL RR"))),
+            (["mat", "sat"],
+             tuple(tr.ops_from_text("GEN(sat) GEN(mat) RR RR"))),
+        ]
+        tables = {"row": [], "rows": []}
+        for name, seen in tables.items():
+            def recorded(table, *args, _seen=seen, _fn=getattr(ad, name)):
+                _seen.append(table)
+                return _fn(table, *args)
+            monkeypatch.setattr(ad, name, recorded)
+        training.batch_loss(m, items)
+        assert tables["row"] == []
+        assert sum(table is m.out_embed for table in tables["rows"]) == 1
+
+    def test_batch_loss_rejects_unterminated_gold(self):
         m = tiny_model()
-        src = m.prepare_source(["the", "cat"])
         with pytest.raises(training.TrainingError, match="terminate"):
-            training.sequence_loss(m, src, (tr.gen("cat"),), {})
+            training.batch_loss(m, [(["the", "cat"], (tr.gen("cat"),))])
 
 
 class TestTeacherForcedRows:
@@ -289,10 +307,11 @@ class TestTeacherForcedRows:
         return m, ["the", "cat", "zzz", "sat"], cases
 
     @staticmethod
-    def _composed(m, ops):
-        leaf = leaf_embeddings(m, [ops])
-        reps = {**leaf, **sequential_reps(m, 0, ops, leaf)}
-        return {t: vec for (_, t), vec in reps.items()}
+    def _planned_rows(m, ops):
+        batch_plan = batching.plan([ops])
+        return training.teacher_forced_rows(
+            m, ops, batching.batched_compose(batch_plan, m),
+            batch_plan.pushed[0], batch_plan.parents[0])
 
     @staticmethod
     def _assert_close(got, want, name):
@@ -309,8 +328,7 @@ class TestTeacherForcedRows:
                        for _ in range(3)]
             runs = []
             for rows_of in (
-                    lambda: training.teacher_forced_rows(
-                        m, ops, self._composed(m, ops)),
+                    lambda: self._planned_rows(m, ops),
                     lambda: step_fold_rows(m, ops)):
                 ad.zero_grads(m.parameters())
                 with ad.Tape() as tape:
@@ -341,7 +359,7 @@ class TestTeacherForcedRows:
             with monkeypatch.context() as patch:
                 if fold:
                     patch.setattr(training, "teacher_forced_rows",
-                                  lambda model, ops, composed:
+                                  lambda model, ops, *planned:
                                   step_fold_rows(model, ops))
                 ad.zero_grads(m.parameters())
                 with ad.Tape() as tape:
@@ -366,9 +384,10 @@ class TestTeacherForcedRows:
         "GEN(cat) RR GEN(sat)"])
     def test_invalid_gold_raises_training_error(self, text):
         m = tiny_model()
-        src = m.prepare_source(["the", "cat"])
-        with pytest.raises(training.TrainingError):
-            training.sequence_loss(m, src, tuple(tr.ops_from_text(text)), {})
+        with pytest.raises(training.TrainingError,
+                           match="^batch instance 0: .*terminate"):
+            training.batch_loss(
+                m, [(["the", "cat"], tuple(tr.ops_from_text(text)))])
 
 
 class TestEvaluate:
