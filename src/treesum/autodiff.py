@@ -6,14 +6,16 @@ The primitive set is closed and small: matmul, add/sub/mul (with numpy
 broadcasting, un-broadcast on the way back), concat/narrow/reshape,
 row/rows/stack_rows gathers, tanh, sigmoid, softmax, log_softmax, log,
 clip, total, pick, a `scatter` of columns into a wider last axis, whose
-backward is a gather, and three for LSTMs.  `lstm_input` is an LSTM's
-input projection ``zx = x @ w[:E] + b`` as one node, over all the rows a
-recurrence reads, so it is one GEMM hoisted out of the recurrence.  The
-two recurrence primitives take that ``zx`` and run only the recurrent
-product ``h @ w[E:]``: `lstm_cell` is one LSTM step, whose new cell and
-hidden states are one node each, and `lstm_scan` a whole recurrence over
-rows whose inputs are known up front.  Every primitive checks its output
-for NaN/Inf and raises `NonFiniteError` on the first occurrence.
+backward is a gather, `attention_scores`, additive attention's
+``tanh(keys + query) @ v`` as one node, and three for LSTMs.
+`lstm_input` is an LSTM's input projection ``zx = x @ w[:E] + b`` as one
+node, over all the rows a recurrence reads, so it is one GEMM hoisted out
+of the recurrence.  The two recurrence primitives take that ``zx`` and
+run only the recurrent product ``h @ w[E:]``: `lstm_cell` is one LSTM
+step, whose new cell and hidden states are one node each, and
+`lstm_scan` a whole recurrence over rows whose inputs are known up front.
+Every primitive checks its output for NaN/Inf and raises
+`NonFiniteError` on the first occurrence.
 
 A tape keeps gradient slots apart from data.  Each taped output is a
 `Tensor` holding its array and a small `Node`: the output's gradient, its
@@ -22,12 +24,13 @@ lists the nodes, one per taped output.  A closure captures its operands'
 nodes and only the arrays its formula reads (its saved arrays, as in
 PyTorch): `mul` keeps both operands, `matmul` and `lstm_input` their x and
 w, `log` its input, `clip` its mask, `tanh`, `sigmoid`, `softmax` and
-`log_softmax` their own outputs, `lstm_cell` and `lstm_scan` their gates
-and states, and `add`, `sub`, `neg`, `concat`, `narrow`, `reshape`,
-`rows`, `row`, `stack_rows`, `scatter`, `pick` and `total` only shapes and
-indices.  An output that no backward reads is freed as soon as the
-forward drops its Tensor, and each closure, with what it saved, is
-dropped once it has run.
+`log_softmax` their own outputs, `attention_scores` its three operands
+(its backward recomputes the (rows, S, H) tanh rather than keeping it),
+`lstm_cell` and `lstm_scan` their gates and states, and `add`, `sub`,
+`neg`, `concat`, `narrow`, `reshape`, `rows`, `row`, `stack_rows`,
+`scatter`, `pick` and `total` only shapes and indices.  An output that no
+backward reads is freed as soon as the forward drops its Tensor, and each
+closure, with what it saved, is dropped once it has run.
 
 Only Parameters, whose nodes live as long as they do, and taped outputs
 take gradients; constants (tensors made off the tape, such as zero states
@@ -35,7 +38,8 @@ and lifted scalars) have no node, and no backward product is computed
 for them.  The weight gradient of ``x @ p`` for a Parameter ``p`` is not
 computed per product: its (x, g) rows are kept on the tape, and
 `Tape.backward` flushes each such parameter once, as one GEMM, after
-every node has run.  The LSTM primitives hand their weight gradients to
+every node has run; `attention_scores` adds the gradient of its ``v``
+at once instead.  The LSTM primitives hand their weight gradients to
 the same flush, each into its own block of rows of ``w``: `lstm_input`
 into the input rows ``[:E]``, `lstm_cell` and `lstm_scan` into the
 recurrent rows ``[E:]``.
@@ -483,10 +487,55 @@ def tanh(a: Tensor) -> Tensor:
     return _make(data, backward, "tanh")
 
 
+def _additive_mix(keys, query):
+    """``tanh(keys + query)`` as a fresh (..., S, H) array: the (S, H)
+    keys against a (H,) query, or against each row of a (rows, H) one."""
+    mixed = keys + query[..., None, :]
+    return np.tanh(mixed, out=mixed)
+
+
+def attention_scores(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
+    """Additive attention scores ``tanh(keys + query) @ v`` (Bahdanau et
+    al. 2015) of (S, H) keys against a (H,) query, giving (S,), or against
+    each row of a (rows, H) query, giving (rows, S); ``v`` is (H,).
+
+    One node that saves its three operands, not the (rows, S, H) tanh:
+    the backward recomputes the tanh into one transient buffer, takes the
+    gradient of ``v`` from it, then turns it into the gradient of the
+    pre-activation in place and sums that for ``keys`` and ``query``.
+    The gradient of ``v`` is accumulated at once: deferring it to the
+    flush would keep the recomputed tanh alive until then.
+    """
+    if keys.data.ndim != 2 or query.data.ndim not in (1, 2) \
+            or query.shape[-1] != keys.shape[1] or v.shape != keys.shape[1:]:
+        raise ShapeError(f"attention_scores: keys {keys.shape}, query "
+                         f"{query.shape}, v {v.shape}")
+    s, h = keys.shape
+    lead = query.shape[:-1]
+    k_data, q_data, v_data = keys.data, query.data, v.data
+    data = (_additive_mix(k_data, q_data).reshape(-1, h)
+            @ v_data).reshape(lead + (s,))
+    nk, nq, nv = _node(keys), _node(query), _node(v)
+
+    def backward(g):
+        t = _additive_mix(k_data, q_data)
+        if nv is not None:
+            nv.accumulate(g.reshape(-1) @ t.reshape(-1, h))
+        np.multiply(t, t, out=t)
+        np.subtract(1.0, t, out=t)
+        t *= g[..., None]
+        t *= v_data
+        if nk is not None:
+            nk.accumulate(t.sum(axis=0) if lead else t)
+        if nq is not None:
+            nq.accumulate(t.sum(axis=-2))
+    return _make(data, backward, "attention_scores")
+
+
 def _sigmoid_np(a):
-    # exp(-|a|) never overflows: 1 / (1 + e) where a >= 0, e / (1 + e) below
-    e = np.exp(-np.abs(a))
-    return np.where(a >= 0, 1.0, e) / (1.0 + e)
+    # neither exp overflows: 1 / (1 + e^-a) where a >= 0, e^a / (1 + e^a)
+    # below
+    return np.exp(np.minimum(a, 0)) / (1.0 + np.exp(-np.abs(a)))
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -78,6 +78,13 @@ def settings_check():
         raise UsageError(e) from e
 
 
+def _check_workers(config):
+    """Reject a ``workers`` setting below 1, which would otherwise run
+    serially without a word."""
+    if config["workers"] < 1:
+        raise UsageError("workers must be at least 1")
+
+
 def _parse_value(key, raw):
     kind, _ = CONFIG_SPEC[key]
     try:
@@ -271,6 +278,7 @@ def cmd_decode(args):
             beam_size=config["beam_size"], max_words=config["max_words"],
             max_steps=config["max_steps"] or None,
             length_norm=config["length_norm"])
+    _check_workers(config)
     examples = cp.load_corpus(args.input, require_heads=False)
     if not examples:
         raise CliError(f"{args.input}: no records")
@@ -419,6 +427,7 @@ def _sweep_sections(instances, key, sigmas, title):
 
 def cmd_eval(args):
     config = resolve_config(args)
+    _check_workers(config)
     decodes = _load_decodes(args.decoded)
     references = cp.load_corpus(args.reference)
     if len(decodes) != len(references):

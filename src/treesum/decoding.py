@@ -50,6 +50,9 @@ class BeamConfig:
             raise DecodingError("max_words must be at least 1")
         if self.max_steps is not None and self.max_steps < 2:
             raise DecodingError("max_steps must be at least 2")
+        if not (math.isfinite(self.length_norm) and self.length_norm >= 0):
+            raise DecodingError("length_norm must be finite and not "
+                                "negative")
 
     @property
     def step_limit(self):

@@ -438,15 +438,13 @@ class Model:
         """Score every source position against the decoder state.
 
         Takes one state as vectors or several as (rows, hidden) matrices;
-        the context and alpha then carry the same leading row axis.
+        the context and alpha then carry the same leading row axis.  The
+        additive scores ``tanh(keys + dec) @ attn_v`` are one
+        `autodiff.attention_scores` node, which keeps no (rows,
+        source_len, hidden) array for backward.
         """
         dec = ad.matmul(ad.concat([tree_h, seq_h], axis=-1), self.attn_dec_w)
-        lead, h = dec.shape[:-1], dec.shape[-1]
-        # one (source_len, hidden) block per row, flattened for matmul
-        mixed = ad.tanh(ad.add(enc.keys, ad.reshape(dec, lead + (1, h))))
-        flat = ad.matmul(ad.reshape(mixed, (-1, h)), self.attn_v)
-        scores = ad.reshape(flat, lead + (len(enc),))
-        alpha = ad.softmax(scores)
+        alpha = ad.softmax(ad.attention_scores(enc.keys, dec, self.attn_v))
         context = ad.matmul(alpha, enc.matrix)
         return ContextVector(context=context, alpha=alpha)
 

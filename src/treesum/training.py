@@ -49,7 +49,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise TrainingError("batch_size must be at least 1")
-        for name in ("lr", "eps", "grad_clip", "epochs", "patience"):
+        # nan < 0 is False, so finiteness is checked on its own
+        for name in ("lr", "eps", "grad_clip", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise TrainingError(f"{name} must be finite")
+        for name in ("lr", "eps", "grad_clip", "weight_decay", "epochs",
+                     "patience"):
             if getattr(self, name) < 0:
                 raise TrainingError(f"{name} must not be negative")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

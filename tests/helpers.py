@@ -207,6 +207,24 @@ def pairwise_relation_matches(predicted, target, vectors=None, sigma=1.0):
     return len(used_p), len(predicted), len(target)
 
 
+def sigmoid_where(a):
+    """The gate sigmoid as `autodiff._sigmoid_np` once computed it, with
+    `np.where` picking the numerator: the bit-for-bit reference for the
+    current formula."""
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0, e) / (1.0 + e)
+
+
+def attention_scores_composite(keys, query, v):
+    """Additive attention scores ``tanh(keys + query) @ v`` composed of
+    tape primitives, one node per op, with the tanh output kept for the
+    backward: the reference for `autodiff.attention_scores`."""
+    lead, h = query.shape[:-1], query.shape[-1]
+    mixed = ad.tanh(ad.add(keys, ad.reshape(query, lead + (1, h))))
+    flat = ad.matmul(ad.reshape(mixed, (-1, h)), v)
+    return ad.reshape(flat, lead + (keys.shape[0],))
+
+
 def lstm_step(x, h, c, params):
     """One LSTM step as the model takes it: `lstm_input`, then
     `lstm_cell`."""

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from treesum import autodiff as ad
-from helpers import lstm_cell_composite, lstm_cell_fold, lstm_step
+from helpers import (attention_scores_composite, lstm_cell_composite,
+                     lstm_cell_fold, lstm_step, sigmoid_where)
 
 
 def t64(values):
@@ -58,6 +59,21 @@ class TestPrimitiveValues:
         x = t64([0.3, -1.2, 2.0])
         np.testing.assert_allclose(
             ad.log_softmax(x).data, np.log(ad.softmax(x).data), atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_where_formula_bit_for_bit(self, dtype):
+        info = np.finfo(dtype)
+        edges = np.array([0.0, -0.0, info.smallest_subnormal,
+                          -info.smallest_subnormal, info.tiny, -info.tiny,
+                          80.0, -80.0, 100.0, -100.0, 3e38, -3e38,
+                          info.max, -info.max], dtype=dtype)
+        rng = np.random.default_rng(9)
+        a = np.concatenate([edges,
+                            rng.normal(scale=8.0, size=4096).astype(dtype),
+                            rng.uniform(-1e-3, 1e-3, size=4096).astype(dtype)])
+        got, want = ad._sigmoid_np(a), sigmoid_where(a)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBackward:
@@ -198,6 +214,84 @@ class TestSavedArrays:
         with pytest.raises(ad.ShapeError, match="scatter"):
             ad.scatter(t64(np.ones((2, 2))), index, t64(np.ones((2, 3))),
                        size)
+
+
+class TestAttentionScores:
+    """`attention_scores` against the primitives it replaces in
+    `Model.attend`: add, tanh, reshape and matmul."""
+
+    @staticmethod
+    def operands(rng, dtype, rows, source_len=5, hidden=4):
+        lead = () if rows is None else (rows,)
+        keys, query, v = (
+            ad.Parameter(rng.uniform(-1.0, 1.0, size=shape).astype(dtype),
+                         name)
+            for shape, name in (((source_len, hidden), "keys"),
+                                (lead + (hidden,), "query"), ((hidden,), "v")))
+        probe = ad.Tensor(rng.normal(size=lead + (source_len,)).astype(dtype))
+        return keys, query, v, probe
+
+    @pytest.mark.parametrize("rows", [None, 3], ids=["vector", "rows"])
+    def test_backward_matches_finite_differences(self, rows):
+        keys, query, v, probe = self.operands(np.random.default_rng(21),
+                                              np.float64, rows)
+        err = ad.grad_check(
+            lambda: ad.total(ad.mul(ad.attention_scores(keys, query, v),
+                                    probe)), [keys, query, v])
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [None, 1, 3], ids=["vector", "one",
+                                                       "rows"])
+    def test_forward_matches_composition_bit_for_bit(self, rows, dtype):
+        keys, query, v, _ = self.operands(np.random.default_rng(22), dtype,
+                                          rows, source_len=7, hidden=16)
+        got = ad.attention_scores(keys, query, v).data
+        want = attention_scores_composite(keys, query, v).data
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [None, 3], ids=["vector", "rows"])
+    def test_backward_matches_composition(self, rows):
+        keys, query, v, probe = self.operands(np.random.default_rng(23),
+                                              np.float64, rows)
+        grads = []
+        for scores in (ad.attention_scores, attention_scores_composite):
+            ad.zero_grads([keys, query, v])
+            with ad.Tape() as tape:
+                tape.backward(ad.total(ad.mul(scores(keys, query, v),
+                                              probe)))
+            grads.append([p.grad.copy() for p in (keys, query, v)])
+        for got, want in zip(*grads):
+            assert np.abs(want).max() > 0
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_saves_operands_not_the_tanh(self):
+        keys, query, v, probe = self.operands(np.random.default_rng(24),
+                                              np.float64, 3)
+        with ad.Tape() as tape:
+            ad.attention_scores(keys, query, v)
+            assert len(tape.nodes) == 1
+            saved = [cell.cell_contents
+                     for cell in tape.nodes[0].backward.__closure__]
+        arrays = [a for a in saved if isinstance(a, np.ndarray)]
+        assert {id(a) for a in arrays} == {id(keys.data), id(query.data),
+                                           id(v.data)}
+
+    @pytest.mark.parametrize("operand", [0, 1, 2], ids=["keys", "query",
+                                                       "v"])
+    def test_non_finite_input_names_the_primitive(self, operand):
+        operands = self.operands(np.random.default_rng(25), np.float64, 3)[:3]
+        operands[operand].data.flat[2] = np.nan
+        with pytest.raises(ad.NonFiniteError, match="attention_scores"):
+            ad.attention_scores(*operands)
+
+    @pytest.mark.parametrize("shapes", [
+        ((5, 4), (3,), (4,)), ((5, 4), (4,), (5,)), ((5, 4), (2, 3, 4), (4,)),
+        ((4,), (4,), (4,))])
+    def test_bad_shapes_raise_shape_error(self, shapes):
+        with pytest.raises(ad.ShapeError, match="attention_scores"):
+            ad.attention_scores(*(t64(np.ones(s)) for s in shapes))
 
 
 class TestRowsBackward:

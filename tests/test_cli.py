@@ -315,6 +315,21 @@ class TestTrain:
         assert "batch_size must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--lr=nan", "lr must be finite"),
+        ("--grad-clip=inf", "grad_clip must be finite"),
+        ("--weight-decay=-5", "weight_decay must not be negative")])
+    def test_bad_optimizer_setting_is_a_usage_error(self, tmp_path, capsys,
+                                                    flag, message):
+        corpus = tmp_path / "c.jsonl"
+        cp.save_corpus(corpus, toy_corpus(n=4, seed=5))
+        out = tmp_path / "model.ckpt"
+        assert cli.run(["train", "--corpus", str(corpus), "--out", str(out),
+                        "--hidden-size", "8", "--embed-size", "8",
+                        "--epochs", "1", flag]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_model_setting_out_of_range_is_a_usage_error(self, tmp_path,
                                                           capsys):
         corpus = tmp_path / "c.jsonl"
@@ -346,6 +361,31 @@ class TestDecodeAndEval:
                         "--out", str(decoded), "--beam-size", "0"]) == 2
         assert "beam size must be at least 1" in capsys.readouterr().err
         assert not decoded.exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--length-norm=nan", "length_norm must be finite"),
+        ("--length-norm=-1", "length_norm must be finite and not negative"),
+        ("--workers=0", "workers must be at least 1"),
+        ("--workers=-3", "workers must be at least 1")])
+    def test_bad_decode_setting_is_a_usage_error(self, workdir, tmp_path,
+                                                 capsys, flag, message):
+        decoded = tmp_path / "decoded.jsonl"
+        assert cli.run(["decode", "--checkpoint", str(workdir["ckpt"]),
+                        "--input", str(workdir["corpus"]),
+                        "--out", str(decoded), "--max-words", "3",
+                        flag]) == 2
+        assert message in capsys.readouterr().err
+        assert not decoded.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_eval_workers_below_one_is_a_usage_error(self, workdir, tmp_path,
+                                                     capsys, workers):
+        out = tmp_path / "report.tsv"
+        argv = _eval_argv(tmp_path, _eval_inputs(workdir["examples"]))
+        assert cli.run(argv + ["--out", str(out),
+                               f"--workers={workers}"]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(BAD_METADATA))
     def test_bad_checkpoint_metadata_names_the_file(self, workdir, tmp_path,

@@ -304,3 +304,9 @@ class TestBeamConfig:
             BeamConfig(max_words=0)
         with pytest.raises(decoding.DecodingError):
             BeamConfig(max_steps=1)
+
+    @pytest.mark.parametrize("length_norm", [float("nan"), float("inf"),
+                                             -0.5])
+    def test_non_finite_or_negative_length_norm_rejected(self, length_norm):
+        with pytest.raises(decoding.DecodingError, match="length_norm"):
+            BeamConfig(length_norm=length_norm)

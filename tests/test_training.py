@@ -526,6 +526,14 @@ class TestTrainLoop:
         with pytest.raises(training.TrainingError, match="batch_size"):
             training.TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("eps", float("nan")),
+        ("grad_clip", float("inf")), ("weight_decay", float("nan")),
+        ("weight_decay", -5.0)])
+    def test_non_finite_or_negative_rate_rejected(self, key, value):
+        with pytest.raises(training.TrainingError, match=key):
+            training.TrainConfig(**{key: value})
+
     def test_non_finite_parameters_abort_with_diagnostics(self):
         examples = toy_corpus(n=4, seed=2)
         m = _toy_model(examples, hidden=8, embed=8, seed=1)
