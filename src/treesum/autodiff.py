@@ -35,14 +35,17 @@ closure, with what it saved, is dropped once it has run.
 Only Parameters, whose nodes live as long as they do, and taped outputs
 take gradients; constants (tensors made off the tape, such as zero states
 and lifted scalars) have no node, and no backward product is computed
-for them.  The weight gradient of ``x @ p`` for a Parameter ``p`` is not
-computed per product: its (x, g) rows are kept on the tape, and
-`Tape.backward` flushes each such parameter once, as one GEMM, after
-every node has run; `attention_scores` adds the gradient of its ``v``
-at once instead.  The LSTM primitives hand their weight gradients to
-the same flush, each into its own block of rows of ``w``: `lstm_input`
-into the input rows ``[:E]``, `lstm_cell` and `lstm_scan` into the
-recurrent rows ``[E:]``.
+for them.  A Parameter starts with no gradient buffer (``grad`` is None,
+as in PyTorch): its first write creates one, whether `zero_grad`, a
+backward formula or the flush below, so a model that only decodes holds
+its weights and nothing more.  The weight gradient of ``x @ p`` for a
+Parameter ``p`` is not computed per product: its (x, g) rows are kept on
+the tape, and `Tape.backward` flushes each such parameter once, as one
+GEMM, after every node has run; `attention_scores` adds the gradient of
+its ``v`` at once instead.  The LSTM primitives hand their weight
+gradients to the same flush, each into its own block of rows of ``w``:
+`lstm_input` into the input rows ``[:E]``, `lstm_cell` and `lstm_scan`
+into the recurrent rows ``[E:]``.
 
 A checkpoint is rejected unless its records end exactly at the checksum,
 no parameter name repeats, and each record has at most 32 dimensions, no
@@ -102,8 +105,8 @@ class Node:
 
     __slots__ = ("grad", "backward", "shape", "dtype")
 
-    def __init__(self, shape, dtype, backward=None, grad=None):
-        self.grad = grad
+    def __init__(self, shape, dtype, backward=None):
+        self.grad = None
         self.backward = backward
         self.shape = shape
         self.dtype = dtype
@@ -161,18 +164,17 @@ class Tensor:
 
 class Parameter(Tensor):
     """A named, trainable tensor; its node's gradient persists across
-    tapes."""
+    tapes.  ``grad`` is None until something first writes it."""
 
     __slots__ = ("name",)
 
     def __init__(self, data, name, dtype=None):
         super().__init__(data, dtype=dtype)
         self.name = name
-        self.node = Node(self.data.shape, self.data.dtype,
-                         grad=np.zeros_like(self.data))
+        self.node = Node(self.data.shape, self.data.dtype)
 
     def zero_grad(self):
-        self.grad[...] = 0.0
+        self.node.buffer()[...] = 0.0
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.shape})"
@@ -215,8 +217,9 @@ class Tape:
         gradient of ``x @ p`` for a Parameter ``p`` is deferred: the
         (x, g) rows of every such product are kept, and once every node
         has run each parameter gets one GEMM per block of rows it was used
-        in, ``p.grad[start:start + k] += X.T @ G``.  The kept rows are
-        released as each block is flushed, or on error.
+        in, ``p.grad[start:start + k] += X.T @ G``, into a zero buffer if
+        ``p`` has none yet.  The kept rows are released as each block is
+        flushed, or on error.
         """
         if loss.data.ndim != 0 and loss.data.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -232,7 +235,7 @@ class Tape:
                 backward(g)
             while self._deferred:
                 (param, start), (xs, gs) = self._deferred.popitem()
-                block = param.grad[start:start + xs[0].shape[1]]
+                block = param.node.buffer()[start:start + xs[0].shape[1]]
                 block += (np.concatenate(xs).T
                           @ np.concatenate(gs)).reshape(block.shape)
         finally:
@@ -826,9 +829,23 @@ def lstm_scan(zx: Tensor, parents, h0: Tensor, c0: Tensor,
     return _make(hs, backward, "lstm_scan")
 
 
+_INIT_CHUNK = 65536
+
+
 def uniform_init(rng, shape, scale=0.1, dtype=np.float32):
-    """Seeded uniform weights in [-scale, scale]; biases stay zero elsewhere."""
-    return rng.uniform(-scale, scale, size=shape).astype(dtype)
+    """Seeded uniform weights in [-scale, scale]; biases stay zero elsewhere.
+
+    The float64 draws fill an array of ``dtype`` _INIT_CHUNK values at a
+    time, so no full-size float64 array is made.  The values, and the
+    generator's state after, are those of one full-size draw cast to
+    ``dtype``: the draws come from the same stream in the same order.
+    """
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _INIT_CHUNK):
+        stop = min(start + _INIT_CHUNK, flat.size)
+        flat[start:stop] = rng.uniform(-scale, scale, size=stop - start)
+    return out
 
 
 def zero_grads(params):
@@ -917,10 +934,11 @@ def load_checkpoint(path):
         blob = fh.read()
     if len(blob) < len(_MAGIC) + 8 or blob[:len(_MAGIC)] != _MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
-    body, footer = blob[:-4], blob[-4:]
-    if struct.unpack("<I", footer)[0] != (zlib.crc32(body) & 0xFFFFFFFF):
+    # a view, not a second copy of the file
+    body = memoryview(blob)[:-4]
+    if struct.unpack("<I", blob[-4:])[0] != (zlib.crc32(body) & 0xFFFFFFFF):
         raise CheckpointError(f"{path}: checksum mismatch")
-    view = memoryview(body)[len(_MAGIC):]
+    view = body[len(_MAGIC):]
 
     def take(n):
         nonlocal view

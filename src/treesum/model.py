@@ -575,7 +575,7 @@ class Model:
                 raise ModelError(
                     f"{path}: shape mismatch for {p.name}: "
                     f"{arrays[p.name].shape} vs {p.data.shape}")
-            p.data = arrays[p.name].astype(dtype)
+            p.data = arrays[p.name].astype(dtype, copy=False)
         return model
 
 

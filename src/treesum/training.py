@@ -61,10 +61,14 @@ class TrainConfig:
             raise TrainingError("betas must lie in [0, 1)")
 
 
+_ADAM_BLOCK = 32768
+
+
 class AdamState:
-    """First/second moment accumulators, one pair per parameter, plus one
-    scratch buffer for `adam_step`'s temporaries, sized to the largest
-    parameter (rounded up to even)."""
+    """First/second moment accumulators, one pair per parameter, plus the
+    scratch of `adam_step`: two rows of one block (_ADAM_BLOCK values, or
+    the largest parameter's size if that is smaller), whatever the size
+    of the parameters."""
 
     def __init__(self, params):
         self.m = {p.name: np.zeros_like(p.data, order="C") for p in params}
@@ -75,21 +79,31 @@ class AdamState:
             raise TrainingError(f"parameters of mixed dtypes "
                                 f"{sorted(map(str, dtypes))}")
         largest = max((p.data.size for p in params), default=0)
-        self.scratch = np.empty(largest + largest % 2,
+        self.scratch = np.empty((2, min(largest, _ADAM_BLOCK)),
                                 dtype=dtypes.pop() if dtypes else np.float32)
+
+
+def _gradients(params):
+    """Each parameter's gradient; one never written by a backward or
+    `zero_grad` has none, which is an error rather than a zero update."""
+    for p in params:
+        if p.grad is None:
+            raise TrainingError(f"parameter {p.name!r} has no gradient: run "
+                                f"zero_grads or a backward pass first")
+    return [p.grad for p in params]
 
 
 def clip_gradients(params, bound=5.0):
     """Element-wise value clipping into [-bound, bound]; idempotent.
 
     Returns (global L2 norm before clipping, share of gradient values the
-    clipping changed), read in the same pass over each gradient.
+    clipping changed), read in the same pass over each gradient.  A
+    parameter without a gradient raises `TrainingError`.
     """
     square = 0.0
     changed = 0
     size = 0
-    for p in params:
-        g = p.grad
+    for g in _gradients(params):
         square += float(np.vdot(g, g))
         changed += int(np.count_nonzero(np.abs(g) > bound))
         size += g.size
@@ -99,46 +113,46 @@ def clip_gradients(params, bound=5.0):
 
 def adam_step(params, state: AdamState, config: TrainConfig):
     """One Adam update with bias correction; weight decay is applied as a
-    decoupled multiplicative shrink before the Adam delta.
+    decoupled multiplicative shrink before the Adam delta.  A parameter
+    without a gradient raises `TrainingError` before anything changes.
 
-    Every temporary goes into ``state.scratch``: the moment updates use it
-    whole, and the delta ``lr * m_hat / (sqrt(v_hat) + eps)`` runs in
-    pieces of half the scratch, the numerator in one half and the
-    denominator in the other.  Each value is the same expression, in the
-    same order, as with fresh arrays, so the update is the same bit for
-    bit, and no step allocates a parameter-sized array.
+    The whole update runs on one block of a parameter at a time, so each
+    block of its data, gradient and moments is read while it is in cache,
+    and every temporary goes into the two rows of ``state.scratch``.
+    Each value is the same expression, in the same order, as with fresh
+    parameter-sized arrays, so the update is the same bit for bit, and no
+    step allocates a parameter-sized array.
     """
+    grads = _gradients(params)
     state.step += 1
     t = state.step
-    shrink = 1.0 - config.lr * config.weight_decay
-    bias1 = 1.0 - config.beta1 ** t
-    bias2 = 1.0 - config.beta2 ** t
-    half = state.scratch.size // 2
-    for p in params:
-        g = p.grad
-        p.data *= shrink
-        m = state.m[p.name]
-        v = state.v[p.name]
-        tmp = state.scratch[:g.size].reshape(g.shape)
-        m *= config.beta1
-        m += np.multiply(1.0 - config.beta1, g, out=tmp)
-        v *= config.beta2
-        np.multiply(1.0 - config.beta2, g, out=tmp)
-        v += np.multiply(tmp, g, out=tmp)
+    beta1, beta2, lr, eps = config.beta1, config.beta2, config.lr, config.eps
+    shrink = 1.0 - lr * config.weight_decay
+    bias1 = 1.0 - beta1 ** t
+    bias2 = 1.0 - beta2 ** t
+    block = state.scratch.shape[1]
+    for p, g in zip(params, grads):
         if not p.data.flags.c_contiguous:   # its flat view must not copy
             p.data = np.ascontiguousarray(p.data)
-        data, m, v = p.data.reshape(-1), m.reshape(-1), v.reshape(-1)
-        for start in range(0, g.size, half):
-            stop = min(start + half, g.size)
-            num = state.scratch[:stop - start]
-            den = state.scratch[half:half + stop - start]
-            np.divide(m[start:stop], bias1, out=num)
-            num *= config.lr
-            np.divide(v[start:stop], bias2, out=den)
+        data, g = p.data.reshape(-1), g.reshape(-1)
+        m, v = state.m[p.name].reshape(-1), state.v[p.name].reshape(-1)
+        for start in range(0, g.size, block):
+            stop = min(start + block, g.size)
+            d, gb, mb, vb = (a[start:stop] for a in (data, g, m, v))
+            num, den = state.scratch[:, :stop - start]
+            d *= shrink
+            mb *= beta1
+            mb += np.multiply(1.0 - beta1, gb, out=num)
+            vb *= beta2
+            np.multiply(1.0 - beta2, gb, out=num)
+            vb += np.multiply(num, gb, out=num)
+            np.divide(mb, bias1, out=num)
+            num *= lr
+            np.divide(vb, bias2, out=den)
             np.sqrt(den, out=den)
-            den += config.eps
+            den += eps
             num /= den
-            data[start:stop] -= num
+            d -= num
 
 
 @dataclass

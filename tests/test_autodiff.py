@@ -77,6 +77,13 @@ class TestPrimitiveValues:
 
 
 class TestBackward:
+    def test_parameter_has_no_buffer_until_zero_grad(self):
+        p = ad.Parameter(np.ones((2, 3)), "p")
+        assert p.grad is None
+        p.zero_grad()
+        np.testing.assert_array_equal(p.grad, np.zeros((2, 3)))
+        assert p.grad.dtype == p.dtype
+
     def test_sum_gives_ones(self):
         p = p64(np.random.default_rng(1), (3, 4), "p")
         with ad.Tape() as tape:
@@ -294,6 +301,22 @@ class TestAttentionScores:
             ad.attention_scores(*(t64(np.ones(s)) for s in shapes))
 
 
+class TestUniformInit:
+    CHUNK = ad._INIT_CHUNK
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [
+        (7,), (CHUNK,), (CHUNK // 4, 4), (2 * CHUNK + 5,), (3, CHUNK // 2 + 1),
+        (0, 4)], ids=["below", "at", "at-2d", "across", "across-2d", "empty"])
+    def test_matches_one_full_draw_bit_for_bit(self, shape, dtype):
+        chunked, whole = np.random.default_rng(17), np.random.default_rng(17)
+        got = ad.uniform_init(chunked, shape, 0.3, dtype)
+        want = whole.uniform(-0.3, 0.3, size=shape).astype(dtype)
+        assert got.shape == shape and got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+        assert chunked.bit_generator.state == whole.bit_generator.state
+
+
 class TestRowsBackward:
     @pytest.mark.parametrize("indices", [
         [4, 0, 2], [2, 2, 0, 2], [1, -4], [3, 1, 0, 2, 4], []],
@@ -303,7 +326,7 @@ class TestRowsBackward:
         # either way the gradient is what np.add.at gives
         rng = np.random.default_rng(16)
         table = p64(rng, (5, 3), "table")
-        table.grad[...] = rng.normal(size=(5, 3))
+        table.grad = rng.normal(size=(5, 3))
         g = rng.normal(size=(len(indices), 3))
         want = table.grad.copy()
         np.add.at(want, np.asarray(indices, dtype=np.int64), g)

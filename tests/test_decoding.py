@@ -198,6 +198,13 @@ class TestMatchesReferenceBeam:
 
 
 class TestBeamSearch:
+    def test_decoding_leaves_no_gradient_buffers(self):
+        m = fresh()
+        src = m.prepare_source(["the", "cat", "sat", "mat"])
+        decoding.beam_search(m, src, BeamConfig(beam_size=3, max_words=4))
+        decoding.greedy_decode(m, src, BeamConfig(max_words=4))
+        assert all(p.grad is None for p in m.parameters())
+
     def test_k1_equals_greedy_exactly(self):
         for seed in range(12):
             m = fresh(seed=seed)

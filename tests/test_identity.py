@@ -18,6 +18,7 @@ def test_same_checkout_on_both_sides_reports_no_delta():
     assert report["ops_equal"] is True
     assert report["decodes"] == 2
     assert report["score_delta"] == 0.0
+    assert report["weight_delta"] == {"float32": 0.0, "float64": 0.0}
     assert report["loss_delta"] == {"float32": 0.0, "float64": 0.0}
     for dtype in ("float32", "float64"):
         grads = report["grad_delta"][dtype]

@@ -1,5 +1,7 @@
 """Architecture forward passes: encoder, composition, states, heads."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -561,3 +563,54 @@ class TestPersistence:
         ad.save_checkpoint(path, m.parameters(), metadata=meta)
         with pytest.raises(ModelError, match="hash mismatch"):
             Model.load(path)
+
+
+def sized_parts(size, in_words, out_words):
+    """Config and vocabularies of a model whose embeddings and word head
+    are several init chunks each, so fixed costs are small beside them."""
+    in_vocab = tiny_vocab([f"i{k}" for k in range(in_words)])
+    out_vocab = tiny_vocab([f"o{k}" for k in range(out_words)])
+    config = ModelConfig(input_vocab_size=len(in_vocab),
+                         output_vocab_size=len(out_vocab),
+                         hidden_size=size, embed_size=size)
+    return config, in_vocab, out_vocab
+
+
+def traced(fn):
+    """(result, peak, held): the bytes ``fn()`` allocated at its peak and
+    still holds when it returns, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - base, held - base
+
+
+class TestWeightsOnly:
+    """A model built or loaded for decoding holds its weights and no
+    gradient buffers, and neither step makes a full-size temporary."""
+
+    def test_building_allocates_weights_plus_at_most_one_chunk(self):
+        tiny_model()    # one-time allocations of a first build
+        parts = sized_parts(128, 2000, 2000)
+        m, peak, held = traced(lambda: Model(*parts, seed=3))
+        weights = sum(p.data.nbytes for p in m.parameters())
+        assert max(p.data.size for p in m.parameters()) \
+            > 3 * ad._INIT_CHUNK
+        assert all(p.grad is None for p in m.parameters())
+        slack = 64 * 1024    # Parameter, Node and list objects
+        assert held <= weights + slack
+        assert peak <= weights + 8 * ad._INIT_CHUNK + slack
+
+    def test_load_peaks_under_two_and_a_half_checkpoints(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        Model(*sized_parts(128, 2000, 2000), seed=3).save(path)
+        size = path.stat().st_size
+        Model.load(path)    # one-time allocations of a first load
+        m, peak, held = traced(lambda: Model.load(path))
+        assert peak < 2.5 * size
+        assert held < 1.2 * size
+        assert all(p.grad is None for p in m.parameters())

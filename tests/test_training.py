@@ -45,6 +45,14 @@ class TestClipGradients:
         assert norm == pytest.approx(math.sqrt(36 + 25 + 64 + 1 + 1))
         assert share == pytest.approx(2 / 7)   # 6 and -8; -5 is on the bound
 
+    def test_missing_gradient_names_the_parameter(self):
+        p = ad.Parameter(np.zeros(3, dtype=np.float64), "p")
+        p.grad = np.array([7.0, 0.0, -7.0])
+        fresh = ad.Parameter(np.zeros(2, dtype=np.float64), "fresh")
+        with pytest.raises(training.TrainingError, match="'fresh'"):
+            training.clip_gradients([p, fresh], 5.0)
+        np.testing.assert_array_equal(p.grad, [7.0, 0.0, -7.0])
+
 
 class TestAdamStep:
     def test_first_step_moves_against_gradient(self):
@@ -83,8 +91,8 @@ class TestAdamStep:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_plain_formula_bit_for_bit(self, dtype):
         # the update written with a fresh array per expression; the
-        # largest parameter takes two pieces of the scratch, and one
-        # parameter is a transposed (non-contiguous) view
+        # largest parameter spans two whole blocks and ends in a partial
+        # one, and one parameter is a transposed (non-contiguous) view
         def reference(data, grad, m, v, t, c):
             data *= 1.0 - c.lr * c.weight_decay
             m *= c.beta1
@@ -98,8 +106,9 @@ class TestAdamStep:
         config = training.TrainConfig(lr=3e-2, weight_decay=1e-3)
         rng = seeded_rng(62)
         params = [ad.Parameter(rng.normal(size=shape).astype(dtype), name)
-                  for name, shape in (("w", (7, 5)), ("b", (3,)),
-                                      ("s", (1,)))]
+                  for name, shape in (
+                      ("w", (7, 5)), ("b", (3,)), ("s", (1,)),
+                      ("big", (2 * training._ADAM_BLOCK // 64 + 3, 64)))]
         params.append(ad.Parameter(
             rng.normal(size=(6, 4)).astype(dtype).T, "t"))
         expected = [(p.data.copy(), np.zeros(p.shape, dtype),
@@ -115,6 +124,17 @@ class TestAdamStep:
                 np.testing.assert_array_equal(p.data, data, p.name)
                 np.testing.assert_array_equal(state.m[p.name], m, p.name)
                 np.testing.assert_array_equal(state.v[p.name], v, p.name)
+
+    def test_missing_gradient_changes_nothing(self):
+        p = ad.Parameter(np.array([1.0, -1.0]), "p", dtype=np.float64)
+        p.grad = np.array([0.3, -0.2])
+        fresh = ad.Parameter(np.array([0.5]), "fresh", dtype=np.float64)
+        state = training.AdamState([p, fresh])
+        with pytest.raises(training.TrainingError, match="'fresh'"):
+            training.adam_step([p, fresh], state, training.TrainConfig())
+        assert state.step == 0
+        np.testing.assert_array_equal(p.data, [1.0, -1.0])
+        assert not state.m["p"].any() and not state.v["p"].any()
 
 
 class TestSequenceLoss:
@@ -643,6 +663,20 @@ class TestDeferredWeightGradients:
         with ad.Tape() as tape:
             tape.backward(self._loss(m, instances))
         return {p.name: p.grad.copy() for p in m.parameters()}
+
+    def test_never_zeroed_model_gets_the_zeroed_gradients(self):
+        # without zero_grads every buffer is made by its first write: the
+        # flush (word_out_w, the LSTM weights), attention_scores' at-once
+        # gradient of attn_v (which _loss also flushes), an LSTM bias's
+        # accumulate, and a gather's buffer() (the embeddings)
+        fresh, instances = self._case()
+        assert all(p.grad is None for p in fresh.parameters())
+        with ad.Tape() as tape:
+            tape.backward(self._loss(fresh, instances))
+        zeroed = self._grads(self._case()[0], instances)
+        for p in fresh.parameters():
+            assert p.grad is not None, p.name
+            np.testing.assert_array_equal(p.grad, zeroed[p.name], p.name)
 
     def test_flush_matches_per_step_outer_products(self, monkeypatch):
         m, instances = self._case()

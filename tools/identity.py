@@ -13,12 +13,15 @@ on the same inputs, from this checkout's ``perfbench/gen.py``:
 - pinned float32 decodes, as in the benchmark's paper_decode workloads
   (every hypothesis generates until ``max_words``, then reduces), at each
   seed of ``--seeds`` and beam size of ``--beams``;
+- float32 and float64 freshly built weights per seed, so a change to
+  weight initialisation is checked directly;
 - float32 and float64 ``training.batch_loss`` gradients on ``--pairs``
   paper-shaped pairs per seed.
 
 It prints one JSON line: whether every decode has the same ops, the
-largest score delta, and per dtype the largest loss delta and the largest
-gradient delta per parameter.  It exits 1 when the ops differ.
+largest score delta, and per dtype the largest weight delta, the largest
+loss delta and the largest gradient delta per parameter.  It exits 1 when
+the ops differ.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ def paper_model(ts, gen, seed, dtype):
 
 
 def run_side(src, args):
-    """Decode ops and scores, and gradients, of the package under
-    ``src``, saved to ``args.out``."""
+    """Decode ops and scores, fresh weights and gradients, of the package
+    under ``src``, saved to ``args.out``."""
     sys.path[:0] = [src, PERFBENCH]
     import gen
     import treesum as ts
@@ -106,6 +109,8 @@ def run_side(src, args):
                      for ex in workloads.examples(ts, pairs)]
         for dtype in DTYPES:
             model = paper_model(ts, gen, seed, np.dtype(dtype))
+            for p in model.parameters():
+                out[f"weight/{seed}/{dtype}/{p.name}"] = p.data
             ad.zero_grads(model.parameters())
             with ad.Tape() as tape:
                 loss, _ = training.batch_loss(model, instances)
@@ -147,6 +152,7 @@ def run_worker(src, args, out):
 def compare(parent, change):
     """The JSON report of two sides' saved results."""
     report = {"ops_equal": True, "decodes": 0, "score_delta": 0.0,
+              "weight_delta": {d: 0.0 for d in DTYPES},
               "loss_delta": {d: 0.0 for d in DTYPES},
               "grad_delta": {d: {} for d in DTYPES}}
     for key in sorted(parent.files):
@@ -159,10 +165,9 @@ def compare(parent, change):
         delta = float(np.abs(a.astype(np.float64) - b).max())
         if kind == "scores":
             report["score_delta"] = max(report["score_delta"], delta)
-        elif kind == "loss":
-            dtype = rest[1]
-            report["loss_delta"][dtype] = max(report["loss_delta"][dtype],
-                                              delta)
+        elif kind in ("weight", "loss"):
+            deltas = report[f"{kind}_delta"]
+            deltas[rest[1]] = max(deltas[rest[1]], delta)
         else:
             dtype, name = rest[1], rest[2]
             grads = report["grad_delta"][dtype]
