@@ -7,15 +7,15 @@ broadcasting, un-broadcast on the way back), concat/narrow/reshape,
 row/rows/stack_rows gathers, tanh, sigmoid, softmax, log_softmax, log,
 clip, total, pick, a `scatter` of columns into a wider last axis, whose
 backward is a gather, `attention_scores`, additive attention's
-``tanh(keys + query) @ v`` as one node, and three for LSTMs.
+``tanh(keys + query) @ v`` as one node, and two for LSTMs.
 `lstm_input` is an LSTM's input projection ``zx = x @ w[:E] + b`` as one
 node, over all the rows a recurrence reads, so it is one GEMM hoisted out
-of the recurrence.  The two recurrence primitives take that ``zx`` and
-run only the recurrent product ``h @ w[E:]``: `lstm_cell` is one LSTM
-step, whose new cell and hidden states are one node each, and
-`lstm_scan` a whole recurrence over rows whose inputs are known up front.
-Every primitive checks its output for NaN/Inf and raises
-`NonFiniteError` on the first occurrence.
+of the recurrence.  `lstm_cell` takes that ``zx`` and runs one LSTM step,
+only the recurrent product ``h @ w[E:]``; its new cell and hidden states
+are one node each.  `lstm_scan`, a whole recurrence over a forest of rows
+whose inputs are known up front, is no primitive: it runs one `lstm_cell`
+per level of the forest.  Every primitive checks its output for NaN/Inf
+and raises `NonFiniteError` on the first occurrence.
 
 A tape keeps gradient slots apart from data.  Each taped output is a
 `Tensor` holding its array and a small `Node`: the output's gradient, its
@@ -26,11 +26,11 @@ PyTorch): `mul` keeps both operands, `matmul` and `lstm_input` their x and
 w, `log` its input, `clip` its mask, `tanh`, `sigmoid`, `softmax` and
 `log_softmax` their own outputs, `attention_scores` its three operands
 (its backward recomputes the (rows, S, H) tanh rather than keeping it),
-`lstm_cell` and `lstm_scan` their gates and states, and `add`, `sub`,
-`neg`, `concat`, `narrow`, `reshape`, `rows`, `row`, `stack_rows`,
-`scatter`, `pick` and `total` only shapes and indices.  An output that no
-backward reads is freed as soon as the forward drops its Tensor, and each
-closure, with what it saved, is dropped once it has run.
+`lstm_cell` its gates and states, and `add`, `sub`, `neg`, `concat`,
+`narrow`, `reshape`, `rows`, `row`, `stack_rows`, `scatter`, `pick` and
+`total` only shapes and indices.  An output that no backward reads is
+freed as soon as the forward drops its Tensor, and each closure, with
+what it saved, is dropped once it has run.
 
 Only Parameters, whose nodes live as long as they do, and taped outputs
 take gradients; constants (tensors made off the tape, such as zero states
@@ -44,8 +44,8 @@ the tape, and `Tape.backward` flushes each such parameter once, as one
 GEMM, after every node has run; `attention_scores` adds the gradient of
 its ``v`` at once instead.  The LSTM primitives hand their weight
 gradients to the same flush, each into its own block of rows of ``w``:
-`lstm_input` into the input rows ``[:E]``, `lstm_cell` and `lstm_scan`
-into the recurrent rows ``[E:]``.
+`lstm_input` into the input rows ``[:E]``, `lstm_cell` into the recurrent
+rows ``[E:]``.
 
 A checkpoint is rejected unless its records end exactly at the checksum,
 no parameter name repeats, and each record has at most 32 dimensions, no
@@ -645,7 +645,7 @@ class LstmParams:
 
     The rows ``w[:E]`` (E the input size) take the input, the rows
     ``w[E:]`` the previous hidden state; `lstm_input` applies the first
-    block and the bias, `lstm_cell` and `lstm_scan` the second.
+    block and the bias, `lstm_cell` the second.
     """
 
     def __init__(self, input_size, hidden_size, name, rng, dtype=np.float32,
@@ -686,8 +686,8 @@ def lstm_input(x: Tensor, params: LstmParams) -> Tensor:
     """The input projection ``zx = x @ w[:E] + b`` of an LSTM, one node for
     a vector or (rows, E).  Computed once over every row a recurrence
     reads, it takes the input's share of the pre-activations out of the
-    recurrence, which `lstm_cell` and `lstm_scan` then run on ``zx``.  The
-    backward defers its weight gradient into the rows ``[:E]`` of ``w``.
+    recurrence, which `lstm_cell` then runs on ``zx``.  The backward
+    defers its weight gradient into the rows ``[:E]`` of ``w``.
     """
     e = params.input_size
     if x.data.ndim not in (1, 2) or x.shape[-1] != e:
@@ -758,18 +758,18 @@ def lstm_cell(zx: Tensor, h: Tensor, c: Tensor, params: LstmParams):
 def lstm_scan(zx: Tensor, parents, h0: Tensor, c0: Tensor,
               params: LstmParams) -> Tensor:
     """`lstm_cell` over every row of ``zx`` (T, 4 * hidden), the projected
-    input of `lstm_input`, as one primitive.
+    input of `lstm_input`, one level of the ``parents`` forest at a time.
 
     Row t continues the state of row ``parents[t]``, which must lie below
     t, or starts from the vectors (h0, c0) where ``parents[t] == -1``.  A
-    chain gives a sequence LSTM; a stack pointer gives the stack-LSTM.
-    Returns the (T, hidden) hidden rows.  Only the recurrent product runs
-    per row.  The backward walks the rows in reverse and hands the weight
-    gradient to the tape as ``h_prev`` rows for the rows ``[E:]`` of
-    ``w``, so it joins the parameter's flush.
+    chain gives a sequence LSTM, a stack pointer the stack-LSTM.  Returns
+    the (T, hidden) hidden rows, in input order.  The rows at one depth are
+    a level (Looks et al. 2017), one `lstm_cell` on their ``zx`` rows and
+    their parents' states from the level below: a gather, or a `narrow`
+    where row j continues row j below, as in chains laid out longest
+    first.  Constant initial states stay constants.
     """
-    n, e = params.hidden_size, params.input_size
-    w_h = params.w.data[e:]
+    n = params.hidden_size
     if zx.data.ndim != 2 or zx.shape[1] != 4 * n:
         raise ShapeError(f"lstm_scan: rows {zx.shape} for hidden size {n}")
     if h0.shape != (n,) or c0.shape != (n,):
@@ -781,52 +781,44 @@ def lstm_scan(zx: Tensor, parents, h0: Tensor, c0: Tensor,
             or np.any(parents >= np.arange(steps)):
         raise ShapeError(f"lstm_scan: parents must hold one index in "
                          f"-1..t-1 per row t of {steps}")
-    hs = np.empty((steps, n), dtype=zx.dtype)
-    cs = np.empty((steps, n), dtype=zx.dtype)
-    tape = _ACTIVE_TAPE
-    # the gate values i, f, g, o of every row, kept for the backward
-    gates = np.empty_like(zx.data) if tape is not None else None
-    nzx, nh0, nc0, h0_data, c0_data = \
-        _node(zx), _node(h0), _node(c0), h0.data, c0.data
-    for t, p in enumerate(parents.tolist()):
-        h_prev, c_prev = (h0_data, c0_data) if p < 0 else (hs[p], cs[p])
-        z = h_prev @ w_h
-        z += zx.data[t]
-        s = _lstm_gates(z, n)
-        c = cs[t]
-        np.multiply(s[n:2 * n], c_prev, out=c)
-        c += s[:n] * s[2 * n:3 * n]
-        np.multiply(s[3 * n:], np.tanh(c), out=hs[t])
-        if gates is not None:
-            gates[t] = s
-
-    def backward(g):
-        f, o = gates[:, n:2 * n], gates[:, 3 * n:]
-        roots = parents < 0
-        h_prev = np.where(roots[:, None], h0_data, hs[parents])
-        c_prev = np.where(roots[:, None], c0_data, cs[parents])
-        tc = np.tanh(cs)
-        dc_dh = o * (1.0 - tc * tc)
-        slope = _lstm_slopes(gates, c_prev, tc, n)
-        dh = np.array(g, dtype=hs.dtype)
-        dc = np.zeros_like(cs)
-        dz = np.empty_like(gates)
-        for t, p in reversed(list(enumerate(parents.tolist()))):
-            dh_t, dc_t = dh[t], dc[t]
-            dc_t += dh_t * dc_dh[t]
-            np.multiply(np.concatenate((dc_t, dc_t, dc_t, dh_t)), slope[t],
-                        out=dz[t])
-            if p >= 0:
-                dh[p] += w_h @ dz[t]
-                dc[p] += dc_t * f[t]
-        if nzx is not None:
-            nzx.accumulate(dz)
-        if nh0 is not None:
-            nh0.accumulate(w_h @ dz[roots].sum(axis=0))
-        if nc0 is not None:
-            nc0.accumulate((dc[roots] * f[roots]).sum(axis=0))
-        tape._defer(params.w, h_prev, dz, start=e)
-    return _make(hs, backward, "lstm_scan")
+    if not steps:
+        return constant(np.zeros((0, n)), zx.dtype)
+    depth = []
+    for p in parents.tolist():
+        depth.append(depth[p] + 1 if p >= 0 else 0)
+    depth = np.array(depth, dtype=np.int64)
+    order = np.argsort(depth, kind="stable")     # level by level
+    first = np.concatenate([[0], np.cumsum(np.bincount(depth))])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(steps)
+    slot = rank - first[depth]                   # a row's place in its level
+    parent_slot = slot[parents[order]]           # in level order
+    continues = np.logical_and.reduceat(
+        (parent_slot == slot[order]) | (depth[order] == 0),
+        first[:-1]).tolist()
+    in_order = bool((rank == np.arange(steps)).all())
+    if h0.node is None:
+        h = constant(np.broadcast_to(h0.data, (first[1], n)), h0.dtype)
+    else:
+        h = add(constant(np.zeros((first[1], n)), h0.dtype), h0)
+    c = c0       # broadcast by `lstm_cell`
+    levels = []
+    try:
+        for start, stop, continued in zip(first.tolist(),
+                                          first[1:].tolist(), continues):
+            if not continued:
+                index = parent_slot[start:stop]
+                h, c = rows(h, index), rows(c, index)
+            elif stop - start < h.shape[0]:
+                h, c = narrow(h, 0, 0, stop - start), \
+                    narrow(c, 0, 0, stop - start)
+            h, c = lstm_cell(narrow(zx, 0, start, stop) if in_order
+                             else rows(zx, order[start:stop]), h, c, params)
+            levels.append(h)
+    except NonFiniteError as e:
+        raise NonFiniteError(f"lstm_scan: {e}") from e
+    hs = concat(levels) if len(levels) > 1 else levels[0]
+    return hs if in_order else rows(hs, rank)
 
 
 _INIT_CHUNK = 65536

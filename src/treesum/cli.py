@@ -78,11 +78,12 @@ def settings_check():
         raise UsageError(e) from e
 
 
-def _check_workers(config):
-    """Reject a ``workers`` setting below 1, which would otherwise run
-    serially without a word."""
-    if config["workers"] < 1:
-        raise UsageError("workers must be at least 1")
+def _check_at_least_one(config, *keys):
+    """Reject a count or size setting below 1, which would run serially,
+    drop the rarest output word or filter out every example unannounced."""
+    for key in keys:
+        if config[key] < 1:
+            raise UsageError(f"{key} must be at least 1")
 
 
 def _parse_value(key, raw):
@@ -176,6 +177,7 @@ def _load_and_filter(path, config):
 
 def cmd_oracle(args):
     config = resolve_config(args)
+    _check_at_least_one(config, "max_source_len", "max_summary_len")
     examples = _load_and_filter(args.corpus, config)
     lines = []
     for i, ex in enumerate(examples):
@@ -202,6 +204,8 @@ def cmd_oracle(args):
 
 def cmd_train(args):
     config = resolve_config(args)
+    _check_at_least_one(config, "output_vocab_size", "max_source_len",
+                        "max_summary_len")
     with settings_check():
         train_config = training.TrainConfig(
             **{key: config[key] for key in _TRAIN_KEYS})
@@ -278,7 +282,7 @@ def cmd_decode(args):
             beam_size=config["beam_size"], max_words=config["max_words"],
             max_steps=config["max_steps"] or None,
             length_norm=config["length_norm"])
-    _check_workers(config)
+    _check_at_least_one(config, "workers")
     examples = cp.load_corpus(args.input, require_heads=False)
     if not examples:
         raise CliError(f"{args.input}: no records")
@@ -427,7 +431,7 @@ def _sweep_sections(instances, key, sigmas, title):
 
 def cmd_eval(args):
     config = resolve_config(args)
-    _check_workers(config)
+    _check_at_least_one(config, "workers")
     decodes = _load_decodes(args.decoded)
     references = cp.load_corpus(args.reference)
     if len(decodes) != len(references):

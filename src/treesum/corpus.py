@@ -102,6 +102,8 @@ def build_vocab(examples, role, min_freq=None, max_size=None) -> Vocabulary:
     elif role == "output":
         counts = Counter(t for ex in examples for t in ex.summary)
         max_size = OUTPUT_MAX_SIZE if max_size is None else max_size
+        if max_size < 0:   # a negative slice end would drop the rarest
+            raise CorpusError(f"vocabulary size {max_size} is negative")
         if min_freq is not None:
             counts = Counter({t: c for t, c in counts.items()
                               if c >= min_freq})

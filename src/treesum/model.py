@@ -14,15 +14,16 @@ incremental states coincide with re-running the LSTM over the current
 stack bottom-to-top.  Every LSTM splits its pre-activations as
 ``z = zx + h @ w[E:]``: the input projection ``zx`` is one
 `autodiff.lstm_input` node over all the rows a recurrence reads, and
-only the recurrent product runs per step.  The encoder takes a batch of
-sources and runs them in lockstep (operation batching, Neubig et al.
-2017): each layer and direction projects every token's input with one
-GEMM, then steps one `autodiff.lstm_cell` per time step over the rows of
-the sources still running, so a batch of B sources costs as many cells
+only the recurrent product runs per step, in `autodiff.lstm_cell`.  The
+encoder takes a batch of sources and runs them in lockstep (operation
+batching, Neubig et al. 2017): each layer and direction is one
+`autodiff.lstm_input` and one `autodiff.lstm_scan` over one chain per
+source, which steps one `autodiff.lstm_cell` per time step over the rows
+of the sources still running, so a batch of B sources costs as many cells
 as its longest source; decoding encodes a batch of one.  Under teacher
 forcing every decoder recurrence's input is known up front, so training
-runs each one as one `autodiff.lstm_input` and one `autodiff.lstm_scan`
-(see `training.teacher_forced_rows`).
+runs each one over the whole batch the same way (see
+`training.teacher_forced_rows`).
 """
 
 from __future__ import annotations
@@ -261,15 +262,14 @@ class Model:
         lockstep; unknown tokens map to UNK.  Returns one `EncoderStates`
         per source, in the order given.
 
-        The sources are ordered longest first (stable), so the sources
-        still running at step s are a prefix of that order: each layer and
-        direction runs one `autodiff.lstm_cell` per step over their rows,
-        and the state narrows to the prefix when a source ends; the input
-        projection of all tokens is one GEMM per layer and direction,
-        outside the steps.  At step s
-        the forward direction reads token s of a source and the backward
-        direction token L-1-s, L its length.  Raises `SourceError` naming
-        the first source that is empty, over-long or a string.
+        The tokens are laid out source by source, longest first (stable),
+        each source one chain of an `autodiff.lstm_scan` forest: step s of
+        every source is one level, and the sources running at step s are a
+        prefix of those at step s - 1.  Each layer and direction is one
+        `autodiff.lstm_input` and one scan; the backward direction scans
+        its input rows reversed within each source and reverses its output
+        back.  Raises `SourceError` naming the first source that is empty,
+        over-long or a string.
         """
         if not sources:
             raise ModelError("no sources to encode")
@@ -283,47 +283,30 @@ class Model:
                 raise SourceError(
                     i, f"source length {len(tokens)} exceeds configured "
                        f"maximum {self.config.max_source_len}")
-        lengths = [len(tokens) for tokens in sources]
-        order = sorted(range(len(sources)), key=lambda i: -lengths[i])
-        starts = np.cumsum([0] + lengths[:-1]).tolist()
-        # per direction, the token row each running source reads per step
-        forward, backward = [], []
-        for s in range(lengths[order[0]]):
-            running = [i for i in order if lengths[i] > s]
-            forward.append([starts[i] + s for i in running])
-            backward.append([starts[i] + lengths[i] - 1 - s
-                             for i in running])
+        order = sorted(range(len(sources)), key=lambda i: -len(sources[i]))
+        lengths = np.array([len(sources[i]) for i in order])
+        starts = np.cumsum(lengths) - lengths
+        # per token row: its source's first row, the row it continues (-1
+        # for a first row) and the row at its mirror place in its source
+        row = np.arange(lengths.sum())
+        first = np.repeat(starts, lengths)
+        chain = np.where(row == first, -1, row - 1)
+        reverse = 2 * first + np.repeat(lengths, lengths) - 1 - row
         x = ad.rows(self.src_embed, [self.input_vocab.id(token)
-                                     for tokens in sources
-                                     for token in tokens])
+                                     for i in order for token in sources[i]])
+        zeros = self._zeros(self.config.hidden_size)
         for fwd, bwd in self.encoder_cells:
-            x = ad.concat([self._encode_direction(x, forward, fwd),
-                           self._encode_direction(x, backward, bwd)],
-                          axis=1)
+            forward = ad.lstm_scan(ad.lstm_input(x, fwd), chain, zeros,
+                                   zeros, fwd)
+            backward = ad.lstm_scan(ad.rows(ad.lstm_input(x, bwd), reverse),
+                                    chain, zeros, zeros, bwd)
+            x = ad.concat([forward, ad.rows(backward, reverse)], axis=1)
         keys = ad.matmul(x, self.attn_enc_w)
-        return [EncoderStates(matrix=ad.narrow(x, 0, start, start + length),
-                              keys=ad.narrow(keys, 0, start, start + length))
-                for start, length in zip(starts, lengths)]
-
-    def _encode_direction(self, x, step_rows, params):
-        """One encoder direction over the rows of ``x``: the input
-        projection of every row is one `autodiff.lstm_input`, and step s
-        runs one cell over the rows ``step_rows[s]`` of it, a prefix of the
-        rows before.  Returns the hidden states with one row per row of
-        ``x``."""
-        zx = ad.lstm_input(x, params)
-        h = self._zeros((len(step_rows[0]), self.config.hidden_size))
-        c = h
-        outputs = []
-        for read in step_rows:
-            if len(read) < h.shape[0]:
-                h = ad.narrow(h, 0, 0, len(read))
-                c = ad.narrow(c, 0, 0, len(read))
-            h, c = ad.lstm_cell(ad.rows(zx, read), h, c, params)
-            outputs.append(h)
-        # outputs are step-major; put each row back at the token it read
-        read = np.concatenate(step_rows)
-        return ad.rows(ad.concat(outputs), np.argsort(read))
+        spans = sorted(zip(order, starts.tolist(),
+                           (starts + lengths).tolist()))
+        return [EncoderStates(matrix=ad.narrow(x, 0, start, stop),
+                              keys=ad.narrow(keys, 0, start, stop))
+                for _, start, stop in spans]
 
     def prepare_sources(self, sources) -> list[SourceContext]:
         """Encode a batch of sources in lockstep and set up each one's copy

@@ -2,9 +2,11 @@
 
 The loss of one instance is the negative sum of per-step operation
 log-probabilities plus word log-probabilities at GEN steps only.  A batch
-loss is the mean over instances.  Optimization is Adam with decoupled
-weight decay, element-wise gradient value clipping, shuffled epochs and
-early stopping on the dev loss.
+loss is the mean over instances.  The gold ops fix every recurrent input,
+so the tree, summary and history LSTMs of a batch run as one
+`autodiff.lstm_scan` each (`teacher_forced_rows`).  Optimization is Adam
+with decoupled weight decay, element-wise gradient value clipping,
+shuffled epochs and early stopping on the dev loss.
 """
 
 from __future__ import annotations
@@ -178,54 +180,70 @@ class StepStats:
         return self.word_correct / self.words if self.words else 0.0
 
 
-def teacher_forced_rows(model: Model, gold_ops, table, pushed, parents):
-    """Decoder states before each op of a gold sequence, as row matrices.
+def teacher_forced_rows(model: Model, sequences, table, batch_plan):
+    """Decoder states before each op of every gold sequence of a batch.
 
-    Returns (tree_h, seq_h, hist_h), each (len(gold_ops), hidden), whose
-    row t is the state `Model.step` reaches after ``gold_ops[:t]``.  The
-    gold ops fix every recurrent input, so each recurrence is one
-    `lstm_input` over its input rows and one `lstm_scan`:
+    Returns one (tree_h, seq_h, hist_h) per sequence, each (len(ops),
+    hidden), whose row t is the state `Model.step` reaches after
+    ``ops[:t]``.  The gold ops fix every recurrent input, so each
+    recurrence is one `lstm_input` over its input rows of the whole batch
+    and one `lstm_scan` of one tree or chain per sequence:
 
-    - tree: over the rows ``pushed`` of ``table`` (R at 0, op t's push at
-      t + 1), in the forest ``parents`` gives (both `batching.plan`'s);
-    - seq: over the GEN vectors, row t taken by its count of earlier GENs;
+    - tree: over the table rows ``batch_plan.pushed`` lists (R at 0, op
+      t's push at t + 1), each continuing its planned parent;
+    - seq: over the GEN vectors, table rows 1..W in batch order;
     - hist: over the op-kind embeddings of all ops but the last.
     """
-    h = model.config.hidden_size
-    zeros = model._zeros(h)
-    tree_h = ad.lstm_scan(
-        ad.lstm_input(ad.rows(table, pushed), model.tree_cell), parents,
+    lengths = np.array([len(ops) for ops in sequences])
+    starts = np.cumsum(lengths) - lengths
+    parents = np.concatenate(batch_plan.parents)
+    zeros = model._zeros(model.config.hidden_size)
+    tree = ad.lstm_scan(
+        ad.lstm_input(ad.rows(table, np.concatenate(batch_plan.pushed)),
+                      model.tree_cell),
+        np.where(parents < 0, -1, parents + np.repeat(starts, lengths)),
         zeros, zeros, model.tree_cell)
-    gen_ops = [t for t, op in enumerate(gold_ops) if op.kind == tr.GEN]
-    words = ad.lstm_scan(
-        ad.lstm_input(ad.rows(table, [pushed[t + 1] for t in gen_ops]),
-                      model.seq_cell),
-        np.arange(-1, len(gen_ops) - 1), model.seq_init_h, model.seq_init_c,
-        model.seq_cell)
-    # per op, the number of GENs before it
-    words_before = np.searchsorted(gen_ops, np.arange(len(gold_ops)))
-    seq_h = ad.rows(ad.concat([ad.reshape(model.seq_init_h, (1, h)), words]),
-                    words_before)
-    kinds = ad.rows(model.op_embed,
-                    [OP_INDEX[op.kind] for op in gold_ops[:-1]])
-    history = ad.lstm_scan(ad.lstm_input(kinds, model.hist_cell),
-                           np.arange(-1, len(gold_ops) - 2),
-                           model.hist_init_h, model.hist_init_c,
-                           model.hist_cell)
-    hist_h = ad.concat([ad.reshape(model.hist_init_h, (1, h)), history])
-    return tree_h, seq_h, hist_h
+    gen_steps = [[t for t, op in enumerate(ops) if op.kind == tr.GEN]
+                 for ops in sequences]
+    seq_h = _chain_rows(
+        ad.narrow(table, 0, 1, 1 + len(batch_plan.words)), model.seq_cell,
+        model.seq_init_h, model.seq_init_c,
+        [np.searchsorted(steps, np.arange(len(ops)))
+         for steps, ops in zip(gen_steps, sequences)])
+    hist_h = _chain_rows(
+        ad.rows(model.op_embed, [OP_INDEX[op.kind] for ops in sequences
+                                 for op in ops[:-1]]), model.hist_cell,
+        model.hist_init_h, model.hist_init_c,
+        [np.arange(n) for n in lengths.tolist()])
+    return [(ad.narrow(tree, 0, start, start + n), seq, hist)
+            for start, n, seq, hist in zip(starts.tolist(), lengths.tolist(),
+                                           seq_h, hist_h)]
 
 
-def sequence_loss(model: Model, src, gold_ops, table, pushed, parents):
-    """Negative log-likelihood of one valid gold operation sequence.
-
-    The gold ops fix every recurrent state before any step is scored, so
-    `teacher_forced_rows` builds the states of all steps first, and they
-    are scored as the rows of one `Model.score_rows` pass.  Returns
-    (scalar loss tensor, StepStats).
+def _chain_rows(x, cell, h0, c0, before):
+    """One `lstm_scan` of ``cell`` over the rows of ``x``: one chain per
+    sequence, laid out one after another, sequence i's chain being the
+    ``before[i][-1]`` rows it reads in all.  Returns, per sequence i, the
+    rows of its states after its first ``before[i]`` rows, h0 where none.
     """
-    tree_h, seq_h, hist_h = teacher_forced_rows(model, gold_ops, table,
-                                                pushed, parents)
+    counts = np.array([b[-1] for b in before])
+    starts = np.cumsum(counts) - counts
+    first = np.repeat(starts, counts)       # per row, its chain's first row
+    row = np.arange(first.size)
+    states = ad.lstm_scan(ad.lstm_input(x, cell),
+                          np.where(row == first, -1, row - 1), h0, c0, cell)
+    table = ad.concat([ad.reshape(h0, (1, cell.hidden_size)), states])
+    return [ad.rows(table, np.where(b > 0, start + b, 0))
+            for start, b in zip(starts.tolist(), before)]
+
+
+def sequence_loss(model: Model, src, gold_ops, tree_h, seq_h, hist_h):
+    """Negative log-likelihood of one valid gold operation sequence, from
+    the decoder states before each of its ops (`teacher_forced_rows`).
+
+    The states of all steps are scored as the rows of one
+    `Model.score_rows` pass.  Returns (scalar loss tensor, StepStats).
+    """
     gen_rows = [t for t, op in enumerate(gold_ops) if op.kind == tr.GEN]
     logits, word_dist = model.score_rows(tree_h, seq_h, hist_h, src,
                                          gen_rows)
@@ -252,9 +270,9 @@ def batch_loss(model: Model, instances):
 
     The sources are encoded in lockstep (`Model.prepare_sources`), every
     vector the gold sequences push is a row of one table built level by
-    level (`batching`), and each instance's recurrences run as scans over
-    rows of it (`teacher_forced_rows`); results match the per-step fold
-    of `Model.step` that decoding runs.  A gold sequence that
+    level (`batching`), and each recurrence runs as one scan over the rows
+    of every instance (`teacher_forced_rows`); results match the per-step
+    fold of `Model.step` that decoding runs.  A gold sequence that
     `transition.execute` rejects, or a source the encoder rejects, raises
     `TrainingError` naming its batch instance.
     """
@@ -276,11 +294,9 @@ def batch_loss(model: Model, instances):
     table = batching.batched_compose(batch_plan, model)
     total = None
     stats = StepStats()
-    for ops, src, pushed, parents in zip(sequences, contexts,
-                                         batch_plan.pushed,
-                                         batch_plan.parents):
-        loss, inst_stats = sequence_loss(model, src, ops, table, pushed,
-                                         parents)
+    for ops, src, states in zip(sequences, contexts, teacher_forced_rows(
+            model, sequences, table, batch_plan)):
+        loss, inst_stats = sequence_loss(model, src, ops, *states)
         stats.merge(inst_stats)
         total = loss if total is None else ad.add(total, loss)
     mean = ad.mul(total, 1.0 / len(instances))

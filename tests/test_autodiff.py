@@ -535,10 +535,30 @@ class TestLstmScan:
             np.testing.assert_allclose(scan_grads[name], g, rtol=0,
                                        atol=1e-12, err_msg=name)
 
+    @pytest.mark.parametrize("shape, levels", [
+        ("chain", [1] * 7), ("stack", [1, 3, 3]), ("restarts", [3, 3, 1])])
+    def test_one_lstm_cell_per_level(self, monkeypatch, shape, levels):
+        params, x, h0, c0, _ = self._case("parameters")
+        rows = []
+        cell = ad.lstm_cell
+
+        def counted(zx, h, c, cell_params):
+            rows.append(zx.shape[0])
+            return cell(zx, h, c, cell_params)
+        monkeypatch.setattr(ad, "lstm_cell", counted)
+        hs = lstm_input_scan(x, SCAN_PARENTS[shape], h0, c0, params)
+        assert rows == levels and hs.shape == (7, 4)
+
     def test_forward_only_without_a_tape(self):
         params, x, h0, c0, _ = self._case("parameters")
         hs = lstm_input_scan(x, SCAN_PARENTS["stack"], h0, c0, params)
         assert hs.node is None and hs.shape == (7, 4)
+
+    def test_no_rows_give_no_states(self):
+        params, x, h0, c0, _ = self._case("parameters")
+        with ad.Tape():
+            hs = lstm_input_scan(ad.rows(x, []), [], h0, c0, params)
+        assert hs.shape == (0, 4)
 
     @pytest.mark.parametrize("parents", [
         [-1, 0, 1], [-1, 0, 1, 2, 3, 4, 5, 6], [-1, 0, 2, 2, 3, 4, 5],

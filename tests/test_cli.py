@@ -330,6 +330,25 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, key", [
+        ("train", "--output-vocab-size=-1", "output_vocab_size"),
+        ("train", "--max-source-len=0", "max_source_len"),
+        ("train", "--max-summary-len=0", "max_summary_len"),
+        ("oracle", "--max-source-len=0", "max_source_len"),
+        ("oracle", "--max-summary-len=0", "max_summary_len")])
+    def test_size_setting_below_one_is_a_usage_error(self, tmp_path, capsys,
+                                                     command, flag, key):
+        corpus = tmp_path / "c.jsonl"
+        cp.save_corpus(corpus, toy_corpus(n=4, seed=5))
+        out = tmp_path / "out"
+        assert cli.run([command, "--corpus", str(corpus), "--out", str(out),
+                        flag]) == 2
+        assert f"{key} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+        # rejected before the corpus is read
+        assert cli.run([command, "--corpus", str(tmp_path / "none.jsonl"),
+                        "--out", str(out), flag]) == 2
+
     def test_model_setting_out_of_range_is_a_usage_error(self, tmp_path,
                                                           capsys):
         corpus = tmp_path / "c.jsonl"

@@ -60,6 +60,12 @@ class TestBuildVocab:
         # all tie at frequency 3: lexicographically first two survive
         assert "a" in vocab and "b" in vocab and "c" not in vocab
 
+    def test_negative_output_cap_rejected(self):
+        # a negative cap would slice off the least frequent words
+        examples = [example("x", "x y y z", [2, 0, 2, 2])]
+        with pytest.raises(cp.CorpusError, match="-1"):
+            cp.build_vocab(examples, "output", max_size=-1)
+
     def test_deterministic_id_assignment(self):
         examples = [example("cat sat mat cat sat cat sat mat mat cat sat",
                             "cat", [0])] * 5

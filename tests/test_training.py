@@ -277,6 +277,38 @@ class TestBatchLoss:
         training.batch_loss(m, items)
         assert calls == {"attend": 3, "op_scores": 3, "predict_word": 3}
 
+    def test_one_scan_per_recurrence_per_batch(self, monkeypatch):
+        m = tiny_model(seed=5, out_words=("cat", "sat", "mat"))
+        items = [
+            (["the", "cat", "sat"],
+             tuple(tr.ops_from_text("GEN(cat) GEN(sat) RL RR"))),
+            (["the", "cat"], tuple(tr.ops_from_text("GEN(cat) RR"))),
+            (["mat", "sat"],
+             tuple(tr.ops_from_text("GEN(sat) GEN(mat) GEN(cat) RR RL RR"))),
+        ]
+        scans = []
+        scan = ad.lstm_scan
+
+        def counted(zx, parents, h0, c0, params):
+            scans.append((params.w.name, len(parents)))
+            return scan(zx, parents, h0, c0, params)
+        monkeypatch.setattr(ad, "lstm_scan", counted)
+        encoder = [f"encoder.{layer}.{side}.w"
+                   for layer in range(m.config.encoder_layers)
+                   for side in ("fwd", "bwd")]
+        for size in (1, 3):
+            scans.clear()
+            training.batch_loss(m, items[:size])
+            ops = [len(gold) for _, gold in items[:size]]
+            gens = [sum(op.kind == tr.GEN for op in gold)
+                    for _, gold in items[:size]]
+            assert sorted(name for name, _ in scans) == sorted(
+                encoder + ["hist_cell.w", "seq_cell.w", "tree_cell.w"])
+            rows = dict(scans)
+            assert rows["tree_cell.w"] == sum(ops)
+            assert rows["seq_cell.w"] == sum(gens)
+            assert rows["hist_cell.w"] == sum(ops) - size
+
     def test_words_are_one_gather_and_no_vector_is_a_row(self, monkeypatch):
         m = tiny_model(seed=5, out_words=("cat", "sat", "mat"))
         items = [
@@ -330,8 +362,7 @@ class TestTeacherForcedRows:
     def _planned_rows(m, ops):
         batch_plan = batching.plan([ops])
         return training.teacher_forced_rows(
-            m, ops, batching.batched_compose(batch_plan, m),
-            batch_plan.pushed[0], batch_plan.parents[0])
+            m, [ops], batching.batched_compose(batch_plan, m), batch_plan)[0]
 
     @staticmethod
     def _assert_close(got, want, name):
@@ -379,8 +410,9 @@ class TestTeacherForcedRows:
             with monkeypatch.context() as patch:
                 if fold:
                     patch.setattr(training, "teacher_forced_rows",
-                                  lambda model, ops, *planned:
-                                  step_fold_rows(model, ops))
+                                  lambda model, sequences, *planned:
+                                  [step_fold_rows(model, ops)
+                                   for ops in sequences])
                 ad.zero_grads(m.parameters())
                 with ad.Tape() as tape:
                     loss, stats = training.batch_loss(m, batch)
