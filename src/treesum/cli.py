@@ -5,7 +5,10 @@ with rising precedence: built-in defaults, a ``key = value`` config file
 (``--config``), and per-key command-line flags.  Unknown keys are
 rejected.  Every command that writes an artifact also writes the resolved
 configuration next to it (``<output>.config``), and output files are
-written atomically so failed runs leave nothing partial behind.
+written atomically so failed runs leave nothing partial behind.  Decode
+and eval map one record runner over their records, in this process or in
+a process pool; eval scores each record into one flat row of ROUGE values
+and relation-match counts, and reduces its report from those rows.
 """
 
 from __future__ import annotations
@@ -52,10 +55,9 @@ CONFIG_SPEC = {
     "max_source_len": (int, cp.DEFAULT_MAX_SOURCE_LEN),
     "max_summary_len": (int, cp.DEFAULT_MAX_SUMMARY_LEN),
     **_field_defaults(training.TrainConfig, _TRAIN_KEYS),
-    "beam_size": (int, 10),
-    "max_words": (int, 60),
+    **_field_defaults(decoding.BeamConfig, ("beam_size", "max_words")),
     "max_steps": (int, 0),        # 0 means the 2 * max_words default
-    "length_norm": (float, 0.0),
+    **_field_defaults(decoding.BeamConfig, ("length_norm",)),
     "workers": (int, 1),
 }
 
@@ -244,10 +246,27 @@ def cmd_train(args):
 
 
 # ---------------------------------------------------------------------------
-# decode
+# decode, and the record runner eval shares
 # ---------------------------------------------------------------------------
 
 _WORKER_STATE = {}
+
+
+def _map_records(workers, init, initargs, fn, items, chunksize):
+    """``fn`` over ``items`` after ``init(*initargs)`` has filled
+    `_WORKER_STATE`; the results in input order.  One worker runs in this
+    process and clears the state afterwards, also when a record fails, so
+    a loaded model or embedding table is not kept past the run; more run
+    in a process pool."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=init,
+                                 initargs=initargs) as pool:
+            return list(pool.map(fn, items, chunksize=chunksize))
+    try:
+        init(*initargs)
+        return [fn(item) for item in items]
+    finally:
+        _WORKER_STATE.clear()
 
 
 def _decode_worker_init(checkpoint, beam, input_path):
@@ -256,8 +275,9 @@ def _decode_worker_init(checkpoint, beam, input_path):
     _WORKER_STATE["input"] = input_path
 
 
-def _decode_one(number, tokens):
-    """Decode record ``number`` (from 1) of the input file."""
+def _decode_one(item):
+    """Decode the ``(number from 1, tokens)`` record of the input file."""
+    number, tokens = item
     model = _WORKER_STATE["model"]
     beam = _WORKER_STATE["beam"]
     try:
@@ -286,22 +306,10 @@ def cmd_decode(args):
     examples = cp.load_corpus(args.input, require_heads=False)
     if not examples:
         raise CliError(f"{args.input}: no records")
-    sources = [ex.source for ex in examples]
-    if config["workers"] > 1:
-        with ProcessPoolExecutor(
-                max_workers=config["workers"],
-                initializer=_decode_worker_init,
-                initargs=(args.checkpoint, beam, args.input)) as pool:
-            records = list(pool.map(_decode_one,
-                                    range(1, len(sources) + 1), sources,
-                                    chunksize=4))
-    else:
-        try:
-            _decode_worker_init(args.checkpoint, beam, args.input)
-            records = [_decode_one(number, tokens)
-                       for number, tokens in enumerate(sources, start=1)]
-        finally:
-            _WORKER_STATE.clear()   # the model is not kept past this run
+    records = _map_records(
+        config["workers"], _decode_worker_init,
+        (args.checkpoint, beam, args.input), _decode_one,
+        enumerate((ex.source for ex in examples), start=1), chunksize=4)
     with atomic_output(args.out) as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")
@@ -370,69 +378,74 @@ def _load_parses(path):
     return parses
 
 
+def _parse_sigmas(raw):
+    """The --sigmas thresholds: distinct numbers in (0, 1]."""
+    if raw is None:
+        return (1.0, 0.9, 0.8, 0.7)
+    sigmas = []
+    for item in raw.split(","):
+        try:
+            sigma = float(item)
+        except ValueError:
+            raise UsageError(f"sigmas: cannot parse {item!r} as a number")
+        if not 0.0 < sigma <= 1.0:   # nan fails here too
+            raise UsageError(f"sigmas: {item!r} does not lie in (0, 1]")
+        if sigma in sigmas:
+            raise UsageError(f"sigmas: {item!r} is repeated")
+        sigmas.append(sigma)
+    return tuple(sigmas)
+
+
 def _eval_worker_init(sigmas, table):
     _WORKER_STATE["sigmas"] = sigmas
     _WORKER_STATE["table"] = table
 
 
-def _score_instance(system, reference, ref_relations, src_relations):
+_ROUGE_FIELDS = 9   # ROUGE-1, -2 and -L, each (P, R, F)
+
+
+def _score_record(item):
+    """One flat row for a ``(system, reference words, *target relations)``
+    item: ROUGE-1, -2 and -L as (P, R, F), then for each relation target
+    (reference, then source) and each sigma the raw (matched, predicted,
+    target) counts, so both macro and pooled sweeps reduce from the rows."""
+    (summary, heads), reference, *targets = item
     sigmas = _WORKER_STATE["sigmas"]
     table = _WORKER_STATE["table"]
-    summary, heads = system
-    rows = {}
-    for name, value in (("r1", metrics.rouge_n(summary, reference, 1)),
-                        ("r2", metrics.rouge_n(summary, reference, 2)),
-                        ("rl", metrics.rouge_l(summary, reference))):
-        rows[name] = value
+    row = [*metrics.rouge_n(summary, reference, 1),
+           *metrics.rouge_n(summary, reference, 2),
+           *metrics.rouge_l(summary, reference)]
     system_relations = metrics.relations_from_heads(summary, heads)
-    # raw match counts so both macro and pooled aggregation are possible
-    rows["rel_ref"] = {
-        sigma: metrics.relation_matches(system_relations, ref_relations,
-                                        table, sigma)
-        for sigma in sigmas}
-    if src_relations is not None:
-        rows["rel_src"] = {
-            sigma: metrics.relation_matches(system_relations, src_relations,
-                                            table, sigma)
-            for sigma in sigmas}
-    return rows
+    for relations in targets:
+        for sigma in sigmas:
+            row.extend(metrics.relation_matches(system_relations, relations,
+                                                table, sigma))
+    return row
 
 
-def _score_task(task):
-    return _score_instance(*task)
-
-
-def _sweep_sections(instances, key, sigmas, title):
-    """Macro and pooled sigma/P/R/F rows for one relation target.
-
-    Macro averages per-instance scores (the headline); pooled sums match
-    counts corpus-wide before scoring.
-    """
-    lines = [f"# relation preservation vs {title}, macro: sigma\tP\tR\tF"]
-    counts = {sigma: [inst[key][sigma] for inst in instances if key in inst]
-              for sigma in sigmas}
-    for sigma in sigmas:
-        triples = [metrics.prf(*c) for c in counts[sigma]]
-        if not triples:
-            continue
-        p, r, f = (float(np.mean([t[x] for t in triples])) for x in range(3))
-        lines.append(f"{sigma}\t{p:.4f}\t{r:.4f}\t{f:.4f}")
-    lines.append(f"# relation preservation vs {title}, pooled: sigma\tP\tR\tF")
-    for sigma in sigmas:
-        if not counts[sigma]:
-            continue
-        matched = sum(c[0] for c in counts[sigma])
-        n_pred = sum(c[1] for c in counts[sigma])
-        n_target = sum(c[2] for c in counts[sigma])
-        p, r, f = metrics.prf(matched, n_pred, n_target)
-        lines.append(f"{sigma}\t{p:.4f}\t{r:.4f}\t{f:.4f}")
-    return lines
+def _sweep_sections(rows, start, sigmas, title):
+    """Macro and pooled sigma/P/R/F rows for the relation target whose
+    counts begin at ``start`` in each row.  Macro averages per-instance
+    scores (the headline); pooled sums match counts before scoring."""
+    macro = [f"# relation preservation vs {title}, macro: sigma\tP\tR\tF"]
+    pooled = [f"# relation preservation vs {title}, pooled: sigma\tP\tR\tF"]
+    for at, sigma in zip(range(start, start + 3 * len(sigmas), 3), sigmas):
+        counts = [row[at:at + 3] for row in rows]
+        triples = [metrics.prf(*c) for c in counts]
+        p, r, f = (float(np.mean(column)) for column in zip(*triples))
+        macro.append(f"{sigma}\t{p:.4f}\t{r:.4f}\t{f:.4f}")
+        p, r, f = metrics.prf(*(sum(column) for column in zip(*counts)))
+        pooled.append(f"{sigma}\t{p:.4f}\t{r:.4f}\t{f:.4f}")
+    return macro + pooled
 
 
 def cmd_eval(args):
     config = resolve_config(args)
     _check_at_least_one(config, "workers")
+    sigmas = _parse_sigmas(args.sigmas)
     decodes = _load_decodes(args.decoded)
+    if not decodes:
+        raise CliError(f"{args.decoded}: no records")
     references = cp.load_corpus(args.reference)
     if len(decodes) != len(references):
         raise CliError(
@@ -446,54 +459,39 @@ def cmd_eval(args):
             f"{len(decodes)} decodes")
     table = metrics.load_embeddings(args.embeddings) \
         if args.embeddings else None
-    sigmas = tuple(float(s) for s in args.sigmas.split(",")) \
-        if args.sigmas else (1.0, 0.9, 0.8, 0.7)
 
-    tasks = []
+    items = []
     for i, (system, ref_ex) in enumerate(zip(decodes, references)):
         try:
-            ref_relations = metrics.relations_from_heads(ref_ex.summary,
-                                                         ref_ex.heads)
+            item = (system, ref_ex.summary,
+                    metrics.relations_from_heads(ref_ex.summary, ref_ex.heads))
         except metrics.MetricsError as e:
             raise CliError(f"{args.reference}: record {i + 1}: {e}")
-        src_relations = None
         if source_parses is not None:
-            src_relations = metrics.relations_from_heads(*source_parses[i])
-        tasks.append((system, ref_ex.summary, ref_relations, src_relations))
-    if config["workers"] > 1:
-        with ProcessPoolExecutor(
-                max_workers=config["workers"],
-                initializer=_eval_worker_init,
-                initargs=(sigmas, table)) as pool:
-            instances = list(pool.map(_score_task, tasks, chunksize=16))
-    else:
-        try:
-            _eval_worker_init(sigmas, table)
-            instances = [_score_task(task) for task in tasks]
-        finally:
-            _WORKER_STATE.clear()   # the table is not kept past this run
+            item += (metrics.relations_from_heads(*source_parses[i]),)
+        items.append(item)
+    rows = _map_records(config["workers"], _eval_worker_init,
+                        (sigmas, table), _score_record, items, chunksize=16)
 
+    # each relation target's title and F column, and where its counts begin
+    targets = [("reference", "relref_f")] + (
+        [("source", "relsrc_f")] if source_parses is not None else [])
+    starts = [_ROUGE_FIELDS + 3 * len(sigmas) * t for t in range(len(targets))]
     columns = ["index", "r1_p", "r1_r", "r1_f", "r2_p", "r2_r", "r2_f",
-               "rl_p", "rl_r", "rl_f", "relref_f"]
-    if source_parses is not None:
-        columns.append("relsrc_f")
+               "rl_p", "rl_r", "rl_f"] + [column for _, column in targets]
     lines = ["#" + "\t".join(columns)]
     sums = np.zeros(len(columns) - 1)
-    for i, inst in enumerate(instances):
-        values = list(inst["r1"]) + list(inst["r2"]) + list(inst["rl"])
-        values.append(metrics.prf(*inst["rel_ref"][sigmas[0]])[2])
-        if source_parses is not None:
-            values.append(metrics.prf(*inst["rel_src"][sigmas[0]])[2])
+    for i, row in enumerate(rows):
+        # the relation F at the first sigma
+        values = row[:_ROUGE_FIELDS] + [metrics.prf(*row[at:at + 3])[2]
+                                        for at in starts]
         sums += np.array(values)
         lines.append("\t".join([str(i)] + [f"{v:.4f}" for v in values]))
-    macro = sums / len(instances)
+    macro = sums / len(rows)
     lines.append("\t".join(["macro"] + [f"{v:.4f}" for v in macro]))
-
-    lines.append("")
-    lines.extend(_sweep_sections(instances, "rel_ref", sigmas, "reference"))
-    if source_parses is not None:
+    for (title, _), start in zip(targets, starts):
         lines.append("")
-        lines.extend(_sweep_sections(instances, "rel_src", sigmas, "source"))
+        lines.extend(_sweep_sections(rows, start, sigmas, title))
 
     if args.out:
         with atomic_output(args.out) as fh:
@@ -554,8 +552,8 @@ def build_parser():
     evaluate.add_argument("--source-parses", dest="source_parses")
     evaluate.add_argument("--embeddings")
     evaluate.add_argument("--sigmas",
-                          help="comma-separated thresholds, default "
-                               "1.0,0.9,0.8,0.7")
+                          help="comma-separated distinct thresholds in "
+                               "(0, 1], default 1.0,0.9,0.8,0.7")
     evaluate.add_argument("--out", help="report path; default stdout")
     evaluate.add_argument("--config")
     _add_config_flags(evaluate, ["workers"])

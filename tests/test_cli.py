@@ -406,6 +406,34 @@ class TestDecodeAndEval:
         assert "workers must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigmas, bad", [
+        ("0.9,x", "'x'"), (",", "''"), ("1.5", "'1.5'"), ("0", "'0'"),
+        ("nan", "'nan'"), ("0.9,0.9", "'0.9' is repeated")])
+    def test_bad_sigmas_is_a_usage_error(self, tmp_path, capsys, sigmas, bad):
+        # checked before any input is opened: none of these files exists
+        out = tmp_path / "report.tsv"
+        assert cli.run(["eval", "--decoded", str(tmp_path / "none.jsonl"),
+                        "--reference", str(tmp_path / "none.jsonl"),
+                        "--embeddings", str(tmp_path / "none.txt"),
+                        f"--sigmas={sigmas}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("treesum eval: sigmas: ") and bad in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_eval_input_is_an_error(self, tmp_path, capsys, text):
+        decoded = tmp_path / "decoded.jsonl"
+        reference = tmp_path / "reference.jsonl"
+        decoded.write_text(text)
+        reference.write_text(text)
+        out = tmp_path / "report.tsv"
+        assert cli.run(["eval", "--decoded", str(decoded),
+                        "--reference", str(reference),
+                        "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == (
+            f"treesum eval: {decoded}: no records")
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", sorted(BAD_METADATA))
     def test_bad_checkpoint_metadata_names_the_file(self, workdir, tmp_path,
                                                     capsys, case):
@@ -602,6 +630,20 @@ class TestDecodeAndEval:
             argv = _eval_argv(tmp_path, _eval_inputs(workdir["examples"]))
         assert cli.run(argv + ["--out", str(tmp_path / "out")]) == int(fails)
         assert cli._WORKER_STATE == {}
+
+    def test_serial_decode_failing_on_an_empty_source_keeps_nothing(
+            self, workdir, tmp_path, capsys):
+        source = tmp_path / "source.jsonl"
+        source.write_text(
+            json.dumps({"source": " ".join(workdir["examples"][0].source)})
+            + "\n" + json.dumps({"source": ""}) + "\n")
+        decoded = tmp_path / "decoded.jsonl"
+        assert cli.run(["decode", "--checkpoint", str(workdir["ckpt"]),
+                        "--input", str(source), "--out", str(decoded),
+                        "--max-words", "3"]) == 1
+        assert f"{source}: record 2: " in capsys.readouterr().err
+        assert cli._WORKER_STATE == {}
+        assert not decoded.exists()
 
     def test_failed_eval_leaves_no_partial_output(self, workdir, tmp_path):
         report = tmp_path / "report.tsv"
