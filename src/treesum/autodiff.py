@@ -914,10 +914,15 @@ def save_checkpoint(path, params, metadata=None):
             array, dtype=_DTYPE_CODES[code]).tobytes())
     body = b"".join(chunks)
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(body)
+            fh.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)   # a failed write or rename leaves nothing behind
+        raise
 
 
 def load_checkpoint(path):

@@ -20,6 +20,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 
 import numpy as np
@@ -72,11 +73,11 @@ class UsageError(CliError):
 
 @contextmanager
 def settings_check():
-    """Report a config class's range error as a `UsageError`."""
+    """Report a config class's range error as a `UsageError`
+    (`decoding.DecodingError` is a `ModelError`)."""
     try:
         yield
-    except (training.TrainingError, ModelError,
-            decoding.DecodingError) as e:
+    except (training.TrainingError, ModelError) as e:
         raise UsageError(e) from e
 
 
@@ -98,7 +99,7 @@ def _parse_value(key, raw):
 
 
 def load_config_file(path):
-    values = {}
+    values, first_set = {}, {}
     for lineno, line in cp.text_lines(path, CliError):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -108,6 +109,10 @@ def load_config_file(path):
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_SPEC:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_set:
+            raise CliError(f"{path}:{lineno}: config key {key!r} repeated "
+                           f"(first set at line {first_set[key]})")
+        first_set[key] = lineno
         try:
             values[key] = _parse_value(key, raw)
         except CliError as e:
@@ -137,18 +142,17 @@ def echo_config(config, command, inputs, out_path):
 
 @contextmanager
 def atomic_output(path):
-    """Write to a temp file and rename on success; unlink on failure."""
+    """Write to a temp file and rename on success; unlink the temp file on
+    any failure, the rename's included."""
     tmp = f"{path}.tmp"
     fh = open(tmp, "w", encoding="utf-8")
     try:
-        yield fh
+        with fh:
+            yield fh
+        os.replace(tmp, path)
     except BaseException:
-        fh.close()
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
-    fh.close()
-    os.replace(tmp, path)
 
 
 def _add_config_flags(parser, keys):
@@ -254,19 +258,24 @@ _WORKER_STATE = {}
 
 def _map_records(workers, init, initargs, fn, items, chunksize):
     """``fn`` over ``items`` after ``init(*initargs)`` has filled
-    `_WORKER_STATE`; the results in input order.  One worker runs in this
-    process and clears the state afterwards, also when a record fails, so
-    a loaded model or embedding table is not kept past the run; more run
-    in a process pool."""
-    if workers > 1:
+    `_WORKER_STATE`; the results in input order.  ``init`` first runs in
+    this process, so a bad checkpoint fails here with its own error and
+    not as a dead worker; one worker then maps here too.  The state is
+    cleared afterwards, also when a record fails, so a loaded model or
+    embedding table is not kept past the run; more workers run in a
+    process pool."""
+    try:
+        init(*initargs)
+        if workers == 1:
+            return [fn(item) for item in items]
+    finally:
+        _WORKER_STATE.clear()
+    try:
         with ProcessPoolExecutor(max_workers=workers, initializer=init,
                                  initargs=initargs) as pool:
             return list(pool.map(fn, items, chunksize=chunksize))
-    try:
-        init(*initargs)
-        return [fn(item) for item in items]
-    finally:
-        _WORKER_STATE.clear()
+    except BrokenProcessPool as e:
+        raise CliError(f"a worker process failed: {e}") from e
 
 
 def _decode_worker_init(checkpoint, beam, input_path):
@@ -459,6 +468,8 @@ def cmd_eval(args):
             f"{len(decodes)} decodes")
     table = metrics.load_embeddings(args.embeddings) \
         if args.embeddings else None
+    if table is not None and len(table) == 0:
+        raise CliError(f"{args.embeddings}: no vectors")
 
     items = []
     for i, (system, ref_ex) in enumerate(zip(decodes, references)):
@@ -572,8 +583,8 @@ def run(argv) -> int:
     try:
         return args.func(args)
     except (CliError, cp.CorpusError, tr.TransitionError,
-            training.TrainingError, decoding.DecodingError,
-            metrics.MetricsError, ModelError, ad.AutodiffError,
+            training.TrainingError, metrics.MetricsError, ModelError,
+            ad.AutodiffError,
             OSError) as e:
         print(f"treesum {args.command}: {e}", file=sys.stderr)
         return 2 if isinstance(e, UsageError) else 1

@@ -3,11 +3,14 @@
 Each beam step runs in three phases.  Score: every live hypothesis is one
 row of a single batched pass through attention and both prediction heads
 (`Model.joint_step_distribution`).  Rank: each row's k best continuations
-are found with a partial sort over the union vocabulary, and the (parent, op,
-log-probability) triples of the whole beam are ranked together (`rank`).
-Step: only the K best unfinished candidates, plus the candidates that
-complete a tree, are advanced through `Model.step`; whether a reduce
+are found with a partial sort over the union vocabulary and built into
+`Candidate`s (`_candidates`), and the candidates of the whole beam are
+ranked together (`rank`).  Step: only the K best unfinished candidates,
+plus the candidates that complete a tree, are advanced; whether a reduce
 completes is known from the symbolic stack before any neural work.
+Greedy decoding takes each row's best candidate and forced completion its
+best reduce; all three step through `Candidate.advance`, the one place a
+stepped `Hypothesis` is built.
 
 Invalid operations are masked before ranking, so every hypothesis stays
 executable by construction and reaching the terminal reduce onto R is the
@@ -25,15 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transition as tr
-from .model import OP_INDEX, Model
+from .model import OP_INDEX, DecodingError, Model
 
 _RL_ORDER = OP_INDEX[tr.REDUCE_L]
 _RR_ORDER = OP_INDEX[tr.REDUCE_R]
-_GEN_ORDER_BASE = 2
-
-
-class DecodingError(Exception):
-    pass
+_GEN_ORDER_BASE = OP_INDEX[tr.GEN]
 
 
 @dataclass
@@ -90,13 +89,20 @@ class Candidate:
     op: tr.ParserOp
     score: float
     order: int
-    complete: bool              # the op reduces the last tree onto R
+
+    @property
+    def complete(self):
+        """Whether the op reduces the last tree onto R: only RR over one
+        tree above R does."""
+        return self.op == tr.RR and len(self.parent.state.symbolic.stack) == 2
 
     @property
     def order_key(self):
         return self.parent.order_key + (self.order,)
 
     def advance(self, model: Model) -> Hypothesis:
+        """Step the parent by the op; the one place a stepped `Hypothesis`
+        is built."""
         return Hypothesis(state=model.step(self.parent.state, self.op),
                           score=self.score, order_key=self.order_key)
 
@@ -131,27 +137,21 @@ def _row_candidates(op_probs, word_probs, k, src):
     return candidates[:k]
 
 
-def _candidate_ops(model, src, hyps, k, max_words):
-    """Per hypothesis, its top-k continuations; one scoring pass for all."""
+def _candidates(model, src, hyps, k, max_words):
+    """Per live hypothesis, its top-k continuations as `Candidate`s in
+    `_row_candidates` order; one scoring pass for all."""
     op_probs, word_probs = model.joint_step_distribution(
         [hyp.state for hyp in hyps], src, max_words)
-    return [_row_candidates(ops, words, k, src)
-            for ops, words in zip(op_probs, word_probs)]
+    return [[Candidate(hyp, op, hyp.score + logp, order)
+             for logp, order, op in _row_candidates(ops, words, k, src)]
+            for hyp, ops, words in zip(hyps, op_probs, word_probs)]
 
 
 def rank(model: Model, src, live, k, max_words):
     """Each live hypothesis's k best continuations as `Candidate`s,
     ranked across the whole beam, best first."""
-    if any(hyp.complete for hyp in live):
-        raise DecodingError("cannot rank continuations of a complete "
-                            "hypothesis")
-    ranked = []
-    for hyp, row in zip(live, _candidate_ops(model, src, live, k, max_words)):
-        for logp, order, op in row:
-            # only RR over one tree above R completes
-            complete = op == tr.RR and len(hyp.state.symbolic.stack) == 2
-            ranked.append(Candidate(hyp, op, hyp.score + logp, order,
-                                    complete))
+    ranked = [c for row in _candidates(model, src, live, k, max_words)
+              for c in row]
     ranked.sort(key=lambda c: (-c.score, c.order_key))
     return ranked
 
@@ -163,13 +163,9 @@ def _best(hyps, exponent):
 def force_complete(model: Model, src, hyp: Hypothesis, max_words):
     """Close an unfinished hypothesis with the most probable reduces."""
     while not hyp.complete:
-        ranked = _candidate_ops(model, src, [hyp], 1 + len(OP_INDEX),
-                                max_words)[0]
-        reduces = [c for c in ranked if c[2].kind != tr.GEN]
-        logp, order, op = reduces[0] if reduces else ranked[0]
-        hyp = Hypothesis(state=model.step(hyp.state, op),
-                         score=hyp.score + logp,
-                         order_key=hyp.order_key + (order,))
+        row = _candidates(model, src, [hyp], 1 + len(OP_INDEX), max_words)[0]
+        reduces = [c for c in row if c.op.kind != tr.GEN]
+        hyp = (reduces or row)[0].advance(model)
     return hyp
 
 
@@ -208,11 +204,8 @@ def greedy_decode(model: Model, src, config: BeamConfig) -> Hypothesis:
     """Argmax chain over the masked joint distribution."""
     hyp = Hypothesis(state=model.initial_state())
     for _ in range(config.step_limit):
-        logp, order, op = _candidate_ops(model, src, [hyp], 1,
-                                         config.max_words)[0][0]
-        hyp = Hypothesis(state=model.step(hyp.state, op),
-                         score=hyp.score + logp,
-                         order_key=hyp.order_key + (order,))
+        hyp = _candidates(model, src, [hyp], 1,
+                          config.max_words)[0][0].advance(model)
         if hyp.complete:
             return hyp
     return force_complete(model, src, hyp, config.max_words)

@@ -8,8 +8,8 @@ operation head (3-way) and the word head, which mixes vocabulary
 generation with copying from the source through a learned switch.
 
 In decoding the stack-LSTM is maintained incrementally by `Model.step`:
-GEN pushes an LSTM step over the new word embedding, a reduce pops two
-steps and pushes one over the composed pair.  By construction the
+GEN pushes the new word embedding, a reduce pops two entries and pushes
+their composition, both through one tree-LSTM push.  By construction the
 incremental states coincide with re-running the LSTM over the current
 stack bottom-to-top.  Every LSTM splits its pre-activations as
 ``z = zx + h @ w[E:]``: the input projection ``zx`` is one
@@ -43,6 +43,11 @@ OP_INDEX = {kind: i for i, kind in enumerate(OP_ORDER)}
 
 class ModelError(Exception):
     pass
+
+
+class DecodingError(ModelError):
+    """A decode that cannot go on.  `Model.joint_step_distribution` raises
+    it for a terminal state, the one place that check is made."""
 
 
 class SourceError(ModelError):
@@ -366,52 +371,43 @@ class Model:
         current weights, which every `step` of this decode indexes."""
         h = self.config.hidden_size
         base = (self._zeros(h), self._zeros(h))
-        after_root = ad.lstm_cell(
-            ad.lstm_input(self.root_embed, self.tree_cell), base[0], base[1],
-            self.tree_cell)
         return DecoderState(
             symbolic=tr.StackState(),
             stack_reps=(self.root_embed,),
-            tree_states=(base, after_root),
+            tree_states=(base, self._push(self.root_embed, base)),
             seq_state=(self.seq_init_h, self.seq_init_c),
             hist_state=(self.hist_init_h, self.hist_init_c),
             hist_inputs=ad.lstm_input(self.op_embed, self.hist_cell),
         )
 
+    def _push(self, rep, below):
+        """The tree LSTM's (h, c) after reading ``rep`` on top of ``below``."""
+        return ad.lstm_cell(ad.lstm_input(rep, self.tree_cell), *below,
+                            self.tree_cell)
+
     def step(self, state: DecoderState, op: tr.ParserOp) -> DecoderState:
-        """Advance every component by one operation."""
+        """Advance every component by one operation: GEN keeps the whole
+        stack and pushes the word's embedding, a reduce keeps all but the
+        top two entries and pushes their composition, and only GEN steps
+        the summary LSTM."""
         symbolic = tr.apply_op(state.symbolic, op)
         hist = ad.lstm_cell(ad.row(state.hist_inputs, OP_INDEX[op.kind]),
                             *state.hist_state, self.hist_cell)
+        keep, seq = len(state.stack_reps), state.seq_state
         if op.kind == tr.GEN:
             rep = self.word_embedding(op.word)
-            tree_top = ad.lstm_cell(ad.lstm_input(rep, self.tree_cell),
-                                    *state.tree_states[-1], self.tree_cell)
-            seq = ad.lstm_cell(ad.lstm_input(rep, self.seq_cell),
-                               *state.seq_state, self.seq_cell)
-            return DecoderState(
-                symbolic=symbolic,
-                stack_reps=state.stack_reps + (rep,),
-                tree_states=state.tree_states + (tree_top,),
-                seq_state=seq,
-                hist_state=hist,
-                hist_inputs=state.hist_inputs,
-            )
-        top, second = state.stack_reps[-1], state.stack_reps[-2]
-        if op.kind == tr.REDUCE_L:
-            rep = self.compose(top, second)
         else:
-            rep = self.compose(second, top)
-        tree_top = ad.lstm_cell(ad.lstm_input(rep, self.tree_cell),
-                                *state.tree_states[-3], self.tree_cell)
-        return DecoderState(
-            symbolic=symbolic,
-            stack_reps=state.stack_reps[:-2] + (rep,),
-            tree_states=state.tree_states[:-2] + (tree_top,),
-            seq_state=state.seq_state,   # carried: no word at reduce steps
-            hist_state=hist,
-            hist_inputs=state.hist_inputs,
-        )
+            keep -= 2
+            top, second = state.stack_reps[-1], state.stack_reps[-2]
+            rep = self.compose(top, second) if op.kind == tr.REDUCE_L \
+                else self.compose(second, top)
+        tree_states = state.tree_states[:keep + 1]
+        tree_states += (self._push(rep, tree_states[-1]),)
+        if op.kind == tr.GEN:
+            seq = ad.lstm_cell(ad.lstm_input(rep, self.seq_cell), *seq,
+                               self.seq_cell)
+        return DecoderState(symbolic, state.stack_reps[:keep] + (rep,),
+                            tree_states, seq, hist, state.hist_inputs)
 
     # ------------------------------------------------------------------
     # Prediction heads
@@ -497,7 +493,8 @@ class Model:
         """
         kinds = [tr.valid_ops(state.symbolic, max_words) for state in states]
         if not all(kinds):
-            raise ModelError("terminal state has no next-step distribution")
+            raise DecodingError("terminal state has no next-step "
+                                "distribution")
         gen_rows = list(range(len(states))) \
             if any(tr.GEN in k for k in kinds) else []
         logits, word_dist = self.score_rows(

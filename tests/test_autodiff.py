@@ -633,6 +633,15 @@ class TestCheckpoint:
         with pytest.raises(ad.CheckpointError, match="not a checkpoint"):
             ad.load_checkpoint(path)
 
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        rng = np.random.default_rng(13)
+        target = tmp_path / "model.ckpt"
+        target.mkdir()
+        with pytest.raises(OSError):
+            ad.save_checkpoint(
+                target, [ad.Parameter(ad.uniform_init(rng, (4,)), "p")])
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
     def test_duplicate_names_rejected(self, tmp_path):
         rng = np.random.default_rng(12)
         params = [ad.Parameter(ad.uniform_init(rng, (2,)), "p"),

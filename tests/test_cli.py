@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline."""
 
 import json
+import os
 import re
 import struct
 import zlib
@@ -653,3 +654,61 @@ class TestDecodeAndEval:
         assert status == 1
         assert not report.exists()
         assert not (tmp_path / "report.tsv.tmp").exists()
+
+
+def _exiting_worker(item):
+    os._exit(3)
+
+
+class TestFailuresAreReported:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bad_checkpoint_fails_alike_at_any_worker_count(
+            self, workdir, tmp_path, capsys, workers):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text("not a checkpoint")
+        decoded = tmp_path / "decoded.jsonl"
+        assert cli.run(["decode", "--checkpoint", str(bad),
+                        "--input", str(workdir["corpus"]),
+                        "--out", str(decoded), "--workers", workers]) == 1
+        assert capsys.readouterr().err.strip() == (
+            f"treesum decode: {bad}: not a checkpoint file")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ckpt"]
+        assert cli._WORKER_STATE == {}
+
+    def test_a_dead_worker_is_a_cli_error(self):
+        with pytest.raises(cli.CliError, match="worker process"):
+            cli._map_records(2, dict, (), _exiting_worker, [1, 2], 1)
+
+    def test_failed_rename_leaves_no_temp_file(self, workdir, tmp_path,
+                                               capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.run(["decode", "--checkpoint", str(workdir["ckpt"]),
+                        "--input", str(workdir["corpus"]), "--out", str(out),
+                        "--max-words", "3"]) == 1
+        assert "treesum decode: " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_embeddings_without_vectors_is_an_error(self, workdir, tmp_path,
+                                                     capsys, text):
+        argv = _eval_argv(tmp_path, _eval_inputs(workdir["examples"]))
+        vectors = tmp_path / "embeddings.txt"
+        vectors.write_text(text)
+        report = tmp_path / "report.tsv"
+        assert cli.run(argv + ["--out", str(report)]) == 1
+        assert capsys.readouterr().err.strip() == (
+            f"treesum eval: {vectors}: no vectors")
+        assert not report.exists()
+
+    def test_repeated_config_key_is_an_error(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("seed = 1\n# comment\nseed = 2\n")
+        corpus = tmp_path / "c.jsonl"
+        cp.save_corpus(corpus, toy_corpus(n=2, seed=5))
+        assert cli.run(["oracle", "--corpus", str(corpus),
+                        "--config", str(config)]) == 1
+        assert capsys.readouterr().err.strip() == (
+            f"treesum oracle: {config}:3: config key 'seed' repeated "
+            f"(first set at line 1)")

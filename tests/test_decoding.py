@@ -9,7 +9,7 @@ from treesum import autodiff as ad
 from treesum import decoding
 from treesum import transition as tr
 from treesum.decoding import BeamConfig, Hypothesis
-from treesum.model import OP_ORDER, Model
+from treesum.model import OP_INDEX, OP_ORDER, Model, ModelError
 from helpers import WALKTHROUGH_OPS, seeded_rng
 from test_model import tiny_model
 
@@ -317,3 +317,74 @@ class TestBeamConfig:
     def test_non_finite_or_negative_length_norm_rejected(self, length_norm):
         with pytest.raises(decoding.DecodingError, match="length_norm"):
             BeamConfig(length_norm=length_norm)
+
+
+class TestOneStepPath:
+    """Beam search, greedy decoding and forced completion share one
+    candidate builder and one `Candidate.advance`."""
+
+    def test_force_complete_takes_reduces_at_their_log_probability(self):
+        m = fresh(seed=4)
+        spread_params(m, 900)
+        favour_gen(m, 2.0)
+        src = m.prepare_source(["the", "cat", "sat", "mat"])
+        state = m.initial_state()
+        for word in ("cat", "sat"):
+            state = m.step(state, tr.gen(word))
+        start = Hypothesis(state=state, score=-1.5)
+        reduces = [OP_INDEX[tr.REDUCE_L], OP_INDEX[tr.REDUCE_R]]
+        op_probs, word_probs = m.joint_step_distribution([state], src, 5)
+        assert op_probs[0][reduces].min() > 0.0
+        assert word_probs[0].max() > op_probs[0][reduces].max()
+        # greedy would generate; a reduce still makes the top four
+        row = [c.op.kind for c in decoding.rank(m, src, [start], 4, 5)]
+        assert row[0] == tr.GEN and tr.REDUCE_L in row
+        done = decoding.force_complete(m, src, start, max_words=5)
+        assert done.complete
+        forced = done.ops[len(state.symbolic.ops):]
+        assert [op.kind for op in forced][-1] == tr.REDUCE_R
+        score = start.score
+        for op in forced:
+            assert op.kind != tr.GEN
+            op_probs, _ = m.joint_step_distribution([state], src, 5)
+            p = op_probs[0][OP_INDEX[op.kind]]
+            assert p == op_probs[0][reduces].max()   # the likelier reduce
+            score += math.log(p)
+            state = m.step(state, op)
+        assert done.score == score
+
+    def test_ranking_a_complete_hypothesis_raises_model_error(self):
+        m = fresh()
+        src = m.prepare_source(["the", "cat"])
+        live = Hypothesis(state=m.step(m.initial_state(), tr.gen("cat")))
+        done = Hypothesis(state=m.step(live.state, tr.RR))
+        for beam in ([done], [live, done]):
+            with pytest.raises(ModelError, match="terminal state"):
+                decoding.rank(m, src, beam, k=2, max_words=4)
+
+    @pytest.mark.parametrize("search", ["beam_search", "greedy_decode"])
+    def test_every_step_goes_through_candidate_advance(self, monkeypatch,
+                                                        search):
+        m = fresh(seed=2)
+        spread_params(m, 901)
+        favour_gen(m, 6.0)
+        src = m.prepare_source(["the", "cat", "sat", "mat"])
+        steps, advances = [], []
+        step, advance = Model.step, decoding.Candidate.advance
+
+        def counting_step(self, state, op):
+            steps.append(op)
+            return step(self, state, op)
+
+        def counting_advance(self, model):
+            advances.append(self.op)
+            return advance(self, model)
+
+        monkeypatch.setattr(Model, "step", counting_step)
+        monkeypatch.setattr(decoding.Candidate, "advance", counting_advance)
+        # two steps cannot finish a tree that GEN is favoured to grow, so
+        # forced completion runs too
+        hyp = getattr(decoding, search)(m, src, BeamConfig(
+            beam_size=3, max_words=5, max_steps=2))
+        assert hyp.complete and len(hyp.ops) > 2
+        assert steps == advances

@@ -614,3 +614,29 @@ class TestWeightsOnly:
         assert peak < 2.5 * size
         assert held < 1.2 * size
         assert all(p.grad is None for p in m.parameters())
+
+
+class TestOneTreePush:
+    def test_every_op_steps_the_tree_lstm_once(self, monkeypatch):
+        m = tiny_model()
+        cells = []
+        lstm_cell = ad.lstm_cell
+
+        def recording_cell(zx, h, c, params):
+            cells.append(params.w.name.split(".")[0])
+            return lstm_cell(zx, h, c, params)
+
+        monkeypatch.setattr(ad, "lstm_cell", recording_cell)
+        state = m.initial_state()
+        assert cells == ["tree_cell"]
+        for op, expected in ((tr.gen("cat"), ["hist_cell", "tree_cell",
+                                              "seq_cell"]),
+                             (tr.gen("sat"), ["hist_cell", "tree_cell",
+                                              "seq_cell"]),
+                             (tr.RL, ["hist_cell", "tree_cell"]),
+                             (tr.RR, ["hist_cell", "tree_cell"])):
+            cells.clear()
+            state = m.step(state, op)
+            assert cells == expected
+        assert state.is_terminal
+        assert len(state.tree_states) == len(state.stack_reps) + 1 == 2
