@@ -72,11 +72,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 import zlib
 
 import numpy as np
+
+from .files import atomic_output
 
 
 class AutodiffError(Exception):
@@ -895,34 +896,32 @@ _DTYPE_CODES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 
 
 def save_checkpoint(path, params, metadata=None):
-    """Write named parameter arrays plus a metadata record; see module doc."""
+    """Write named parameter arrays plus a metadata record; see module doc.
+
+    The header and each record go straight to the file (`atomic_output`)
+    under a running CRC, so no copy of the records is built; an array
+    already C-ordered in its little-endian dtype is written as it stands.
+    """
     params = list(params)
-    named = {p.name: p.data for p in params}
-    if len(named) != len(params):
+    if len({p.name for p in params}) != len(params):
         raise CheckpointError("duplicate parameter names")
     meta = json.dumps(metadata or {}).encode("utf-8")
-    chunks = [_MAGIC, struct.pack("<I", len(meta)), meta,
-              struct.pack("<I", len(named))]
-    for name, array in named.items():
-        encoded = name.encode("utf-8")
-        code = 8 if array.dtype == np.float64 else 4
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<BB", code, array.ndim))
-        chunks.append(struct.pack(f"<{array.ndim}I", *array.shape))
-        chunks.append(np.ascontiguousarray(
-            array, dtype=_DTYPE_CODES[code]).tobytes())
-    body = b"".join(chunks)
-    tmp = f"{path}.tmp"
-    fh = open(tmp, "wb")
-    try:
-        with fh:
-            fh.write(body)
-            fh.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)   # a failed write or rename leaves nothing behind
-        raise
+    crc = 0
+    with atomic_output(path, binary=True) as fh:
+        def write(chunk):
+            nonlocal crc
+            fh.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+
+        write(_MAGIC + struct.pack("<I", len(meta)) + meta
+              + struct.pack("<I", len(params)))
+        for p in params:
+            encoded = p.name.encode("utf-8")
+            code = 8 if p.data.dtype == np.float64 else 4
+            write(struct.pack("<H", len(encoded)) + encoded + struct.pack(
+                f"<BB{p.data.ndim}I", code, p.data.ndim, *p.data.shape))
+            write(np.ascontiguousarray(p.data, dtype=_DTYPE_CODES[code]))
+        fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
 
 
 def load_checkpoint(path):

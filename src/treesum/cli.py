@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -31,6 +30,7 @@ from . import decoding
 from . import metrics
 from . import training
 from . import transition as tr
+from .files import atomic_output
 from .model import Model, ModelConfig, ModelError
 
 logger = logging.getLogger(__name__)
@@ -138,21 +138,6 @@ def echo_config(config, command, inputs, out_path):
         json.dump(record, fh, indent=2)
         fh.write("\n")
     logger.info("resolved config written to %s.config", out_path)
-
-
-@contextmanager
-def atomic_output(path):
-    """Write to a temp file and rename on success; unlink the temp file on
-    any failure, the rename's included."""
-    tmp = f"{path}.tmp"
-    fh = open(tmp, "w", encoding="utf-8")
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _add_config_flags(parser, keys):
@@ -334,17 +319,7 @@ def cmd_decode(args):
 # ---------------------------------------------------------------------------
 
 def _json_records(path):
-    """(line number, object) for each non-blank line of a JSON-lines file."""
-    for lineno, line in cp.text_lines(path, CliError):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise CliError(f"{path}:{lineno}: invalid JSON: {e}")
-        if not isinstance(record, dict):
-            raise CliError(f"{path}:{lineno}: expected a JSON object")
-        yield lineno, record
+    return cp.json_records(path, CliError)
 
 
 def _parse_heads(where, heads, n):

@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import transition as tr
+from .files import atomic_output
 
 PAD, UNK, ROOT = "<pad>", "<unk>", "<root>"
 SPECIALS = (PAD, UNK, ROOT)
@@ -137,6 +138,22 @@ def text_lines(path, error):
             raise error(f"{path}: not UTF-8: {e}") from e
 
 
+def json_records(path, error):
+    """(line number, object) for each non-blank line of a JSON-lines file
+    (`text_lines`).  Invalid JSON, or a value that is no JSON object,
+    raises ``error`` naming the file and line."""
+    for lineno, line in text_lines(path, error):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise error(f"{path}:{lineno}: invalid JSON: {e}")
+        if not isinstance(record, dict):
+            raise error(f"{path}:{lineno}: expected a JSON object")
+        yield lineno, record
+
+
 def parse_heads(where, heads, error=CorpusError):
     """Head values as integers; any other value raises ``error`` naming
     ``where``."""
@@ -150,14 +167,8 @@ def load_corpus(path, require_heads=True) -> list:
     """Parse the JSON-lines corpus format, reporting the offending line
     number for malformed records."""
     examples = []
-    for lineno, line in text_lines(path, CorpusError):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise CorpusError(f"{path}:{lineno}: invalid JSON: {e}")
-        if not isinstance(record, dict) or "source" not in record:
+    for lineno, record in json_records(path, CorpusError):
+        if "source" not in record:
             raise CorpusError(f"{path}:{lineno}: missing 'source' field")
         for field in ("source", "summary"):
             if not isinstance(record.get(field, ""), str):
@@ -184,7 +195,8 @@ def load_corpus(path, require_heads=True) -> list:
 
 
 def save_corpus(path, examples):
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write examples in the corpus format, atomically (`atomic_output`)."""
+    with atomic_output(path) as fh:
         for ex in examples:
             fh.write(json.dumps({
                 "source": " ".join(ex.source),

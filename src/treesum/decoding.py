@@ -8,9 +8,12 @@ are found with a partial sort over the union vocabulary and built into
 ranked together (`rank`).  Step: only the K best unfinished candidates,
 plus the candidates that complete a tree, are advanced; whether a reduce
 completes is known from the symbolic stack before any neural work.
-Greedy decoding takes each row's best candidate and forced completion its
-best reduce; all three step through `Candidate.advance`, the one place a
-stepped `Hypothesis` is built.
+Greedy decoding takes each row's best candidate.  Forced completion
+takes the likelier valid reduce straight from the op row of the joint
+distribution (RL on a tie), however likely a word is, at that op's
+unrenormalised log-probability; only a stack with no tree above R, where
+no reduce is valid, generates.  All three step through
+`Candidate.advance`, the one place a stepped `Hypothesis` is built.
 
 Invalid operations are masked before ranking, so every hypothesis stays
 executable by construction and reaching the terminal reduce onto R is the
@@ -161,11 +164,30 @@ def _best(hyps, exponent):
 
 
 def force_complete(model: Model, src, hyp: Hypothesis, max_words):
-    """Close an unfinished hypothesis with the most probable reduces."""
+    """Close an unfinished hypothesis with reduces.
+
+    Each step takes the likelier valid reduce of the op row of
+    `Model.joint_step_distribution`, RL on a tie, however likely the best
+    word is, and adds that op's log-probability, not renormalised over the
+    reduces.  Only a stack with no tree above R, where no reduce is valid,
+    takes its best GEN instead.
+    """
     while not hyp.complete:
-        row = _candidates(model, src, [hyp], 1 + len(OP_INDEX), max_words)[0]
-        reduces = [c for c in row if c.op.kind != tr.GEN]
-        hyp = (reduces or row)[0].advance(model)
+        depth = len(hyp.state.symbolic.stack)   # R included
+        if depth < 2:
+            candidate = _candidates(model, src, [hyp], 1, max_words)[0][0]
+        else:
+            op_probs = model.joint_step_distribution(
+                [hyp.state], src, max_words)[0][0]
+            rl, rr = op_probs[_RL_ORDER], op_probs[_RR_ORDER]
+            if depth > 2 and rl >= rr:   # RL needs two trees above R
+                order, op, p = _RL_ORDER, tr.RL, rl
+            else:
+                order, op, p = _RR_ORDER, tr.RR, rr
+            # a reduce whose mass underflows to 0 still closes the tree
+            logp = math.log(p) if p > 0.0 else -math.inf
+            candidate = Candidate(hyp, op, hyp.score + logp, order)
+        hyp = candidate.advance(model)
     return hyp
 
 

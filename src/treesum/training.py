@@ -339,7 +339,14 @@ def train(model: Model, train_examples, dev_examples=None,
     ``clip_share`` (the share of gradient values clipping changed) are
     means over the epoch's batches; ``unk_targets`` counts gold words
     scored as UNK.  ``stop`` optionally ends training early when it
-    returns True for an epoch row.
+    returns True for an epoch row; it is called once for each epoch that
+    does not stop early on patience.
+
+    The best epoch's weights are copied only while a later epoch can still
+    change them: not before epoch 1 (every loss is finite, so epoch 1
+    always improves on the start), and not after an epoch that ends the
+    run, the last one or one that ``stop`` or patience ends.  They are
+    copied back only when the run ended on a worse epoch.
     """
     config = config or TrainConfig()
     if not train_examples:
@@ -352,8 +359,8 @@ def train(model: Model, train_examples, dev_examples=None,
     adam = AdamState(params)
     rng = np.random.default_rng(config.seed)
     history = []
-    best = {"dev_loss": float("inf"),
-            "params": {p.name: p.data.copy() for p in params}}
+    best_loss = math.inf
+    best_params = None   # a copy of the best weights, once a later epoch runs
     if checkpoint_path is not None:
         model.save(checkpoint_path)
     stale = 0
@@ -402,12 +409,11 @@ def train(model: Model, train_examples, dev_examples=None,
         if log is not None:
             log("%d\t%.6f\t%.6f\t%.4f\t%.4f\t%.3f\t%.2f\t%.6g\t%.6f\t%d"
                 % tuple(row.values()))
-        if dev_loss < best["dev_loss"]:
-            best = {"dev_loss": dev_loss,
-                    "params": {p.name: p.data.copy() for p in params}}
+        improved = dev_loss < best_loss
+        if improved:
+            best_loss, best_params, stale = dev_loss, None, 0
             if checkpoint_path is not None:
                 model.save(checkpoint_path)
-            stale = 0
         else:
             stale += 1
             if stale >= config.patience:
@@ -416,6 +422,9 @@ def train(model: Model, train_examples, dev_examples=None,
         if stop is not None and stop(row):
             logger.info("stop condition met after epoch %d", epoch)
             break
-    for p in params:
-        p.data = best["params"][p.name]
+        if improved and epoch < config.epochs:
+            best_params = [p.data.copy() for p in params]
+    if best_params is not None:   # a worse epoch ran after the best one
+        for p, data in zip(params, best_params):
+            p.data = data
     return history

@@ -1,7 +1,10 @@
 """Autodiff core: primitives, LSTM cell, backward, checkpoints."""
 
 import gc
+import json
+import struct
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -632,6 +635,31 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\0" * 16)
         with pytest.raises(ad.CheckpointError, match="not a checkpoint"):
             ad.load_checkpoint(path)
+
+    def test_bytes_follow_the_documented_layout(self, tmp_path):
+        rng = np.random.default_rng(14)
+        params = [
+            ad.Parameter(ad.uniform_init(rng, (3, 4), 0.1, np.float32), "w"),
+            ad.Parameter(np.asfortranarray(
+                ad.uniform_init(rng, (2, 5), 0.1, np.float64)), "dec.\u00e9"),
+            ad.Parameter(np.zeros((0, 2), np.float32), "empty"),
+        ]
+        meta = {"hidden": 256, "vocab": ["\u00e9t\u00e9"]}
+        path = tmp_path / "model.ckpt"
+        ad.save_checkpoint(path, params, metadata=meta)
+        encoded = json.dumps(meta).encode("utf-8")
+        body = b"TSCKPT01" + struct.pack("<I", len(encoded)) + encoded
+        body += struct.pack("<I", len(params))
+        for p in params:
+            name = p.name.encode("utf-8")
+            body += struct.pack("<H", len(name)) + name
+            body += struct.pack("<B", p.data.dtype.itemsize)
+            body += struct.pack("<B", p.data.ndim)
+            body += b"".join(struct.pack("<I", d) for d in p.data.shape)
+            body += p.data.astype(p.data.dtype.newbyteorder("<")).tobytes(
+                order="C")
+        body += struct.pack("<I", zlib.crc32(body))
+        assert path.read_bytes() == body
 
     def test_failed_rename_leaves_no_temp_file(self, tmp_path):
         rng = np.random.default_rng(13)

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import stat
 import struct
 import zlib
 
@@ -652,8 +653,7 @@ class TestDecodeAndEval:
             "eval", "--decoded", str(tmp_path / "missing.jsonl"),
             "--reference", str(workdir["corpus"]), "--out", str(report)])
         assert status == 1
-        assert not report.exists()
-        assert not (tmp_path / "report.tsv.tmp").exists()
+        assert os.listdir(tmp_path) == []
 
 
 def _exiting_worker(item):
@@ -712,3 +712,68 @@ class TestFailuresAreReported:
         assert capsys.readouterr().err.strip() == (
             f"treesum oracle: {config}:3: config key 'seed' repeated "
             f"(first set at line 1)")
+
+
+class TestAtomicOutput:
+    """Every output goes through a fresh, exclusively created temp file."""
+
+    USER_DATA = "kept by the user\n"
+
+    @staticmethod
+    def argv(command, workdir, tmp_path):
+        if command == "oracle":
+            return ["oracle", "--corpus", str(workdir["corpus"])]
+        if command == "decode":
+            return ["decode", "--checkpoint", str(workdir["ckpt"]),
+                    "--input", str(workdir["corpus"]), "--max-words", "3"]
+        return _eval_argv(tmp_path, _eval_inputs(workdir["examples"]))
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["ok", "failed"])
+    @pytest.mark.parametrize("command", ["oracle", "decode", "eval"])
+    def test_a_users_tmp_file_is_left_alone(self, workdir, tmp_path,
+                                            command, fails):
+        argv = self.argv(command, workdir, tmp_path)
+        out = tmp_path / "out"
+        if fails:
+            out.mkdir()   # the rename onto a directory fails
+        (tmp_path / "out.tmp").write_text(self.USER_DATA)
+        before = set(os.listdir(tmp_path))
+        assert cli.run(argv + ["--out", str(out)]) == int(fails)
+        assert (tmp_path / "out.tmp").read_text() == self.USER_DATA
+        written = set() if fails else {"out", "out.config"}
+        assert set(os.listdir(tmp_path)) == before | written
+        if fails:
+            assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["ok", "failed"])
+    def test_model_save_leaves_a_users_tmp_file_alone(self, workdir,
+                                                      tmp_path, fails):
+        out = tmp_path / "model.ckpt"
+        if fails:
+            out.mkdir()
+        (tmp_path / "model.ckpt.tmp").write_text(self.USER_DATA)
+        model = Model.load(workdir["ckpt"])
+        if fails:
+            with pytest.raises(OSError):
+                model.save(out)
+            assert os.listdir(out) == []
+        else:
+            model.save(out)
+            assert out.read_bytes() == workdir["ckpt"].read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["model.ckpt",
+                                                "model.ckpt.tmp"]
+        assert (tmp_path / "model.ckpt.tmp").read_text() == self.USER_DATA
+
+    def test_outputs_get_the_mode_open_gives(self, workdir, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            (tmp_path / "opened").open("w").close()
+            assert cli.run(self.argv("oracle", workdir, tmp_path)
+                           + ["--out", str(tmp_path / "out")]) == 0
+            Model.load(workdir["ckpt"]).save(tmp_path / "model.ckpt")
+        finally:
+            os.umask(umask)
+        modes = {path.name: stat.S_IMODE(path.stat().st_mode)
+                 for path in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(
+            ["opened", "out", "out.config", "model.ckpt"], 0o640)

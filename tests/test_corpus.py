@@ -117,6 +117,14 @@ class TestLoadCorpus:
         with pytest.raises(cp.CorpusError, match=":2:"):
             cp.load_corpus(path)
 
+    def test_line_that_is_no_object_names_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"source": "a", "summary": "a", "heads": [0]}\n'
+                        '["source"]\n')
+        with pytest.raises(cp.CorpusError,
+                           match=":2: expected a JSON object"):
+            cp.load_corpus(path)
+
     def test_round_trip_preserves_fields(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         examples = [

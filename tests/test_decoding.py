@@ -1,6 +1,7 @@
 """Beam search: ranking, masking, termination, determinism."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -136,7 +137,8 @@ def reference_beam(model, src, config):
     if not done:
         hyp = best(live)
         while not hyp.complete:
-            ranked = candidates(hyp, 4)
+            # every continuation, so the likelier valid reduce is in it
+            ranked = candidates(hyp, sys.maxsize)
             reduces = [c for c in ranked if c[2].kind != tr.GEN]
             hyp = child(hyp, *(reduces or ranked)[0])
         done.append(hyp)
@@ -352,6 +354,21 @@ class TestOneStepPath:
             score += math.log(p)
             state = m.step(state, op)
         assert done.score == score
+
+    def test_force_complete_reduces_when_words_outscore_both_reduces(self):
+        m = fresh(seed=4)
+        spread_params(m, 900)
+        favour_gen(m, 3.0)
+        src = m.prepare_source(["the", "cat", "sat", "mat"])
+        state = m.initial_state()
+        for word in ("cat", "sat"):
+            state = m.step(state, tr.gen(word))
+        # four words outscore both reduces, so no reduce is in the top four
+        row = [c.op.kind for c in decoding.rank(m, src, [Hypothesis(state)],
+                                               4, 5)]
+        assert row == [tr.GEN] * 4
+        done = decoding.force_complete(m, src, Hypothesis(state), max_words=5)
+        assert done.ops[len(state.symbolic.ops):] == (tr.RL, tr.RR)
 
     def test_ranking_a_complete_hypothesis_raises_model_error(self):
         m = fresh()

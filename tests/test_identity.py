@@ -1,5 +1,5 @@
 """tools/identity.py: the parent-vs-change check, run with this checkout
-on both sides, reports equal ops and zero deltas."""
+on both sides, reports equal ops and checkpoints and zero deltas."""
 
 import json
 import os
@@ -24,3 +24,5 @@ def test_same_checkout_on_both_sides_reports_no_delta():
         grads = report["grad_delta"][dtype]
         assert "word_out_w" in grads and "hist_cell.w" in grads
         assert set(grads.values()) == {0.0}, dtype
+    assert report["checkpoint_equal"] is True
+    assert report["train_weight_delta"] == 0.0

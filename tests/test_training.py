@@ -595,6 +595,55 @@ class TestTrainLoop:
                            config=training.TrainConfig(epochs=1))
 
 
+class TestBestEpoch:
+    """Early stopping keeps the best dev epoch's weights; dev losses are
+    scripted, the training steps are real."""
+
+    @staticmethod
+    def script_dev_losses(monkeypatch, model, losses):
+        """Make `training.evaluate` return ``losses`` in turn; returns the
+        list of the weights each call saw, the weights after each epoch."""
+        after = []
+
+        def evaluate(*args):
+            after.append([p.data.copy() for p in model.parameters()])
+            return losses[len(after) - 1], training.StepStats()
+
+        monkeypatch.setattr(training, "evaluate", evaluate)
+        return after
+
+    def test_worse_epochs_restore_the_best_and_stop_on_patience(
+            self, monkeypatch):
+        examples = toy_corpus(n=4, seed=2)
+        m = _toy_model(examples, hidden=8, embed=8, seed=1)
+        after = self.script_dev_losses(monkeypatch, m, [3.0, 2.0, 2.5, 2.6])
+        rows = []
+        history = training.train(
+            m, examples, config=training.TrainConfig(
+                batch_size=4, epochs=10, patience=2, seed=3),
+            stop=rows.append)
+        assert [row["dev_loss"] for row in history] == [3.0, 2.0, 2.5, 2.6]
+        assert rows == history[:3]   # not called for the epoch that stops
+        assert not np.array_equal(after[1][0], after[3][0])
+        for p, best in zip(m.parameters(), after[1]):
+            np.testing.assert_array_equal(p.data, best)
+
+    @pytest.mark.parametrize("epochs, stop_at", [(1, None), (5, 2)],
+                             ids=["one_epoch", "stop_after_improving"])
+    def test_a_best_final_epoch_keeps_the_trained_arrays(
+            self, monkeypatch, epochs, stop_at):
+        examples = toy_corpus(n=4, seed=2)
+        m = _toy_model(examples, hidden=8, embed=8, seed=1)
+        self.script_dev_losses(monkeypatch, m, [3.0, 2.0, 1.0, 0.5, 0.2])
+        arrays = [p.data for p in m.parameters()]
+        history = training.train(
+            m, examples, config=training.TrainConfig(
+                batch_size=4, epochs=epochs, seed=3),
+            stop=lambda row: row["epoch"] == stop_at)
+        assert len(history) == (stop_at or epochs)
+        assert all(p.data is a for p, a in zip(m.parameters(), arrays))
+
+
 def per_step_fold_loss(model, tokens, ops):
     """Reference loss of one gold sequence in which every reduce composes
     inside `Model.step`, in the order the sequence reduces."""

@@ -16,17 +16,24 @@ on the same inputs, from this checkout's ``perfbench/gen.py``:
 - float32 and float64 freshly built weights per seed, so a change to
   weight initialisation is checked directly;
 - float32 and float64 ``training.batch_loss`` gradients on ``--pairs``
-  paper-shaped pairs per seed.
+  paper-shaped pairs per seed;
+- the sha256 of the checkpoint ``Model.save`` writes of each of those
+  fresh models;
+- the final weights of a short ``training.train`` per seed on the toy
+  corpus, whose dev losses are scripted (``DEV_LOSSES``) so that it
+  restores an earlier epoch and stops early.
 
 It prints one JSON line: whether every decode has the same ops, the
-largest score delta, and per dtype the largest weight delta, the largest
-loss delta and the largest gradient delta per parameter.  It exits 1 when
-the ops differ.
+largest score delta, per dtype the largest weight delta, the largest
+loss delta and the largest gradient delta per parameter, whether every
+checkpoint is byte-equal, and the largest final-weight delta of the
+training runs.  It exits 1 when the ops differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -41,6 +48,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 DECODE_SOURCES = {1: 8, 10: 2}   # per beam size, as the benchmark decodes
 DTYPES = ("float32", "float64")
+# epoch 2 is best and patience 2 ends the run after epoch 4
+DEV_LOSSES = (3.0, 2.0, 2.5, 2.6, 2.7, 2.8)
 
 
 def _ints(text):
@@ -73,9 +82,36 @@ def paper_model(ts, gen, seed, dtype):
     return ts.Model(config, in_vocab, out_vocab, seed=seed, dtype=dtype)
 
 
+def checkpoint_digest(model, directory):
+    path = os.path.join(directory, "model.ckpt")
+    model.save(path)
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def toy_train(ts, examples, seed):
+    """The final weights of a short `train` on ``examples`` whose dev
+    losses are ``DEV_LOSSES``, whatever the weights."""
+    in_vocab = ts.build_vocab(examples, "input", min_freq=1)
+    out_vocab = ts.build_vocab(examples, "output")
+    config = ts.ModelConfig(input_vocab_size=len(in_vocab),
+                            output_vocab_size=len(out_vocab),
+                            hidden_size=16, embed_size=16)
+    model = ts.Model(config, in_vocab, out_vocab, seed=seed)
+    losses = iter(DEV_LOSSES)
+    ts.training.evaluate = lambda *args: (next(losses),
+                                          ts.training.StepStats())
+    history = ts.train(model, examples, config=ts.TrainConfig(
+        batch_size=4, epochs=len(DEV_LOSSES), patience=2, seed=seed))
+    if len(history) != 4:
+        raise SystemExit(f"toy train ran {len(history)} epochs, not 4")
+    return {p.name: p.data for p in model.parameters()}
+
+
 def run_side(src, args):
-    """Decode ops and scores, fresh weights and gradients, of the package
-    under ``src``, saved to ``args.out``."""
+    """Decode ops and scores, fresh weights, gradients and checkpoints,
+    and toy-trained weights, of the package under ``src``, saved to
+    ``args.out``."""
     sys.path[:0] = [src, PERFBENCH]
     import gen
     import treesum as ts
@@ -111,6 +147,8 @@ def run_side(src, args):
             model = paper_model(ts, gen, seed, np.dtype(dtype))
             for p in model.parameters():
                 out[f"weight/{seed}/{dtype}/{p.name}"] = p.data
+            out[f"checkpoint/{seed}/{dtype}"] = np.array(
+                checkpoint_digest(model, os.path.dirname(args.out)))
             ad.zero_grads(model.parameters())
             with ad.Tape() as tape:
                 loss, _ = training.batch_loss(model, instances)
@@ -118,6 +156,10 @@ def run_side(src, args):
             out[f"loss/{seed}/{dtype}"] = np.array(loss.item())
             for p in model.parameters():
                 out[f"grad/{seed}/{dtype}/{p.name}"] = p.grad
+    toy = workloads.examples(ts, gen.toy_corpus(12))
+    for seed in args.seeds:
+        for name, data in toy_train(ts, toy, seed).items():
+            out[f"trained/{seed}/{name}"] = data
     np.savez(args.out, **out)
 
 
@@ -154,7 +196,8 @@ def compare(parent, change):
     report = {"ops_equal": True, "decodes": 0, "score_delta": 0.0,
               "weight_delta": {d: 0.0 for d in DTYPES},
               "loss_delta": {d: 0.0 for d in DTYPES},
-              "grad_delta": {d: {} for d in DTYPES}}
+              "grad_delta": {d: {} for d in DTYPES},
+              "checkpoint_equal": True, "train_weight_delta": 0.0}
     for key in sorted(parent.files):
         kind, *rest = key.split("/")
         a, b = parent[key], change[key]
@@ -162,9 +205,15 @@ def compare(parent, change):
             report["ops_equal"] &= bool(np.array_equal(a, b))
             report["decodes"] += a.size
             continue
+        if kind == "checkpoint":
+            report["checkpoint_equal"] &= bool(np.array_equal(a, b))
+            continue
         delta = float(np.abs(a.astype(np.float64) - b).max())
         if kind == "scores":
             report["score_delta"] = max(report["score_delta"], delta)
+        elif kind == "trained":
+            report["train_weight_delta"] = max(report["train_weight_delta"],
+                                               delta)
         elif kind in ("weight", "loss"):
             deltas = report[f"{kind}_delta"]
             deltas[rest[1]] = max(deltas[rest[1]], delta)
