@@ -14,8 +14,9 @@ of the recurrence.  `lstm_cell` takes that ``zx`` and runs one LSTM step,
 only the recurrent product ``h @ w[E:]``; its new cell and hidden states
 are one node each.  `lstm_scan`, a whole recurrence over a forest of rows
 whose inputs are known up front, is no primitive: it runs one `lstm_cell`
-per level of the forest.  Every primitive checks its output for NaN/Inf
-and raises `NonFiniteError` on the first occurrence.
+per level of the forest.  An `LstmParams` holds the two Parameters it is
+given, drawing nothing.  Every primitive checks its output for NaN/Inf and
+raises `NonFiniteError` on the first occurrence.
 
 A tape keeps gradient slots apart from data.  Each taped output is a
 `Tensor` holding its array and a small `Node`: the output's gradient, its
@@ -47,9 +48,11 @@ gradients to the same flush, each into its own block of rows of ``w``:
 `lstm_input` into the input rows ``[:E]``, `lstm_cell` into the recurrent
 rows ``[E:]``.
 
-A checkpoint is rejected unless its records end exactly at the checksum,
-no parameter name repeats, and each record has at most 32 dimensions, no
-more values than the bytes left hold, and only finite values.
+`load_checkpoint` checks the CRC over the file read in blocks before it
+parses anything, then reads each record straight into its own array.  A
+checkpoint is rejected unless its records end exactly at the checksum, no
+parameter name repeats, and each record has at most 32 dimensions, no more
+values than the bytes left hold, and only finite values.
 
 Checkpoint container byte layout (version ``TSCKPT01``, all integers
 little-endian, arrays C-order):
@@ -72,6 +75,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 
@@ -644,18 +648,15 @@ def constant(value, dtype=np.float32) -> Tensor:
 class LstmParams:
     """Weights of one LSTM cell: z = [x || h] @ w + b, gate order i,f,g,o.
 
+    Holds the Parameters ``w`` (E + H, 4H) and ``b`` (4H,) it is given.
     The rows ``w[:E]`` (E the input size) take the input, the rows
     ``w[E:]`` the previous hidden state; `lstm_input` applies the first
     block and the bias, `lstm_cell` the second.
     """
 
-    def __init__(self, input_size, hidden_size, name, rng, dtype=np.float32,
-                 scale=0.1):
-        self.hidden_size = hidden_size
-        self.w = Parameter(
-            uniform_init(rng, (input_size + hidden_size, 4 * hidden_size),
-                         scale, dtype), f"{name}.w")
-        self.b = Parameter(np.zeros(4 * hidden_size, dtype=dtype), f"{name}.b")
+    def __init__(self, w: Parameter, b: Parameter):
+        self.w, self.b = w, b
+        self.hidden_size = b.shape[0] // 4
 
     @property
     def input_size(self):
@@ -892,6 +893,7 @@ def grad_check(f, params, samples_per_param=8, step=1e-5):
 
 _MAGIC = b"TSCKPT01"
 _MAX_NDIM = 32
+_READ_BLOCK = 1 << 20
 _DTYPE_CODES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 
 
@@ -925,64 +927,71 @@ def save_checkpoint(path, params, metadata=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (name -> array dict, metadata dict)."""
+    """Read a checkpoint; returns (name -> array dict, metadata dict).
+    The CRC is checked first, _READ_BLOCK bytes at a time; each record is
+    then read (``readinto``) into its own array, so no copy is held."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(_MAGIC) + 8 or blob[:len(_MAGIC)] != _MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    # a view, not a second copy of the file
-    body = memoryview(blob)[:-4]
-    if struct.unpack("<I", blob[-4:])[0] != (zlib.crc32(body) & 0xFFFFFFFF):
-        raise CheckpointError(f"{path}: checksum mismatch")
-    view = body[len(_MAGIC):]
+        size = os.fstat(fh.fileno()).st_size
+        if size < len(_MAGIC) + 8 or fh.read(len(_MAGIC)) != _MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file")
+        left = size - len(_MAGIC) - 4     # the bytes between magic and CRC
+        crc = zlib.crc32(_MAGIC)
+        for start in range(0, left, _READ_BLOCK):
+            crc = zlib.crc32(fh.read(min(_READ_BLOCK, left - start)), crc)
+        if struct.unpack("<I", fh.read(4))[0] != crc:
+            raise CheckpointError(f"{path}: checksum mismatch")
+        fh.seek(len(_MAGIC))
 
-    def take(n):
-        nonlocal view
-        if len(view) < n:
-            raise CheckpointError(f"{path}: truncated")
-        chunk, view = view[:n], view[n:]
-        return chunk
+        def take(n):
+            nonlocal left
+            if left < n:
+                raise CheckpointError(f"{path}: truncated")
+            left -= n
+            return fh.read(n)
 
-    def text(n):
+        def text(n):
+            try:
+                return take(n).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointError(f"{path}: text is not UTF-8: {e}") from e
+
+        meta_len = struct.unpack("<I", take(4))[0]
         try:
-            return bytes(take(n)).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise CheckpointError(f"{path}: text is not UTF-8: {e}") from e
-
-    meta_len = struct.unpack("<I", take(4))[0]
-    try:
-        metadata = json.loads(text(meta_len))
-    except json.JSONDecodeError as e:
-        raise CheckpointError(f"{path}: metadata is not JSON: {e}") from e
-    if not isinstance(metadata, dict):
-        raise CheckpointError(f"{path}: metadata is not a JSON object")
-    count = struct.unpack("<I", take(4))[0]
-    arrays = {}
-    for _ in range(count):
-        name_len = struct.unpack("<H", take(2))[0]
-        name = text(name_len)
-        if name in arrays:
-            raise CheckpointError(f"{path}: parameter {name!r} repeated")
-        code, ndim = struct.unpack("<BB", take(2))
-        if code not in _DTYPE_CODES:
-            raise CheckpointError(f"{path}: unknown dtype code {code}")
-        if ndim > _MAX_NDIM:
-            raise CheckpointError(f"{path}: parameter {name!r} has {ndim} "
-                                  f"dimensions, at most {_MAX_NDIM} allowed")
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        dtype = _DTYPE_CODES[code]
-        # Python ints: a product of u32 dimensions must not wrap around
-        nbytes = math.prod(shape) * dtype.itemsize
-        if nbytes > len(view):
-            raise CheckpointError(
-                f"{path}: parameter {name!r} of shape {shape} needs {nbytes} "
-                f"bytes, {len(view)} left")
-        arrays[name] = np.frombuffer(
-            take(nbytes), dtype=dtype).reshape(shape).copy()
-        if not np.isfinite(arrays[name]).all():
-            raise CheckpointError(
-                f"{path}: parameter {name!r} holds non-finite values")
-    if len(view):
+            metadata = json.loads(text(meta_len))
+        except json.JSONDecodeError as e:
+            raise CheckpointError(f"{path}: metadata is not JSON: {e}") from e
+        if not isinstance(metadata, dict):
+            raise CheckpointError(f"{path}: metadata is not a JSON object")
+        count = struct.unpack("<I", take(4))[0]
+        arrays = {}
+        for _ in range(count):
+            name_len = struct.unpack("<H", take(2))[0]
+            name = text(name_len)
+            if name in arrays:
+                raise CheckpointError(f"{path}: parameter {name!r} repeated")
+            code, ndim = struct.unpack("<BB", take(2))
+            if code not in _DTYPE_CODES:
+                raise CheckpointError(f"{path}: unknown dtype code {code}")
+            if ndim > _MAX_NDIM:
+                raise CheckpointError(f"{path}: parameter {name!r} has {ndim} "
+                                      f"dimensions, at most {_MAX_NDIM} "
+                                      f"allowed")
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            dtype = _DTYPE_CODES[code]
+            # Python ints: a product of u32 dimensions must not wrap around
+            nbytes = math.prod(shape) * dtype.itemsize
+            if nbytes > left:
+                raise CheckpointError(
+                    f"{path}: parameter {name!r} of shape {shape} needs "
+                    f"{nbytes} bytes, {left} left")
+            arrays[name] = np.empty(shape, dtype=dtype)
+            left -= nbytes
+            if fh.readinto(arrays[name]) != nbytes:
+                raise CheckpointError(f"{path}: truncated")
+            if not np.isfinite(arrays[name]).all():
+                raise CheckpointError(
+                    f"{path}: parameter {name!r} holds non-finite values")
+    if left:
         raise CheckpointError(
-            f"{path}: {len(view)} trailing bytes after the last record")
+            f"{path}: {left} trailing bytes after the last record")
     return arrays, metadata

@@ -318,10 +318,6 @@ def cmd_decode(args):
 # eval
 # ---------------------------------------------------------------------------
 
-def _json_records(path):
-    return cp.json_records(path, CliError)
-
-
 def _parse_heads(where, heads, n):
     """Integer heads of an n-word parse, each in 0..n (0 is the root)."""
     heads = cp.parse_heads(where, heads, CliError)
@@ -334,7 +330,7 @@ def _parse_heads(where, heads, n):
 
 def _load_decodes(path):
     records = []
-    for lineno, record in _json_records(path):
+    for lineno, record in cp.json_records(path, CliError):
         for field in ("summary", "heads"):
             if field not in record:
                 raise CliError(f"{path}:{lineno}: missing {field!r}")
@@ -349,7 +345,7 @@ def _load_decodes(path):
 
 def _load_parses(path):
     parses = []
-    for lineno, record in _json_records(path):
+    for lineno, record in cp.json_records(path, CliError):
         if "words" not in record or "heads" not in record:
             raise CliError(f"{path}:{lineno}: need 'words' and 'heads'")
         words = record["words"]

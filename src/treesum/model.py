@@ -28,6 +28,7 @@ runs each one over the whole batch the same way (see
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ from . import transition as tr
 # order during decoding.
 OP_ORDER = (tr.REDUCE_L, tr.REDUCE_R, tr.GEN)
 OP_INDEX = {kind: i for i, kind in enumerate(OP_ORDER)}
+DECODER_CELLS = ("tree_cell", "seq_cell", "hist_cell")
 
 
 class ModelError(Exception):
@@ -72,7 +74,8 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("input_vocab_size", "output_vocab_size", "hidden_size",
                      "embed_size", "encoder_layers", "max_source_len"):
-            if getattr(self, name) <= 0:
+            # a float size fails here, not in a model's arrays or later
+            if operator.index(getattr(self, name)) <= 0:
                 raise ModelError(f"{name} must be positive")
 
     def to_dict(self):
@@ -177,83 +180,65 @@ class DecoderState:
         return self.symbolic.is_terminal
 
 
+def parameter_table(config: ModelConfig):
+    """Every parameter as (name, shape, drawn), in draw and checkpoint
+    order; a drawn one starts uniform in [-0.1, 0.1], the rest at zero."""
+    h, e, ops = config.hidden_size, config.embed_size, len(OP_ORDER)
+    feat = 2 * h + 2 * h  # decoder states plus context vector
+    table = [("src_embed", (config.input_vocab_size, e), True),
+             ("out_embed", (config.output_vocab_size, e), True),
+             ("root_embed", (e,), True), ("op_embed", (ops, e), True)]
+    cells = [(f"encoder.{layer}.{side}", 2 * h if layer else e)
+             for layer in range(config.encoder_layers)
+             for side in ("fwd", "bwd")] + [(c, e) for c in DECODER_CELLS]
+    for cell, in_size in cells:
+        table += [(f"{cell}.w", (in_size + h, 4 * h), True),
+                  (f"{cell}.b", (4 * h,), False)]
+    return table + [(name, (h,), False) for name in (
+        "seq_init_h", "seq_init_c", "hist_init_h", "hist_init_c")] + [
+        ("compose_w", (2 * e, e), True), ("compose_b", (e,), False),
+        ("attn_dec_w", (2 * h, h), True), ("attn_enc_w", (2 * h, h), True),
+        ("attn_v", (h,), True),
+        ("op_hidden_w", (feat, h), True), ("op_hidden_b", (h,), False),
+        ("op_out_w", (h, ops), True),
+        ("word_hidden_w", (feat, h), True), ("word_hidden_b", (h,), False),
+        ("word_out_w", (h, config.output_vocab_size), True),
+        ("switch_w", (feat, 1), True), ("switch_b", (1,), False)]
+
+
 class Model:
-    """Parameter container plus all forward computations."""
+    """Parameters, one per `parameter_table` entry, and all forward passes."""
 
     def __init__(self, config: ModelConfig, input_vocab, output_vocab,
                  seed=13, dtype=np.float32):
-        if len(input_vocab) != config.input_vocab_size:
-            raise ModelError("input vocab size disagrees with config")
-        if len(output_vocab) != config.output_vocab_size:
-            raise ModelError("output vocab size disagrees with config")
-        self.config = config
-        self.input_vocab = input_vocab
-        self.output_vocab = output_vocab
-        self.dtype = np.dtype(dtype)
+        _check_vocab_sizes(config, input_vocab, output_vocab)
         rng = np.random.default_rng(seed)
-        h, e = config.hidden_size, config.embed_size
+        self._build(config, input_vocab, output_vocab, {
+            name: ad.uniform_init(rng, shape, 0.1, dtype) if drawn
+            else np.zeros(shape, dtype=dtype)
+            for name, shape, drawn in parameter_table(config)})
 
-        def weight(shape, name, scale=0.1):
-            return ad.Parameter(ad.uniform_init(rng, shape, scale, dtype), name)
+    def _build(self, config, input_vocab, output_vocab, arrays):
+        """Set up a model on ``arrays``, one per parameter table name."""
+        self.config, self.input_vocab = config, input_vocab
+        self.output_vocab = output_vocab
+        self._parameters = [ad.Parameter(arrays[name], name)
+                            for name, _, _ in parameter_table(config)]
+        self.dtype = self._parameters[0].dtype
+        named = {p.name: p for p in self._parameters}
 
-        def bias(size, name):
-            return ad.Parameter(np.zeros(size, dtype=dtype), name)
+        def cell(name):
+            return ad.LstmParams(named[f"{name}.w"], named[f"{name}.b"])
 
-        self.src_embed = weight((config.input_vocab_size, e), "src_embed")
-        self.out_embed = weight((config.output_vocab_size, e), "out_embed")
-        self.root_embed = weight((e,), "root_embed")
-        self.op_embed = weight((len(OP_ORDER), e), "op_embed")
-
-        self.encoder_cells = []
-        for layer in range(config.encoder_layers):
-            in_size = e if layer == 0 else 2 * h
-            fwd = ad.LstmParams(in_size, h, f"encoder.{layer}.fwd", rng, dtype)
-            bwd = ad.LstmParams(in_size, h, f"encoder.{layer}.bwd", rng, dtype)
-            self.encoder_cells.append((fwd, bwd))
-
-        self.tree_cell = ad.LstmParams(e, h, "tree_cell", rng, dtype)
-        self.seq_cell = ad.LstmParams(e, h, "seq_cell", rng, dtype)
-        self.hist_cell = ad.LstmParams(e, h, "hist_cell", rng, dtype)
-        self.seq_init_h = bias(h, "seq_init_h")
-        self.seq_init_c = bias(h, "seq_init_c")
-        self.hist_init_h = bias(h, "hist_init_h")
-        self.hist_init_c = bias(h, "hist_init_c")
-
-        self.compose_w = weight((2 * e, e), "compose_w")
-        self.compose_b = bias(e, "compose_b")
-
-        self.attn_dec_w = weight((2 * h, h), "attn_dec_w")
-        self.attn_enc_w = weight((2 * h, h), "attn_enc_w")
-        self.attn_v = weight((h,), "attn_v")
-
-        feat = 2 * h + 2 * h  # decoder states plus context vector
-        self.op_hidden_w = weight((feat, h), "op_hidden_w")
-        self.op_hidden_b = bias(h, "op_hidden_b")
-        self.op_out_w = weight((h, len(OP_ORDER)), "op_out_w")
-
-        self.word_hidden_w = weight((feat, h), "word_hidden_w")
-        self.word_hidden_b = bias(h, "word_hidden_b")
-        self.word_out_w = weight((h, config.output_vocab_size), "word_out_w")
-
-        self.switch_w = weight((feat, 1), "switch_w")
-        self.switch_b = bias(1, "switch_b")
+        self.encoder_cells = [
+            (cell(f"encoder.{layer}.fwd"), cell(f"encoder.{layer}.bwd"))
+            for layer in range(config.encoder_layers)]
+        vars(self).update((n, p) for n, p in named.items() if "." not in n)
+        vars(self).update((name, cell(name)) for name in DECODER_CELLS)
 
     def parameters(self):
-        params = [self.src_embed, self.out_embed, self.root_embed,
-                  self.op_embed]
-        for fwd, bwd in self.encoder_cells:
-            params += fwd.parameters() + bwd.parameters()
-        params += self.tree_cell.parameters()
-        params += self.seq_cell.parameters()
-        params += self.hist_cell.parameters()
-        params += [self.seq_init_h, self.seq_init_c,
-                   self.hist_init_h, self.hist_init_c,
-                   self.compose_w, self.compose_b,
-                   self.attn_dec_w, self.attn_enc_w, self.attn_v,
-                   self.op_hidden_w, self.op_hidden_b, self.op_out_w,
-                   self.word_hidden_w, self.word_hidden_b, self.word_out_w,
-                   self.switch_w, self.switch_b]
-        return params
+        """Every Parameter, in the order of the parameter table."""
+        return list(self._parameters)
 
     def _zeros(self, size):
         return ad.Tensor(np.zeros(size, dtype=self.dtype))
@@ -529,6 +514,8 @@ class Model:
 
     @classmethod
     def load(cls, path):
+        """The model a checkpoint holds, set up once on the stored arrays
+        (cast only if unlike the first record's dtype); nothing is drawn."""
         from .corpus import CorpusError, Vocabulary
 
         arrays, meta = ad.load_checkpoint(path)
@@ -544,19 +531,26 @@ class Model:
                 vocabs.append(vocab)
             config = ModelConfig(**meta["config"])
             _check_stored_sizes(config, arrays)
-            model = cls(config, *vocabs, dtype=dtype)
+            _check_vocab_sizes(config, *vocabs)
         except (KeyError, TypeError, CorpusError, ModelError) as e:
             raise ModelError(f"{path}: bad checkpoint metadata: "
                              f"{type(e).__name__}: {e}") from e
-        for p in model.parameters():
-            if p.name not in arrays:
-                raise ModelError(f"{path}: missing parameter {p.name}")
-            if arrays[p.name].shape != p.data.shape:
-                raise ModelError(
-                    f"{path}: shape mismatch for {p.name}: "
-                    f"{arrays[p.name].shape} vs {p.data.shape}")
-            p.data = arrays[p.name].astype(dtype, copy=False)
+        for name, shape, _ in parameter_table(config):
+            if name not in arrays:
+                raise ModelError(f"{path}: missing parameter {name}")
+            if arrays[name].shape != shape:
+                raise ModelError(f"{path}: shape mismatch for {name}: "
+                                 f"{arrays[name].shape} vs {shape}")
+            arrays[name] = arrays[name].astype(dtype, copy=False)
+        model = cls.__new__(cls)
+        model._build(config, *vocabs, arrays)
         return model
+
+
+def _check_vocab_sizes(config: ModelConfig, *vocabs):
+    for side, vocab in zip(("input", "output"), vocabs):
+        if len(vocab) != getattr(config, f"{side}_vocab_size"):
+            raise ModelError(f"{side} vocab size disagrees with config")
 
 
 def _check_stored_sizes(config: ModelConfig, arrays):

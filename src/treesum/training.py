@@ -342,11 +342,12 @@ def train(model: Model, train_examples, dev_examples=None,
     returns True for an epoch row; it is called once for each epoch that
     does not stop early on patience.
 
-    The best epoch's weights are copied only while a later epoch can still
-    change them: not before epoch 1 (every loss is finite, so epoch 1
-    always improves on the start), and not after an epoch that ends the
-    run, the last one or one that ``stop`` or patience ends.  They are
-    copied back only when the run ended on a worse epoch.
+    With ``checkpoint_path``, the model is saved after each improving
+    epoch (every loss is finite, so epoch 1 improves on the start), or
+    before a run of no epochs; a failed epoch 1 leaves no file.  The best
+    weights are copied only while a later epoch can still change them,
+    not after one that ends the run (the last, or one that ``stop`` or
+    patience ends), and copied back only after a worse final epoch.
     """
     config = config or TrainConfig()
     if not train_examples:
@@ -361,7 +362,7 @@ def train(model: Model, train_examples, dev_examples=None,
     history = []
     best_loss = math.inf
     best_params = None   # a copy of the best weights, once a later epoch runs
-    if checkpoint_path is not None:
+    if checkpoint_path is not None and config.epochs == 0:
         model.save(checkpoint_path)
     stale = 0
     for epoch in range(1, config.epochs + 1):

@@ -22,6 +22,15 @@ def p64(rng, shape, name, scale=0.5):
     return ad.Parameter(ad.uniform_init(rng, shape, scale, np.float64), name)
 
 
+def lstm64(rng, input_size, hidden_size, scale=0.1):
+    """A float64 LSTM "cell" drawn as a model draws one: w uniform in
+    [-scale, scale], b zero."""
+    return ad.LstmParams(
+        p64(rng, (input_size + hidden_size, 4 * hidden_size), "cell.w",
+            scale=scale),
+        ad.Parameter(np.zeros(4 * hidden_size), "cell.b"))
+
+
 def lstm_input_scan(x, parents, h0, c0, params):
     return ad.lstm_scan(ad.lstm_input(x, params), parents, h0, c0, params)
 
@@ -342,7 +351,7 @@ class TestRowsBackward:
 class TestLstmCell:
     def test_zero_params_zero_state_give_zero_outputs(self):
         rng = np.random.default_rng(5)
-        params = ad.LstmParams(3, 4, "cell", rng, dtype=np.float64)
+        params = lstm64(rng, 3, 4)
         params.w.data[...] = 0.0
         h = t64(np.zeros(4))
         c = t64(np.zeros(4))
@@ -352,7 +361,7 @@ class TestLstmCell:
 
     def test_saturated_forget_gate_preserves_cell(self):
         rng = np.random.default_rng(6)
-        params = ad.LstmParams(2, 3, "cell", rng, dtype=np.float64)
+        params = lstm64(rng, 2, 3)
         params.w.data[...] = 0.0
         # forget bias strongly positive, input gate strongly negative
         params.b.data[3:6] = 50.0
@@ -363,7 +372,7 @@ class TestLstmCell:
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        params = ad.LstmParams(3, 4, "cell", rng, dtype=np.float64)
+        params = lstm64(rng, 3, 4)
         x = t64(rng.normal(size=3))
         h0 = t64(np.zeros(4))
         c0 = t64(np.zeros(4))
@@ -381,7 +390,7 @@ class TestLstmCell:
         # through lstm_input into lstm_cell, twice, for vectors and rows:
         # the input, both states and both blocks of w take gradients
         rng = np.random.default_rng(17)
-        params = ad.LstmParams(3, 4, "cell", rng, dtype=np.float64, scale=0.5)
+        params = lstm64(rng, 3, 4, scale=0.5)
         params.b.data[...] = rng.uniform(-0.5, 0.5, size=params.b.shape)
         lead = () if rows is None else (rows,)
         x, h0, c0 = (p64(rng, lead + (size,), name, scale=1.0)
@@ -399,7 +408,7 @@ class TestLstmCell:
 
     def test_batched_rows_match_vector_calls(self):
         rng = np.random.default_rng(8)
-        params = ad.LstmParams(3, 4, "cell", rng, dtype=np.float64)
+        params = lstm64(rng, 3, 4)
         xs = rng.normal(size=(5, 3))
         h0 = t64(np.zeros((5, 4)))
         c0 = t64(np.zeros((5, 4)))
@@ -422,7 +431,7 @@ class TestLstmCell:
         # zx + h @ w[E:] rounds differently, so forward values and the
         # gradients through either output or both agree within 1e-12
         rng = np.random.default_rng(12)
-        params = ad.LstmParams(3, 4, "cell", rng, dtype=np.float64, scale=0.5)
+        params = lstm64(rng, 3, 4, scale=0.5)
         params.b.data[...] = rng.uniform(-0.5, 0.5, size=params.b.shape)
         x_shape, h_shape, c_shape = self.CELL_SHAPES[shape]
         x, h, c = (p64(rng, s_, name, scale=1.0) for s_, name in
@@ -451,14 +460,13 @@ class TestLstmCell:
 
     def test_non_finite_state_is_an_error(self):
         rng = np.random.default_rng(13)
-        params = ad.LstmParams(2, 3, "cell", rng, dtype=np.float64)
+        params = lstm64(rng, 2, 3)
         c = t64([0.0, np.inf, 0.0])
         with pytest.raises(ad.NonFiniteError, match="lstm_cell"):
             lstm_step(t64([1.0, 2.0]), t64(np.zeros(3)), c, params)
 
     def test_bad_shapes_raise_shape_error(self):
-        params = ad.LstmParams(2, 3, "cell", np.random.default_rng(15),
-                               dtype=np.float64)
+        params = lstm64(np.random.default_rng(15), 2, 3)
         zeros = t64(np.zeros(3))
         with pytest.raises(ad.ShapeError, match="lstm_input"):
             ad.lstm_input(t64(np.ones(3)), params)
@@ -486,7 +494,7 @@ class TestLstmScan:
     @staticmethod
     def _case(initial):
         rng = np.random.default_rng(14)
-        params = ad.LstmParams(3, 4, "cell", rng, dtype=np.float64, scale=0.5)
+        params = lstm64(rng, 3, 4, scale=0.5)
         params.b.data[...] = rng.uniform(-0.5, 0.5, size=params.b.shape)
         x = p64(rng, (7, 3), "x", scale=1.0)
         if initial == "parameters":

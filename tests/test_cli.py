@@ -64,6 +64,17 @@ def _json_config_with(key, value):
         {**old, "config": {**old["config"], key: value}}).encode()
 
 
+def _json_with_input_token(token):
+    """Metadata listing one more input token than its config, with the
+    vocabulary hash that list has."""
+    def rewrite(old):
+        tokens = old["input_vocab"] + [token]
+        return json.dumps({**old, "input_vocab": tokens,
+                           "input_vocab_hash": cp.Vocabulary(tokens).digest()
+                           }).encode()
+    return rewrite
+
+
 def _with_trailing_bytes(blob):
     return _checksummed(blob[:-4] + b"\x00" * 7)
 
@@ -156,6 +167,10 @@ BAD_METADATA = {
         _json_config_with("hidden_size", 13)),
     "embed_size_mismatch": _with_metadata(
         _json_config_with("embed_size", 11)),
+    # equal to the stored size, but no size a model can be built with
+    "hidden_size_float": _with_metadata(_json_config_with("hidden_size", 12.0)),
+    "input_vocab_longer_than_config": _with_metadata(
+        _json_with_input_token("zebra")),
     # zero-sized, so only the dimension count is wrong
     "ndim_above_32": _with_first_record_shape(213, (0,) * 213),
     "shape_beyond_bytes_left": _with_first_record_shape(2, (70000, 70000)),

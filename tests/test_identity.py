@@ -25,4 +25,5 @@ def test_same_checkout_on_both_sides_reports_no_delta():
         assert "word_out_w" in grads and "hist_cell.w" in grads
         assert set(grads.values()) == {0.0}, dtype
     assert report["checkpoint_equal"] is True
+    assert report["load_delta"] == 0.0
     assert report["train_weight_delta"] == 0.0

@@ -53,8 +53,8 @@ READERS = {
                               cp.CorpusError),
     "load_config_file": (CONFIG, lambda tmp, path: cli.load_config_file(path),
                          cli.CliError),
-    "json_records": (CORPUS, lambda tmp, path: list(cli._json_records(path)),
-                     cli.CliError),
+    "json_records": (CORPUS, lambda tmp, path: list(
+        cp.json_records(path, cli.CliError)), cli.CliError),
     "load_embeddings": (EMBEDDINGS,
                         lambda tmp, path: metrics.load_embeddings(path),
                         metrics.MetricsError),

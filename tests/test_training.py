@@ -1,6 +1,7 @@
 """Loss decomposition, Adam, clipping, and the training loop."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -556,6 +557,20 @@ class TestTrainLoop:
         loaded = Model.load(path)
         np.testing.assert_array_equal(loaded.out_embed.data, m.out_embed.data)
 
+    def test_a_failed_first_batch_leaves_no_checkpoint(self, monkeypatch,
+                                                       tmp_path):
+        examples = toy_corpus(n=4, seed=2)
+        m = _toy_model(examples, hidden=8, embed=8, seed=1)
+
+        def failing_batch_loss(*args):
+            raise training.TrainingError("first batch failed")
+
+        monkeypatch.setattr(training, "batch_loss", failing_batch_loss)
+        with pytest.raises(training.TrainingError, match="first batch"):
+            training.train(m, examples, config=training.TrainConfig(epochs=2),
+                           checkpoint_path=tmp_path / "model.ckpt")
+        assert os.listdir(tmp_path) == []
+
     def test_same_seed_gives_identical_loss_curve(self):
         def run():
             examples = toy_corpus(n=6, seed=4)
@@ -627,6 +642,26 @@ class TestBestEpoch:
         assert not np.array_equal(after[1][0], after[3][0])
         for p, best in zip(m.parameters(), after[1]):
             np.testing.assert_array_equal(p.data, best)
+
+    def test_one_save_per_improving_epoch(self, monkeypatch, tmp_path):
+        examples = toy_corpus(n=4, seed=2)
+        m = _toy_model(examples, hidden=8, embed=8, seed=1)
+        after = self.script_dev_losses(monkeypatch, m,
+                                       [3.0, 2.0, 2.5, 1.5, 1.8])
+        saved_after = []    # the epochs evaluated when each save ran
+        save = Model.save
+
+        def spy(model, path):
+            saved_after.append(len(after))
+            save(model, path)
+
+        monkeypatch.setattr(Model, "save", spy)
+        path = tmp_path / "model.ckpt"
+        training.train(m, examples, config=training.TrainConfig(
+            batch_size=4, epochs=5, patience=3, seed=3), checkpoint_path=path)
+        assert saved_after == [1, 2, 4]
+        for best, stored in zip(after[3], Model.load(path).parameters()):
+            np.testing.assert_array_equal(stored.data, best)
 
     @pytest.mark.parametrize("epochs, stop_at", [(1, None), (5, 2)],
                              ids=["one_epoch", "stop_after_improving"])

@@ -18,7 +18,7 @@ on the same inputs, from this checkout's ``perfbench/gen.py``:
 - float32 and float64 ``training.batch_loss`` gradients on ``--pairs``
   paper-shaped pairs per seed;
 - the sha256 of the checkpoint ``Model.save`` writes of each of those
-  fresh models;
+  fresh models, and the weights ``Model.load`` reads back from it;
 - the final weights of a short ``training.train`` per seed on the toy
   corpus, whose dev losses are scripted (``DEV_LOSSES``) so that it
   restores an earlier epoch and stops early.
@@ -26,8 +26,9 @@ on the same inputs, from this checkout's ``perfbench/gen.py``:
 It prints one JSON line: whether every decode has the same ops, the
 largest score delta, per dtype the largest weight delta, the largest
 loss delta and the largest gradient delta per parameter, whether every
-checkpoint is byte-equal, and the largest final-weight delta of the
-training runs.  It exits 1 when the ops differ.
+checkpoint is byte-equal, the largest delta of the loaded weights, and
+the largest final-weight delta of the training runs.  It exits 1 when the
+ops differ.
 """
 
 from __future__ import annotations
@@ -82,11 +83,14 @@ def paper_model(ts, gen, seed, dtype):
     return ts.Model(config, in_vocab, out_vocab, seed=seed, dtype=dtype)
 
 
-def checkpoint_digest(model, directory):
+def save_and_load(ts, model, directory):
+    """The sha256 of ``model``'s checkpoint and the weights `Model.load`
+    reads back from it."""
     path = os.path.join(directory, "model.ckpt")
     model.save(path)
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    return digest, {p.name: p.data for p in ts.Model.load(path).parameters()}
 
 
 def toy_train(ts, examples, seed):
@@ -109,9 +113,9 @@ def toy_train(ts, examples, seed):
 
 
 def run_side(src, args):
-    """Decode ops and scores, fresh weights, gradients and checkpoints,
-    and toy-trained weights, of the package under ``src``, saved to
-    ``args.out``."""
+    """Decode ops and scores, fresh weights, gradients, checkpoints and
+    their loaded weights, and toy-trained weights, of the package under
+    ``src``, saved to ``args.out``."""
     sys.path[:0] = [src, PERFBENCH]
     import gen
     import treesum as ts
@@ -147,8 +151,11 @@ def run_side(src, args):
             model = paper_model(ts, gen, seed, np.dtype(dtype))
             for p in model.parameters():
                 out[f"weight/{seed}/{dtype}/{p.name}"] = p.data
-            out[f"checkpoint/{seed}/{dtype}"] = np.array(
-                checkpoint_digest(model, os.path.dirname(args.out)))
+            digest, loaded = save_and_load(ts, model,
+                                           os.path.dirname(args.out))
+            out[f"checkpoint/{seed}/{dtype}"] = np.array(digest)
+            for name, data in loaded.items():
+                out[f"loaded/{seed}/{dtype}/{name}"] = data
             ad.zero_grads(model.parameters())
             with ad.Tape() as tape:
                 loss, _ = training.batch_loss(model, instances)
@@ -197,7 +204,8 @@ def compare(parent, change):
               "weight_delta": {d: 0.0 for d in DTYPES},
               "loss_delta": {d: 0.0 for d in DTYPES},
               "grad_delta": {d: {} for d in DTYPES},
-              "checkpoint_equal": True, "train_weight_delta": 0.0}
+              "checkpoint_equal": True, "load_delta": 0.0,
+              "train_weight_delta": 0.0}
     for key in sorted(parent.files):
         kind, *rest = key.split("/")
         a, b = parent[key], change[key]
@@ -211,9 +219,9 @@ def compare(parent, change):
         delta = float(np.abs(a.astype(np.float64) - b).max())
         if kind == "scores":
             report["score_delta"] = max(report["score_delta"], delta)
-        elif kind == "trained":
-            report["train_weight_delta"] = max(report["train_weight_delta"],
-                                               delta)
+        elif kind in ("trained", "loaded"):
+            key = "train_weight_delta" if kind == "trained" else "load_delta"
+            report[key] = max(report[key], delta)
         elif kind in ("weight", "loss"):
             deltas = report[f"{kind}_delta"]
             deltas[rest[1]] = max(deltas[rest[1]], delta)
