@@ -5,8 +5,9 @@ row of a single batched pass through attention and both prediction heads
 (`Model.joint_step_distribution`).  Rank: each row's k best continuations
 are found with a partial sort over the union vocabulary and built into
 `Candidate`s (`_candidates`), and the candidates of the whole beam are
-ranked together (`rank`).  Step: only the K best unfinished candidates,
-plus the candidates that complete a tree, are advanced; whether a reduce
+ranked together (`rank`).  Step: only the K best unfinished candidates
+are advanced.  A candidate that completes a tree waits unstepped in the
+completed pool, and only the one returned is advanced; whether a reduce
 completes is known from the symbolic stack before any neural work.
 Greedy decoding takes each row's best candidate.  Forced completion
 takes the likelier valid reduce straight from the op row of the joint
@@ -26,6 +27,7 @@ reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,12 @@ class BeamConfig:
     length_norm: float = 0.0       # score / len**exponent when > 0
 
     def __post_init__(self):
+        for name in ("beam_size", "max_words", "max_steps"):
+            try:   # a float count fails here, not inside `beam_search`
+                if getattr(self, name) is not None:
+                    operator.index(getattr(self, name))
+            except TypeError:
+                raise DecodingError(f"{name} must be an integer") from None
         if self.beam_size < 1:
             raise DecodingError("beam size must be at least 1")
         if self.max_words < 1:
@@ -60,6 +68,13 @@ class BeamConfig:
     def step_limit(self):
         return self.max_steps if self.max_steps is not None \
             else 2 * self.max_words
+
+
+def _normalized(score, length, exponent):
+    """``score / length**exponent`` when the exponent is positive."""
+    if exponent > 0 and length:
+        return score / (length ** exponent)
+    return score
 
 
 @dataclass
@@ -79,9 +94,7 @@ class Hypothesis:
         return self.state.is_terminal
 
     def normalized(self, exponent):
-        if exponent > 0 and self.ops:
-            return self.score / (len(self.ops) ** exponent)
-        return self.score
+        return _normalized(self.score, len(self.ops), exponent)
 
 
 @dataclass
@@ -102,6 +115,10 @@ class Candidate:
     @property
     def order_key(self):
         return self.parent.order_key + (self.order,)
+
+    def normalized(self, exponent):
+        """`Hypothesis.normalized` of the hypothesis `advance` builds."""
+        return _normalized(self.score, len(self.parent.ops) + 1, exponent)
 
     def advance(self, model: Model) -> Hypothesis:
         """Step the parent by the op; the one place a stepped `Hypothesis`
@@ -194,17 +211,18 @@ def force_complete(model: Model, src, hyp: Hypothesis, max_words):
 def beam_search(model: Model, src, config: BeamConfig) -> Hypothesis:
     """Best complete hypothesis under the joint distribution.
 
-    Keeps the beam_size best live hypotheses per step, moves terminal ones
-    to a completed pool, and stops when every live candidate scores below
-    the best completed one or the step limit is reached.  A fallback
-    force-completion guarantees an output.
+    Keeps the beam_size best live hypotheses per step, moves candidates
+    that complete a tree to a completed pool unstepped, and stops when
+    every live candidate scores below the best completed one or the step
+    limit is reached; only the best completed candidate is stepped.  A
+    fallback force-completion guarantees an output.
     """
     k = config.beam_size
     live = [Hypothesis(state=model.initial_state())]
     completed = []
     for _ in range(config.step_limit):
         ranked = rank(model, src, live, k, config.max_words)
-        completed.extend(c.advance(model) for c in ranked if c.complete)
+        completed.extend(c for c in ranked if c.complete)
         survivors = [c for c in ranked if not c.complete][:k]
         live = [c.advance(model) for c in survivors]
         if not live:
@@ -216,10 +234,9 @@ def beam_search(model: Model, src, config: BeamConfig) -> Hypothesis:
                     best_done.normalized(config.length_norm):
                 break
     if not completed:
-        best_live = _best(live, config.length_norm)
-        completed.append(force_complete(model, src, best_live,
-                                        config.max_words))
-    return _best(completed, config.length_norm)
+        return force_complete(model, src, _best(live, config.length_norm),
+                              config.max_words)
+    return _best(completed, config.length_norm).advance(model)
 
 
 def greedy_decode(model: Model, src, config: BeamConfig) -> Hypothesis:

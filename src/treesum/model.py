@@ -23,7 +23,7 @@ of the sources still running, so a batch of B sources costs as many cells
 as its longest source; decoding encodes a batch of one.  Under teacher
 forcing every decoder recurrence's input is known up front, so training
 runs each one over the whole batch the same way (see
-`training.teacher_forced_rows`).
+`batching.teacher_forced_rows`).
 """
 
 from __future__ import annotations
@@ -535,7 +535,12 @@ class Model:
         except (KeyError, TypeError, CorpusError, ModelError) as e:
             raise ModelError(f"{path}: bad checkpoint metadata: "
                              f"{type(e).__name__}: {e}") from e
-        for name, shape, _ in parameter_table(config):
+        table = parameter_table(config)
+        declared = {name for name, _, _ in table}
+        for name in arrays:
+            if name not in declared:
+                raise ModelError(f"{path}: undeclared parameter {name}")
+        for name, shape, _ in table:
             if name not in arrays:
                 raise ModelError(f"{path}: missing parameter {name}")
             if arrays[name].shape != shape:

@@ -261,7 +261,7 @@ def step_fold_rows(model, gold_ops):
     """The decoder states before each gold op, from `Model.step` over the
     ops (one `lstm_cell` per recurrence per op, compositions inside the
     step), stacked as (tree_h, seq_h, hist_h) row matrices: the reference
-    for `training.teacher_forced_rows`."""
+    for `batching.teacher_forced_rows`."""
     states = [model.initial_state()]
     for op in gold_ops[:-1]:
         states.append(model.step(states[-1], op))

@@ -94,6 +94,21 @@ def _with_first_record_twice(blob):
                         + record + blob[start:-4])
 
 
+def _with_extra_record(name):
+    """Checkpoint rewrite: one more record, ``name`` holding one float32
+    zero, ahead of the others; a valid CRC."""
+    def rewrite(blob):
+        (meta_len,) = struct.unpack_from("<I", blob, 8)
+        count_at = 12 + meta_len
+        (count,) = struct.unpack_from("<I", blob, count_at)
+        encoded = name.encode()
+        record = (struct.pack("<H", len(encoded)) + encoded
+                  + struct.pack("<BBI", 4, 1, 1) + bytes(4))
+        return _checksummed(blob[:count_at] + struct.pack("<I", count + 1)
+                            + record + blob[count_at + 4:-4])
+    return rewrite
+
+
 def _with_first_record_shape(ndim, dims):
     """Checkpoint rewrite: the first record declares ``ndim`` and ``dims``
     (packed as given), its values are kept; a valid CRC."""
@@ -171,6 +186,8 @@ BAD_METADATA = {
     "hidden_size_float": _with_metadata(_json_config_with("hidden_size", 12.0)),
     "input_vocab_longer_than_config": _with_metadata(
         _json_with_input_token("zebra")),
+    # a record the parameter table does not declare
+    "undeclared_record": _with_extra_record("junk"),
     # zero-sized, so only the dimension count is wrong
     "ndim_above_32": _with_first_record_shape(213, (0,) * 213),
     "shape_beyond_bytes_left": _with_first_record_shape(2, (70000, 70000)),

@@ -198,6 +198,35 @@ class TestMatchesReferenceBeam:
         assert len(per_iteration) > 2
         assert max(per_iteration) <= 2 * k
 
+    def test_steps_survivors_and_only_the_returned_completion(
+            self, monkeypatch):
+        m = fresh(seed=29)
+        spread_params(m, 800)
+        favour_gen(m, 3.0)
+        src = m.prepare_source(["the", "cat", "zzz", "sat", "mat"])
+        steps, ranked = [], []
+        step, rank = Model.step, decoding.rank
+
+        def counting_step(self, state, op):
+            steps.append(op)
+            return step(self, state, op)
+
+        def recording_rank(*args):
+            ranked.append(rank(*args))
+            return ranked[-1]
+
+        monkeypatch.setattr(Model, "step", counting_step)
+        monkeypatch.setattr(decoding, "rank", recording_rank)
+        k = 8
+        hyp = decoding.beam_search(m, src, BeamConfig(beam_size=k,
+                                                      max_words=5))
+        assert hyp.complete
+        survivors = sum(len([c for c in r if not c.complete][:k])
+                        for r in ranked)
+        completions = sum(c.complete for r in ranked for c in r)
+        assert completions > 1   # so stepping each would show
+        assert len(steps) == survivors + 1
+
 
 class TestBeamSearch:
     def test_decoding_leaves_no_gradient_buffers(self):
@@ -313,6 +342,13 @@ class TestBeamConfig:
             BeamConfig(max_words=0)
         with pytest.raises(decoding.DecodingError):
             BeamConfig(max_steps=1)
+
+    @pytest.mark.parametrize("key, value", [
+        ("beam_size", 2.5), ("max_words", 4.0), ("max_steps", 6.0)])
+    def test_non_integer_count_rejected(self, key, value):
+        with pytest.raises(decoding.DecodingError,
+                           match=f"{key} must be an integer"):
+            BeamConfig(**{key: value})
 
     @pytest.mark.parametrize("length_norm", [float("nan"), float("inf"),
                                              -0.5])

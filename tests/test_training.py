@@ -336,7 +336,7 @@ class TestBatchLoss:
 
 
 class TestTeacherForcedRows:
-    """The scans of `training.teacher_forced_rows` against `Model.step`
+    """The scans of `batching.teacher_forced_rows` against `Model.step`
     folded over the gold ops (`helpers.step_fold_rows`), in float64."""
 
     @staticmethod
@@ -362,7 +362,7 @@ class TestTeacherForcedRows:
     @staticmethod
     def _planned_rows(m, ops):
         batch_plan = batching.plan([ops])
-        return training.teacher_forced_rows(
+        return batching.teacher_forced_rows(
             m, [ops], batching.batched_compose(batch_plan, m), batch_plan)[0]
 
     @staticmethod
@@ -410,7 +410,7 @@ class TestTeacherForcedRows:
         for fold in (False, True):
             with monkeypatch.context() as patch:
                 if fold:
-                    patch.setattr(training, "teacher_forced_rows",
+                    patch.setattr(batching, "teacher_forced_rows",
                                   lambda model, sequences, *planned:
                                   [step_fold_rows(model, ops)
                                    for ops in sequences])
@@ -592,6 +592,14 @@ class TestTrainLoop:
     def test_batch_size_below_one_rejected(self):
         with pytest.raises(training.TrainingError, match="batch_size"):
             training.TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", 1.5), ("epochs", 2.0), ("patience", 1.0),
+        ("seed", 3.0)])
+    def test_non_integer_count_rejected(self, key, value):
+        with pytest.raises(training.TrainingError,
+                           match=f"{key} must be an integer"):
+            training.TrainConfig(**{key: value})
 
     @pytest.mark.parametrize("key, value", [
         ("lr", float("nan")), ("lr", float("inf")), ("eps", float("nan")),

@@ -8,7 +8,9 @@ Run from anywhere, with numpy only:
 exported with ``git archive`` into a temporary directory, or a directory
 holding a checkout, whose ``src/`` is used as it stands.  The other side
 is the checkout this script sits in.  Each side runs in its own process
-on the same inputs, from this checkout's ``perfbench/gen.py``:
+on the same inputs, from this checkout's ``perfbench/gen.py``, and saves
+each seed's results as they are made; the two sides are then compared
+one seed's part at a time:
 
 - pinned float32 decodes, as in the benchmark's paper_decode workloads
   (every hypothesis generates until ``max_words``, then reduces), at each
@@ -115,7 +117,9 @@ def toy_train(ts, examples, seed):
 def run_side(src, args):
     """Decode ops and scores, fresh weights, gradients, checkpoints and
     their loaded weights, and toy-trained weights, of the package under
-    ``src``, saved to ``args.out``."""
+    ``src``, saved under the directory ``args.out`` one part at a time:
+    each seed's decodes, each of its dtypes, and each toy training, so a
+    side holds one model's arrays at a time."""
     sys.path[:0] = [src, PERFBENCH]
     import gen
     import treesum as ts
@@ -125,10 +129,15 @@ def run_side(src, args):
 
     if not os.path.abspath(ts.__file__).startswith(os.path.abspath(src)):
         raise SystemExit(f"treesum imported from {ts.__file__}, not {src}")
-    out = {}
+    os.makedirs(args.out)
+
+    def save(part, arrays):
+        np.savez(os.path.join(args.out, f"{part}.npz"), **arrays)
+
     for seed in args.seeds:
         model = paper_model(ts, gen, seed, np.float32)
         workloads.pin_lengths(ts, model)
+        out = {}
         for beam in args.beams:
             count = DECODE_SOURCES.get(beam, 2)
             rng = np.random.default_rng([seed, 4])
@@ -143,14 +152,15 @@ def run_side(src, args):
                 scores.append(hyp.score)
             out[f"ops/{seed}/{beam}"] = np.array(ops)
             out[f"scores/{seed}/{beam}"] = np.array(scores)
+        save(f"{seed}-decode", out)
         rng = np.random.default_rng([seed, 0])
         pairs = gen.paper_set(seed, 1, gen.spread_lengths(rng, args.pairs))
         instances = [(ex.source, tuple(ts.corpus.linearize(ex)))
                      for ex in workloads.examples(ts, pairs)]
         for dtype in DTYPES:
             model = paper_model(ts, gen, seed, np.dtype(dtype))
-            for p in model.parameters():
-                out[f"weight/{seed}/{dtype}/{p.name}"] = p.data
+            out = {f"weight/{seed}/{dtype}/{p.name}": p.data
+                   for p in model.parameters()}
             digest, loaded = save_and_load(ts, model,
                                            os.path.dirname(args.out))
             out[f"checkpoint/{seed}/{dtype}"] = np.array(digest)
@@ -163,11 +173,12 @@ def run_side(src, args):
             out[f"loss/{seed}/{dtype}"] = np.array(loss.item())
             for p in model.parameters():
                 out[f"grad/{seed}/{dtype}/{p.name}"] = p.grad
+            save(f"{seed}-{dtype}", out)
+            del model, loaded, out
     toy = workloads.examples(ts, gen.toy_corpus(12))
     for seed in args.seeds:
-        for name, data in toy_train(ts, toy, seed).items():
-            out[f"trained/{seed}/{name}"] = data
-    np.savez(args.out, **out)
+        save(f"{seed}-trained", {f"trained/{seed}/{name}": data for name, data
+                                 in toy_train(ts, toy, seed).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -199,37 +210,45 @@ def run_worker(src, args, out):
 
 
 def compare(parent, change):
-    """The JSON report of two sides' saved results."""
+    """The JSON report of two sides' saved results: directories of the
+    same ``.npz`` parts, read one pair of parts at a time."""
     report = {"ops_equal": True, "decodes": 0, "score_delta": 0.0,
               "weight_delta": {d: 0.0 for d in DTYPES},
               "loss_delta": {d: 0.0 for d in DTYPES},
               "grad_delta": {d: {} for d in DTYPES},
               "checkpoint_equal": True, "load_delta": 0.0,
               "train_weight_delta": 0.0}
-    for key in sorted(parent.files):
-        kind, *rest = key.split("/")
-        a, b = parent[key], change[key]
-        if kind == "ops":
-            report["ops_equal"] &= bool(np.array_equal(a, b))
-            report["decodes"] += a.size
-            continue
-        if kind == "checkpoint":
-            report["checkpoint_equal"] &= bool(np.array_equal(a, b))
-            continue
-        delta = float(np.abs(a.astype(np.float64) - b).max())
-        if kind == "scores":
-            report["score_delta"] = max(report["score_delta"], delta)
-        elif kind in ("trained", "loaded"):
-            key = "train_weight_delta" if kind == "trained" else "load_delta"
-            report[key] = max(report[key], delta)
-        elif kind in ("weight", "loss"):
-            deltas = report[f"{kind}_delta"]
-            deltas[rest[1]] = max(deltas[rest[1]], delta)
-        else:
-            dtype, name = rest[1], rest[2]
-            grads = report["grad_delta"][dtype]
-            grads[name] = max(grads.get(name, 0.0), delta)
+    for part in sorted(os.listdir(parent)):
+        with np.load(os.path.join(parent, part)) as old, \
+                np.load(os.path.join(change, part)) as new:
+            for key in sorted(old.files):
+                _compare_key(report, key, old[key], new[key])
     return report
+
+
+def _compare_key(report, key, a, b):
+    """Fold one saved result of both sides into ``report``."""
+    kind, *rest = key.split("/")
+    if kind == "ops":
+        report["ops_equal"] &= bool(np.array_equal(a, b))
+        report["decodes"] += a.size
+        return
+    if kind == "checkpoint":
+        report["checkpoint_equal"] &= bool(np.array_equal(a, b))
+        return
+    delta = float(np.abs(a.astype(np.float64) - b).max())
+    if kind == "scores":
+        report["score_delta"] = max(report["score_delta"], delta)
+    elif kind in ("trained", "loaded"):
+        key = "train_weight_delta" if kind == "trained" else "load_delta"
+        report[key] = max(report[key], delta)
+    elif kind in ("weight", "loss"):
+        deltas = report[f"{kind}_delta"]
+        deltas[rest[1]] = max(deltas[rest[1]], delta)
+    else:
+        dtype, name = rest[1], rest[2]
+        grads = report["grad_delta"][dtype]
+        grads[name] = max(grads.get(name, 0.0), delta)
 
 
 def main(argv=None):
@@ -240,13 +259,11 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="treesum-identity-") as tmp:
         sides = {"parent": export(args.parent, os.path.join(tmp, "parent")),
                  "change": os.path.join(ROOT, "src")}
-        results = {}
         for side, src in sides.items():
-            path = os.path.join(tmp, side + ".npz")
-            run_worker(src, args, path)
-            results[side] = np.load(path)
+            run_worker(src, args, os.path.join(tmp, side + "-results"))
         report = {"parent": args.parent,
-                  **compare(results["parent"], results["change"])}
+                  **compare(os.path.join(tmp, "parent-results"),
+                            os.path.join(tmp, "change-results"))}
     print(json.dumps(report))
     return 0 if report["ops_equal"] else 1
 
