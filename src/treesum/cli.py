@@ -248,10 +248,12 @@ def _map_records(workers, init, initargs, fn, items, chunksize):
     not as a dead worker; one worker then maps here too.  The state is
     cleared afterwards, also when a record fails, so a loaded model or
     embedding table is not kept past the run; more workers run in a
-    process pool."""
+    process pool of at most one process per item, as a pool starts all
+    its processes at once."""
+    workers = min(workers, len(items))
     try:
         init(*initargs)
-        if workers == 1:
+        if workers <= 1:
             return [fn(item) for item in items]
     finally:
         _WORKER_STATE.clear()
@@ -303,7 +305,8 @@ def cmd_decode(args):
     records = _map_records(
         config["workers"], _decode_worker_init,
         (args.checkpoint, beam, args.input), _decode_one,
-        enumerate((ex.source for ex in examples), start=1), chunksize=4)
+        list(enumerate((ex.source for ex in examples), start=1)),
+        chunksize=4)
     with atomic_output(args.out) as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")

@@ -27,13 +27,12 @@ reproducible.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import transition as tr
-from .model import OP_INDEX, DecodingError, Model
+from .model import OP_INDEX, DecodingError, Model, check_field_types
 
 _RL_ORDER = OP_INDEX[tr.REDUCE_L]
 _RR_ORDER = OP_INDEX[tr.REDUCE_R]
@@ -48,12 +47,10 @@ class BeamConfig:
     length_norm: float = 0.0       # score / len**exponent when > 0
 
     def __post_init__(self):
-        for name in ("beam_size", "max_words", "max_steps"):
-            try:   # a float count fails here, not inside `beam_search`
-                if getattr(self, name) is not None:
-                    operator.index(getattr(self, name))
-            except TypeError:
-                raise DecodingError(f"{name} must be an integer") from None
+        counts = ("beam_size", "max_words") + (
+            () if self.max_steps is None else ("max_steps",))
+        check_field_types(self, DecodingError, integers=counts,
+                          reals=("length_norm",))
         if self.beam_size < 1:
             raise DecodingError("beam size must be at least 1")
         if self.max_words < 1:

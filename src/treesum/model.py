@@ -20,7 +20,8 @@ batching, Neubig et al. 2017): each layer and direction is one
 `autodiff.lstm_input` and one `autodiff.lstm_scan` over one chain per
 source, which steps one `autodiff.lstm_cell` per time step over the rows
 of the sources still running, so a batch of B sources costs as many cells
-as its longest source; decoding encodes a batch of one.  Under teacher
+as its longest source, and gives one `SourceContext` per source;
+decoding encodes a batch of one.  Under teacher
 forcing every decoder recurrence's input is known up front, so training
 runs each one over the whole batch the same way (see
 `batching.teacher_forced_rows`).
@@ -28,7 +29,7 @@ runs each one over the whole batch the same way (see
 
 from __future__ import annotations
 
-import operator
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,18 @@ class SourceError(ModelError):
         self.reason = reason
 
 
+def check_field_types(config, error, integers=(), reals=()):
+    """Raise ``error`` naming the first field of ``config`` that is not an
+    integer (of ``integers``) or a real number (of ``reals``); a bool is
+    neither, though it would pass as 0 or 1."""
+    for names, kind, required in ((integers, "an integer", numbers.Integral),
+                                  (reals, "a number", numbers.Real)):
+        for name in names:
+            value = getattr(config, name)
+            if isinstance(value, bool) or not isinstance(value, required):
+                raise error(f"{name} must be {kind}")
+
+
 @dataclass
 class ModelConfig:
     input_vocab_size: int
@@ -72,30 +85,15 @@ class ModelConfig:
     max_source_len: int = 100
 
     def __post_init__(self):
-        for name in ("input_vocab_size", "output_vocab_size", "hidden_size",
-                     "embed_size", "encoder_layers", "max_source_len"):
-            # a float size fails here, not in a model's arrays or later
-            if operator.index(getattr(self, name)) <= 0:
+        names = ("input_vocab_size", "output_vocab_size", "hidden_size",
+                 "embed_size", "encoder_layers", "max_source_len")
+        check_field_types(self, ModelError, integers=names)
+        for name in names:
+            if getattr(self, name) <= 0:
                 raise ModelError(f"{name} must be positive")
 
     def to_dict(self):
         return dict(self.__dict__)
-
-
-@dataclass
-class EncoderStates:
-    """Per-token source representations, one row per token (forward and
-    backward top-layer states concatenated), plus their attention keys.
-
-    ``keys`` is ``matrix @ attn_enc_w``: it depends on the source only, so
-    it is computed once per source and shared by every decoder step.
-    """
-
-    matrix: ad.Tensor  # (source_len, 2 * hidden)
-    keys: ad.Tensor    # (source_len, hidden)
-
-    def __len__(self):
-        return self.matrix.shape[0]
 
 
 @dataclass
@@ -108,17 +106,20 @@ class ContextVector:
 
 @dataclass
 class SourceContext:
-    """Everything decoding needs to know about one encoded source text.
+    """One encoded source text: all that attention and the copy head read.
 
-    The union vocabulary is the output vocabulary followed by the
-    extensions.  ``union_ids`` holds the union id of each source token, so
-    `Model.predict_word` adds token i's copy mass into column
-    ``union_ids[i]`` with one `autodiff.scatter`; repeated tokens share a
-    column.
+    ``matrix`` has a row per token, the forward and backward top-layer
+    states concatenated; its attention ``keys`` depend on the source only,
+    so every decoder step shares them.  The union vocabulary is the output
+    vocabulary followed by the extensions.  ``union_ids`` holds the union
+    id of each source token, so `Model.predict_word` adds token i's copy
+    mass into column ``union_ids[i]`` with one `autodiff.scatter`;
+    repeated tokens share a column.
     """
 
     tokens: list
-    enc: EncoderStates
+    matrix: ad.Tensor           # (source_len, 2 * hidden)
+    keys: ad.Tensor             # (source_len, hidden), matrix @ attn_enc_w
     extensions: list            # source tokens outside the output vocabulary
     union_ids: np.ndarray       # (source_len,) int64
     vocab: object               # the output vocabulary
@@ -212,6 +213,8 @@ class Model:
     def __init__(self, config: ModelConfig, input_vocab, output_vocab,
                  seed=13, dtype=np.float32):
         _check_vocab_sizes(config, input_vocab, output_vocab)
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ModelError("seed must be a non-negative integer")
         rng = np.random.default_rng(seed)
         self._build(config, input_vocab, output_vocab, {
             name: ad.uniform_init(rng, shape, 0.1, dtype) if drawn
@@ -247,10 +250,10 @@ class Model:
     # Encoder
     # ------------------------------------------------------------------
 
-    def encode(self, sources) -> list[EncoderStates]:
+    def encode(self, sources) -> list[SourceContext]:
         """Run the bidirectional encoder over a batch of token lists in
-        lockstep; unknown tokens map to UNK.  Returns one `EncoderStates`
-        per source, in the order given.
+        lockstep; unknown tokens map to UNK.  Returns one `SourceContext`
+        per source, in the order given, with its copy bookkeeping.
 
         The tokens are laid out source by source, longest first (stable),
         each source one chain of an `autodiff.lstm_scan` forest: step s of
@@ -294,26 +297,20 @@ class Model:
         keys = ad.matmul(x, self.attn_enc_w)
         spans = sorted(zip(order, starts.tolist(),
                            (starts + lengths).tolist()))
-        return [EncoderStates(matrix=ad.narrow(x, 0, start, stop),
-                              keys=ad.narrow(keys, 0, start, stop))
-                for _, start, stop in spans]
-
-    def prepare_sources(self, sources) -> list[SourceContext]:
-        """Encode a batch of sources in lockstep and set up each one's copy
-        bookkeeping."""
-        return [self._source_context(tokens, enc)
-                for tokens, enc in zip(sources, self.encode(sources))]
+        return [self._source_context(sources[i], ad.narrow(x, 0, start, stop),
+                                     ad.narrow(keys, 0, start, stop))
+                for i, start, stop in spans]
 
     def prepare_source(self, tokens) -> SourceContext:
-        """Encode one source and set up its copy bookkeeping.  A source the
-        encoder rejects raises `ModelError` without a batch position, which
-        would read 0 whatever record the source came from."""
+        """`encode` of one source.  A source the encoder rejects raises
+        `ModelError` without a batch position, which would read 0 whatever
+        record the source came from."""
         try:
-            return self.prepare_sources([tokens])[0]
+            return self.encode([tokens])[0]
         except SourceError as e:
             raise ModelError(e.reason) from e
 
-    def _source_context(self, tokens, enc) -> SourceContext:
+    def _source_context(self, tokens, matrix, keys) -> SourceContext:
         vocab_size = self.config.output_vocab_size
         extensions = []
         union_ids = []
@@ -324,7 +321,7 @@ class Model:
                     extensions.append(token)
                 uid = vocab_size + extensions.index(token)
             union_ids.append(uid)
-        return SourceContext(tokens=list(tokens), enc=enc,
+        return SourceContext(tokens=list(tokens), matrix=matrix, keys=keys,
                              extensions=extensions,
                              union_ids=np.array(union_ids, dtype=np.int64),
                              vocab=self.output_vocab)
@@ -398,7 +395,7 @@ class Model:
     # Prediction heads
     # ------------------------------------------------------------------
 
-    def attend(self, tree_h, seq_h, enc: EncoderStates) -> ContextVector:
+    def attend(self, tree_h, seq_h, src: SourceContext) -> ContextVector:
         """Score every source position against the decoder state.
 
         Takes one state as vectors or several as (rows, hidden) matrices;
@@ -408,8 +405,8 @@ class Model:
         source_len, hidden) array for backward.
         """
         dec = ad.matmul(ad.concat([tree_h, seq_h], axis=-1), self.attn_dec_w)
-        alpha = ad.softmax(ad.attention_scores(enc.keys, dec, self.attn_v))
-        context = ad.matmul(alpha, enc.matrix)
+        alpha = ad.softmax(ad.attention_scores(src.keys, dec, self.attn_v))
+        context = ad.matmul(alpha, src.matrix)
         return ContextVector(context=context, alpha=alpha)
 
     def op_scores(self, tree_h, hist_h, context) -> ad.Tensor:
@@ -455,7 +452,7 @@ class Model:
         distribution (len(word_rows), union_size) or None when no row is
         listed).
         """
-        ctx = self.attend(tree_h, seq_h, src.enc)
+        ctx = self.attend(tree_h, seq_h, src)
         logits = self.op_scores(tree_h, hist_h, ctx.context)
         if not word_rows:
             return logits, None

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -23,7 +22,7 @@ from . import autodiff as ad
 from . import batching
 from . import corpus as cp
 from . import transition as tr
-from .model import OP_INDEX, Model, SourceError
+from .model import OP_INDEX, Model, SourceError, check_field_types
 
 logger = logging.getLogger(__name__)
 
@@ -50,11 +49,11 @@ class TrainConfig:
     patience: int = 3
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "patience", "seed"):
-            try:   # a float count fails here, not inside `train`
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise TrainingError(f"{name} must be an integer") from None
+        check_field_types(
+            self, TrainingError,
+            integers=("batch_size", "epochs", "patience", "seed"),
+            reals=("lr", "beta1", "beta2", "eps", "grad_clip",
+                   "weight_decay"))
         if self.batch_size < 1:
             raise TrainingError("batch_size must be at least 1")
         # nan < 0 is False, so finiteness is checked on its own
@@ -62,7 +61,7 @@ class TrainConfig:
             if not math.isfinite(getattr(self, name)):
                 raise TrainingError(f"{name} must be finite")
         for name in ("lr", "eps", "grad_clip", "weight_decay", "epochs",
-                     "patience"):
+                     "patience", "seed"):
             if getattr(self, name) < 0:
                 raise TrainingError(f"{name} must not be negative")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -217,11 +216,11 @@ def sequence_loss(model: Model, src, gold_ops, tree_h, seq_h, hist_h):
 def batch_loss(model: Model, instances):
     """Mean per-instance loss over a batch of (source tokens, gold ops).
 
-    The sources are encoded in lockstep (`Model.prepare_sources`), every
-    vector the gold sequences push is a row of one table built level by
-    level, and each recurrence runs as one scan over the rows of every
-    instance (`batching.teacher_forced_rows`); results match the per-step
-    fold of `Model.step` that decoding runs.  A gold sequence that
+    The sources are encoded in lockstep (`Model.encode`), every vector the
+    gold sequences push is a row of one table built level by level, and
+    each recurrence runs as one scan over the rows of every instance
+    (`batching.teacher_forced_rows`); results match the per-step fold of
+    `Model.step` that decoding runs.  A gold sequence that
     `transition.execute` rejects, or a source the encoder rejects, raises
     `TrainingError` naming its batch instance.
     """
@@ -236,7 +235,7 @@ def batch_loss(model: Model, instances):
                 f"batch instance {i}: gold sequence of {len(ops)} ops does "
                 f"not terminate in one tree: {e}") from e
     try:
-        contexts = model.prepare_sources([tokens for tokens, _ in instances])
+        contexts = model.encode([tokens for tokens, _ in instances])
     except SourceError as e:
         raise TrainingError(f"batch instance {e.index}: {e.reason}") from e
     batch_plan = batching.plan(sequences)

@@ -157,7 +157,7 @@ def test_criterion_04_distribution_sanity():
             state = m.step(state, op)
         if state.is_terminal:
             continue
-        ctx = m.attend(state.tree_h, state.seq_h, src.enc)
+        ctx = m.attend(state.tree_h, state.seq_h, src)
         op_probs = ad.softmax(m.op_scores(state.tree_h, state.hist_h,
                                           ctx.context))
         word_dist, _ = m.predict_word(state.seq_h, state.tree_h, ctx, src)

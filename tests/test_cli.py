@@ -352,7 +352,8 @@ class TestTrain:
     @pytest.mark.parametrize("flag, message", [
         ("--lr=nan", "lr must be finite"),
         ("--grad-clip=inf", "grad_clip must be finite"),
-        ("--weight-decay=-5", "weight_decay must not be negative")])
+        ("--weight-decay=-5", "weight_decay must not be negative"),
+        ("--seed=-1", "seed must not be negative")])
     def test_bad_optimizer_setting_is_a_usage_error(self, tmp_path, capsys,
                                                     flag, message):
         corpus = tmp_path / "c.jsonl"
@@ -614,6 +615,44 @@ class TestDecodeAndEval:
         assert cli.run(argv + ["--out", str(serial)]) == 0
         assert cli.run(argv + ["--out", str(parallel), "--workers", "2"]) == 0
         assert serial.read_text() == parallel.read_text()
+
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    def test_pool_is_no_larger_than_its_records(self, workdir, tmp_path,
+                                                monkeypatch, command):
+        sizes = []
+
+        class InProcessPool:
+            """Maps in this process; records the size it was asked for."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                cli._WORKER_STATE.clear()
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        examples = workdir["examples"][:2]
+        if command == "decode":
+            source = tmp_path / "source.jsonl"
+            cp.save_corpus(source, examples)
+            argv = ["decode", "--checkpoint", str(workdir["ckpt"]),
+                    "--input", str(source), "--max-words", "3"]
+        else:
+            argv = _eval_argv(tmp_path, _eval_inputs(examples))
+        serial = tmp_path / "serial"
+        pooled = tmp_path / "pooled"
+        assert cli.run(argv + ["--out", str(serial), "--workers", "1"]) == 0
+        assert cli.run(argv + ["--out", str(pooled),
+                               "--workers", "1" + "0" * 30]) == 0
+        assert sizes == [2]
+        assert serial.read_bytes() == pooled.read_bytes()
 
     def test_eval_with_source_parses_and_embeddings(self, workdir, tmp_path):
         decoded = tmp_path / "decoded.jsonl"

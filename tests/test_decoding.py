@@ -100,7 +100,7 @@ def reference_beam(model, src, config):
     def candidates(hyp, k):
         s = hyp.state
         valid = tr.valid_ops(s.symbolic, config.max_words)
-        ctx = model.attend(s.tree_h, s.seq_h, src.enc)
+        ctx = model.attend(s.tree_h, s.seq_h, src)
         ops = ad.softmax(model.op_scores(s.tree_h, s.hist_h,
                                          ctx.context)).data * \
             [kind in valid for kind in OP_ORDER]
@@ -344,14 +344,15 @@ class TestBeamConfig:
             BeamConfig(max_steps=1)
 
     @pytest.mark.parametrize("key, value", [
-        ("beam_size", 2.5), ("max_words", 4.0), ("max_steps", 6.0)])
+        ("beam_size", 2.5), ("max_words", 4.0), ("max_steps", 6.0),
+        ("beam_size", True)])
     def test_non_integer_count_rejected(self, key, value):
         with pytest.raises(decoding.DecodingError,
                            match=f"{key} must be an integer"):
             BeamConfig(**{key: value})
 
     @pytest.mark.parametrize("length_norm", [float("nan"), float("inf"),
-                                             -0.5])
+                                             -0.5, "x"])
     def test_non_finite_or_negative_length_norm_rejected(self, length_norm):
         with pytest.raises(decoding.DecodingError, match="length_norm"):
             BeamConfig(length_norm=length_norm)

@@ -1,5 +1,6 @@
 """tools/identity.py: the parent-vs-change check, run with this checkout
-on both sides, reports equal ops and checkpoints and zero deltas."""
+on both sides, reports equal ops, forced ops and checkpoints and zero
+deltas."""
 
 import json
 import os
@@ -17,6 +18,8 @@ def test_same_checkout_on_both_sides_reports_no_delta():
     report = json.loads(result.stdout.strip().splitlines()[-1])
     assert report["ops_equal"] is True
     assert report["decodes"] == 2
+    assert report["forced_ops_equal"] is True
+    assert report["forced_decodes"] == 2
     assert report["score_delta"] == 0.0
     assert report["weight_delta"] == {"float32": 0.0, "float64": 0.0}
     assert report["loss_delta"] == {"float32": 0.0, "float64": 0.0}

@@ -1,5 +1,6 @@
 """Architecture forward passes: encoder, composition, states, heads."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -50,7 +51,7 @@ class TestEncoder:
     def test_single_token_source_gives_one_state(self):
         m = tiny_model()
         enc = m.encode([["cat"]])[0]
-        assert len(enc) == 1
+        assert len(enc.tokens) == 1
         assert enc.matrix.shape == (1, 2 * m.config.hidden_size)
 
     def test_zero_weights_give_zero_states(self):
@@ -115,6 +116,8 @@ class TestLockstepEncoder:
                                            rtol=0, atol=1e-12)
                 np.testing.assert_allclose(got.keys.data, keys,
                                            rtol=0, atol=1e-12)
+            assert (enc.union_ids.tolist(), enc.extensions) == (
+                alone.union_ids.tolist(), alone.extensions)
 
     def test_reordering_the_batch_changes_no_state(self):
         m = self._model()
@@ -276,28 +279,28 @@ class TestAttention:
         m = tiny_model()
         src = m.prepare_source(["cat"])
         state = m.initial_state()
-        ctx = m.attend(state.tree_h, state.seq_h, src.enc)
+        ctx = m.attend(state.tree_h, state.seq_h, src)
         np.testing.assert_allclose(ctx.alpha.data, [1.0])
 
     def test_identical_encoder_states_get_uniform_attention(self):
         m = tiny_model()
         src = m.prepare_source(["cat", "cat", "cat"])
         # force identical rows regardless of position
-        first = src.enc.matrix.data[0].copy()
+        first = src.matrix.data[0].copy()
         matrix = ad.Tensor(np.tile(first, (3, 1)))
-        enc = type(src.enc)(matrix=matrix,
-                            keys=ad.matmul(matrix, m.attn_enc_w))
+        src = dataclasses.replace(src, matrix=matrix,
+                                  keys=ad.matmul(matrix, m.attn_enc_w))
         state = m.initial_state()
-        ctx = m.attend(state.tree_h, state.seq_h, enc)
+        ctx = m.attend(state.tree_h, state.seq_h, src)
         np.testing.assert_allclose(ctx.alpha.data, [1 / 3] * 3, atol=1e-12)
 
     def test_alpha_sums_to_one_and_context_is_weighted_sum(self):
         m = tiny_model()
         src = m.prepare_source(["the", "cat", "sat", "mat"])
         state = m.initial_state()
-        ctx = m.attend(state.tree_h, state.seq_h, src.enc)
+        ctx = m.attend(state.tree_h, state.seq_h, src)
         assert abs(ctx.alpha.data.sum() - 1.0) < 1e-6
-        expected = ctx.alpha.data @ src.enc.matrix.data
+        expected = ctx.alpha.data @ src.matrix.data
         np.testing.assert_allclose(ctx.context.data, expected, atol=1e-12)
 
     def test_context_gradient_matches_finite_differences(self):
@@ -308,7 +311,7 @@ class TestAttention:
         def f():
             src = m.prepare_source(src_tokens)
             state = m.initial_state()
-            ctx = m.attend(state.tree_h, state.seq_h, src.enc)
+            ctx = m.attend(state.tree_h, state.seq_h, src)
             return ad.total(ad.mul(ctx.context, probe))
 
         params = [m.attn_dec_w, m.attn_enc_w, m.attn_v, m.src_embed]
@@ -333,7 +336,7 @@ class TestAttention:
                     if isinstance(cell.cell_contents, np.ndarray)}
 
         with ad.Tape() as tape:
-            ctx = m.attend(tree_h, seq_h, src.enc)
+            ctx = m.attend(tree_h, seq_h, src)
             loss = ad.total(ctx.context)
             assert saved_ndims(tape) and max(saved_ndims(tape)) < 3
             tape.backward(loss)
@@ -341,7 +344,7 @@ class TestAttention:
         with ad.Tape() as tape:
             dec = ad.matmul(ad.concat([tree_h, seq_h], axis=-1),
                             m.attn_dec_w)
-            attention_scores_composite(src.enc.keys, dec, m.attn_v)
+            attention_scores_composite(src.keys, dec, m.attn_v)
             assert 3 in saved_ndims(tape)
 
 
@@ -352,7 +355,7 @@ class TestPredictOp:
             p.data[...] = 0.0
         src = m.prepare_source(["cat"])
         state = m.initial_state()
-        ctx = m.attend(state.tree_h, state.seq_h, src.enc)
+        ctx = m.attend(state.tree_h, state.seq_h, src)
         probs = ad.softmax(m.op_scores(state.tree_h, state.hist_h,
                                        ctx.context))
         np.testing.assert_allclose(probs.data, [1 / 3] * 3, atol=1e-12)
@@ -361,7 +364,7 @@ class TestPredictOp:
         m = tiny_model(seed=77)
         src = m.prepare_source(["the", "cat"])
         state = m.initial_state()
-        ctx = m.attend(state.tree_h, state.seq_h, src.enc)
+        ctx = m.attend(state.tree_h, state.seq_h, src)
         probs = ad.softmax(m.op_scores(state.tree_h, state.hist_h,
                                        ctx.context))
         assert abs(probs.data.sum() - 1.0) < 1e-6
@@ -372,7 +375,7 @@ class TestPredictOp:
         def f():
             src = m.prepare_source(["the", "cat"])
             state = m.initial_state()
-            ctx = m.attend(state.tree_h, state.seq_h, src.enc)
+            ctx = m.attend(state.tree_h, state.seq_h, src)
             probs = ad.softmax(m.op_scores(state.tree_h, state.hist_h,
                                            ctx.context))
             return ad.log(ad.pick(probs, 2))
@@ -404,7 +407,7 @@ class TestPredictWord:
         m.switch_b.data[...] = 1e3  # saturate the sigmoid switch
         src = m.prepare_source(["the", "cat"])
         state = m.initial_state()
-        ctx = m.attend(state.tree_h, state.seq_h, src.enc)
+        ctx = m.attend(state.tree_h, state.seq_h, src)
         dist, switch = m.predict_word(state.seq_h, state.tree_h, ctx, src)
         assert abs(switch.item() - 1.0) < 1e-9
         # copy mass zero: all probability sits in the vocabulary block
@@ -415,7 +418,7 @@ class TestPredictWord:
         src = m.prepare_source(["cat", "zzz", "sat", "zzz", "qqq"])
         assert src.extensions == ["zzz", "qqq"]
         state = m.initial_state()
-        ctx = m.attend(state.tree_h, state.seq_h, src.enc)
+        ctx = m.attend(state.tree_h, state.seq_h, src)
         dist, switch = m.predict_word(state.seq_h, state.tree_h, ctx, src)
         assert dist.shape == (src.union_size,)
         assert abs(dist.data.sum() - 1.0) < 1e-6
@@ -462,7 +465,7 @@ class TestCopyScatter:
                                      for name in ("tree_h", "seq_h"))
                 else:
                     tree_h, seq_h = states[-1].tree_h, states[-1].seq_h
-                ctx = m.attend(tree_h, seq_h, src.enc)
+                ctx = m.attend(tree_h, seq_h, src)
                 dist, _ = predict(seq_h, tree_h, ctx, src)
                 probe = np.cos(np.arange(dist.data.size)).reshape(dist.shape)
                 tape.backward(ad.total(ad.mul(dist, ad.Tensor(probe))))
@@ -507,7 +510,7 @@ class TestJointDistribution:
         m = tiny_model(seed=9)
         src = m.prepare_source(["the", "cat", "zzz"])
         state = m.initial_state()
-        ctx = m.attend(state.tree_h, state.seq_h, src.enc)
+        ctx = m.attend(state.tree_h, state.seq_h, src)
         op_probs = ad.softmax(m.op_scores(state.tree_h, state.hist_h,
                                           ctx.context))
         dist, _ = m.predict_word(state.seq_h, state.tree_h, ctx, src)
@@ -537,7 +540,7 @@ class TestDeterminism:
             m = tiny_model(seed=123)
             src = m.prepare_source(["the", "cat", "sat"])
             state = m.initial_state()
-            ctx = m.attend(state.tree_h, state.seq_h, src.enc)
+            ctx = m.attend(state.tree_h, state.seq_h, src)
             runs.append(ad.softmax(m.op_scores(
                 state.tree_h, state.hist_h, ctx.context)).data.copy())
         np.testing.assert_array_equal(runs[0], runs[1])
@@ -581,6 +584,16 @@ class TestPersistence:
         with pytest.raises(ModelError,
                            match=f"{side} vocab size disagrees with config"):
             Model(config, vocabs["input"], vocabs["output"])
+
+    @pytest.mark.parametrize("value", [2.5, "4", True])
+    def test_non_integer_size_rejected(self, value):
+        with pytest.raises(ModelError, match="hidden_size must be an integer"):
+            ModelConfig(input_vocab_size=5, output_vocab_size=5,
+                        hidden_size=value)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ModelError, match="seed"):
+            tiny_model(seed=-1)
 
     def test_vocab_hash_mismatch_detected(self, tmp_path):
         m = tiny_model(seed=7, dtype=np.float32)

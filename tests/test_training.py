@@ -595,7 +595,7 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("key, value", [
         ("batch_size", 1.5), ("epochs", 2.0), ("patience", 1.0),
-        ("seed", 3.0)])
+        ("seed", 3.0), ("batch_size", True)])
     def test_non_integer_count_rejected(self, key, value):
         with pytest.raises(training.TrainingError,
                            match=f"{key} must be an integer"):
@@ -604,7 +604,7 @@ class TestTrainLoop:
     @pytest.mark.parametrize("key, value", [
         ("lr", float("nan")), ("lr", float("inf")), ("eps", float("nan")),
         ("grad_clip", float("inf")), ("weight_decay", float("nan")),
-        ("weight_decay", -5.0)])
+        ("weight_decay", -5.0), ("lr", "x"), ("seed", -1)])
     def test_non_finite_or_negative_rate_rejected(self, key, value):
         with pytest.raises(training.TrainingError, match=key):
             training.TrainConfig(**{key: value})
@@ -694,7 +694,7 @@ def per_step_fold_loss(model, tokens, ops):
     state = model.initial_state()
     total = 0.0
     for op in ops:
-        ctx = model.attend(state.tree_h, state.seq_h, src.enc)
+        ctx = model.attend(state.tree_h, state.seq_h, src)
         scores = model.op_scores(state.tree_h, state.hist_h,
                                  ctx.context).data
         shifted = scores - scores.max()

@@ -15,6 +15,8 @@ one seed's part at a time:
 - pinned float32 decodes, as in the benchmark's paper_decode workloads
   (every hypothesis generates until ``max_words``, then reduces), at each
   seed of ``--seeds`` and beam size of ``--beams``;
+- the same decodes with a step limit of ``max_words``, half the natural
+  length, so that `decoding.force_complete` closes every result;
 - float32 and float64 freshly built weights per seed, so a change to
   weight initialisation is checked directly;
 - float32 and float64 ``training.batch_loss`` gradients on ``--pairs``
@@ -25,12 +27,12 @@ one seed's part at a time:
   corpus, whose dev losses are scripted (``DEV_LOSSES``) so that it
   restores an earlier epoch and stops early.
 
-It prints one JSON line: whether every decode has the same ops, the
-largest score delta, per dtype the largest weight delta, the largest
-loss delta and the largest gradient delta per parameter, whether every
-checkpoint is byte-equal, the largest delta of the loaded weights, and
-the largest final-weight delta of the training runs.  It exits 1 when the
-ops differ.
+It prints one JSON line: whether every decode, and every forced decode,
+has the same ops, the largest score delta of both, per dtype the largest
+weight delta, the largest loss delta and the largest gradient delta per
+parameter, whether every checkpoint is byte-equal, the largest delta of
+the loaded weights, and the largest final-weight delta of the training
+runs.  It exits 1 when the ops of either kind of decode differ.
 """
 
 from __future__ import annotations
@@ -83,6 +85,25 @@ def paper_model(ts, gen, seed, dtype):
                             output_vocab_size=len(out_vocab),
                             hidden_size=size, embed_size=size)
     return ts.Model(config, in_vocab, out_vocab, seed=seed, dtype=dtype)
+
+
+def pinned_decodes(ts, model, records, beam, forced):
+    """Ops and scores of `beam_search` over ``records`` on a pinned model,
+    with ``max_words`` each summary's length n.  A pinned decode takes 2n
+    steps; ``forced`` limits it to n, so `force_complete` must add the
+    reduces, and a result that fits the limit is an error."""
+    ops, scores = [], []
+    for record in records:
+        words = len(record["summary"])
+        config = ts.BeamConfig(beam_size=beam, max_words=words,
+                               max_steps=words if forced else None)
+        hyp = ts.beam_search(model, model.prepare_source(record["source"]),
+                             config)
+        if forced and len(hyp.ops) <= config.step_limit:
+            raise SystemExit(f"a decode of {words} words was not forced")
+        ops.append(" ".join(str(op) for op in hyp.ops))
+        scores.append(hyp.score)
+    return np.array(ops), np.array(scores)
 
 
 def save_and_load(ts, model, directory):
@@ -142,16 +163,10 @@ def run_side(src, args):
             count = DECODE_SOURCES.get(beam, 2)
             rng = np.random.default_rng([seed, 4])
             records = gen.paper_set(seed, 5, gen.spread_lengths(rng, count))
-            ops, scores = [], []
-            for record in records:
-                hyp = ts.beam_search(
-                    model, model.prepare_source(record["source"]),
-                    ts.BeamConfig(beam_size=beam,
-                                  max_words=len(record["summary"])))
-                ops.append(" ".join(str(op) for op in hyp.ops))
-                scores.append(hyp.score)
-            out[f"ops/{seed}/{beam}"] = np.array(ops)
-            out[f"scores/{seed}/{beam}"] = np.array(scores)
+            for prefix, forced in (("", False), ("forced_", True)):
+                (out[f"{prefix}ops/{seed}/{beam}"],
+                 out[f"{prefix}scores/{seed}/{beam}"]) = pinned_decodes(
+                    ts, model, records, beam, forced)
         save(f"{seed}-decode", out)
         rng = np.random.default_rng([seed, 0])
         pairs = gen.paper_set(seed, 1, gen.spread_lengths(rng, args.pairs))
@@ -212,7 +227,9 @@ def run_worker(src, args, out):
 def compare(parent, change):
     """The JSON report of two sides' saved results: directories of the
     same ``.npz`` parts, read one pair of parts at a time."""
-    report = {"ops_equal": True, "decodes": 0, "score_delta": 0.0,
+    report = {"ops_equal": True, "decodes": 0,
+              "forced_ops_equal": True, "forced_decodes": 0,
+              "score_delta": 0.0,
               "weight_delta": {d: 0.0 for d in DTYPES},
               "loss_delta": {d: 0.0 for d in DTYPES},
               "grad_delta": {d: {} for d in DTYPES},
@@ -229,15 +246,16 @@ def compare(parent, change):
 def _compare_key(report, key, a, b):
     """Fold one saved result of both sides into ``report``."""
     kind, *rest = key.split("/")
-    if kind == "ops":
-        report["ops_equal"] &= bool(np.array_equal(a, b))
-        report["decodes"] += a.size
+    if kind in ("ops", "forced_ops"):
+        prefix = kind.removesuffix("ops")
+        report[f"{prefix}ops_equal"] &= bool(np.array_equal(a, b))
+        report[f"{prefix}decodes"] += a.size
         return
     if kind == "checkpoint":
         report["checkpoint_equal"] &= bool(np.array_equal(a, b))
         return
     delta = float(np.abs(a.astype(np.float64) - b).max())
-    if kind == "scores":
+    if kind in ("scores", "forced_scores"):
         report["score_delta"] = max(report["score_delta"], delta)
     elif kind in ("trained", "loaded"):
         key = "train_weight_delta" if kind == "trained" else "load_delta"
@@ -265,7 +283,7 @@ def main(argv=None):
                   **compare(os.path.join(tmp, "parent-results"),
                             os.path.join(tmp, "change-results"))}
     print(json.dumps(report))
-    return 0 if report["ops_equal"] else 1
+    return 0 if report["ops_equal"] and report["forced_ops_equal"] else 1
 
 
 if __name__ == "__main__":
