@@ -482,7 +482,9 @@ def cmd_eval(args):
         with atomic_output(args.out) as fh:
             fh.write("\n".join(lines) + "\n")
         echo_config(config, "eval",
-                    {"decoded": args.decoded, "reference": args.reference},
+                    {"decoded": args.decoded, "reference": args.reference,
+                     "source_parses": args.source_parses,
+                     "embeddings": args.embeddings, "sigmas": list(sigmas)},
                     args.out)
     else:
         print("\n".join(lines))

@@ -130,38 +130,76 @@ class EmbeddingTable:
         return sim
 
 
-def load_embeddings(path) -> EmbeddingTable:
-    """Parse ``word v1 v2 ... vd`` lines; first occurrence wins on
-    duplicates; dimension mismatches and non-finite values report the
-    line number.  Vectors go straight into one matrix (no second copy),
-    sized by a first pass that counts the lines."""
-    index, rows = {}, np.zeros((1, 0))
-    count = sum(1 for _, line in text_lines(path, MetricsError)
-                if line.strip())
-    for lineno, line in text_lines(path, MetricsError):
-        parts = line.split()
-        if not parts:
-            continue
-        word, values = parts[0], parts[1:]
-        if not values:
-            raise MetricsError(f"{path}:{lineno}: no vector values")
+def _parse_values(lines):
+    """One row of floats per whitespace-separated line, in numpy's float
+    syntax; raises ValueError on a bad value or a ragged row.  Given the
+    row count, `np.loadtxt` sizes its result once instead of growing it."""
+    return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2,
+                      max_rows=len(lines))
+
+
+def _raise_first_bad_line(path, linenos, values):
+    """Re-read ``values`` one line at a time with the same parser and
+    raise the error of the first bad line."""
+    dim = None
+    for lineno, line in zip(linenos, values):
         try:
-            vec = np.array(values, dtype=np.float64)
+            vec = _parse_values([line])[0]
         except ValueError:
             raise MetricsError(f"{path}:{lineno}: unparseable value")
         if not np.isfinite(vec).all():
             raise MetricsError(f"{path}:{lineno}: non-finite value")
-        if not index:
-            rows = np.zeros((count + 1, len(vec)))
-        elif len(vec) != rows.shape[1]:
+        dim = len(vec) if dim is None else dim
+        if len(vec) != dim:
             raise MetricsError(
-                f"{path}:{lineno}: dimension {len(vec)} != "
-                f"{rows.shape[1]}")
+                f"{path}:{lineno}: dimension {len(vec)} != {dim}")
+
+
+def _read_rows(path):
+    """(words, value rows) of the non-blank lines of an embeddings file,
+    every line checked.  Each line is split once into its word and its
+    values, and the values of all lines are parsed in one `np.loadtxt`
+    call; only when that fails are they re-read line by line to name the
+    bad one.  The values die with this call, before the rows are copied."""
+    linenos, words, values = [], [], []
+    for lineno, line in text_lines(path, MetricsError):
+        parts = line.split(None, 1)
+        if not parts:
+            continue
+        if len(parts) == 1:
+            raise MetricsError(f"{path}:{lineno}: no vector values")
+        linenos.append(lineno)
+        words.append(parts[0])
+        values.append(parts[1])
+    if not values:   # loadtxt would warn of an empty input
+        return [], np.zeros((0, 0))
+    try:
+        rows = _parse_values(values)
+    except ValueError:
+        _raise_first_bad_line(path, linenos, values)
+        raise
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise MetricsError(
+            f"{path}:{linenos[int(np.argmin(finite))]}: non-finite value")
+    return words, rows
+
+
+def load_embeddings(path) -> EmbeddingTable:
+    """Parse ``word v1 v2 ... vd`` lines; first occurrence wins on
+    duplicates; a word without values, an unparseable value, a dimension
+    mismatch or a non-finite value reports its line number."""
+    words, rows = _read_rows(path)
+    index, keep = {}, []
+    for i, word in enumerate(words):
         if word not in index:
-            rows[len(index)] = vec
-            index[word] = len(index)
+            index[word] = len(keep)
+            keep.append(i)
     table = EmbeddingTable(dim=rows.shape[1] if index else None)
-    table._adopt(index, rows[:len(index) + 1])
+    vectors = np.zeros((len(keep) + 1, rows.shape[1]))
+    # "clip" (the indices are valid) writes to out without a buffer
+    np.take(rows, keep, axis=0, out=vectors[:-1], mode="clip")
+    table._adopt(index, vectors)
     return table
 
 

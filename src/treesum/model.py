@@ -66,13 +66,16 @@ class SourceError(ModelError):
 def check_field_types(config, error, integers=(), reals=()):
     """Raise ``error`` naming the first field of ``config`` that is not an
     integer (of ``integers``) or a real number (of ``reals``); a bool is
-    neither, though it would pass as 0 or 1."""
+    neither, though it would pass as 0 or 1.  An accepted integer is stored
+    as a plain ``int``, so a numpy integer still saves as JSON."""
     for names, kind, required in ((integers, "an integer", numbers.Integral),
                                   (reals, "a number", numbers.Real)):
         for name in names:
             value = getattr(config, name)
             if isinstance(value, bool) or not isinstance(value, required):
                 raise error(f"{name} must be {kind}")
+            if required is numbers.Integral:
+                setattr(config, name, int(value))
 
 
 @dataclass

@@ -10,6 +10,8 @@ import numpy as np
 
 from treesum import autodiff as ad
 from treesum import transition as tr
+from treesum.corpus import text_lines
+from treesum.metrics import EmbeddingTable, MetricsError
 from treesum.model import OP_INDEX
 
 
@@ -205,6 +207,41 @@ def pairwise_relation_matches(predicted, target, vectors=None, sigma=1.0):
             used_p.add(i)
             used_t.add(j)
     return len(used_p), len(predicted), len(target)
+
+
+def reference_load_embeddings(path):
+    """`metrics.load_embeddings` one line at a time: each line split on
+    whitespace and its values parsed by ``np.array``, i.e. by Python's
+    ``float``, into a matrix sized by a first pass that counts the lines.
+    The reference for the one-call parse on valid files."""
+    index, rows = {}, np.zeros((1, 0))
+    count = sum(1 for _, line in text_lines(path, MetricsError)
+                if line.strip())
+    for lineno, line in text_lines(path, MetricsError):
+        parts = line.split()
+        if not parts:
+            continue
+        word, values = parts[0], parts[1:]
+        if not values:
+            raise MetricsError(f"{path}:{lineno}: no vector values")
+        try:
+            vec = np.array(values, dtype=np.float64)
+        except ValueError:
+            raise MetricsError(f"{path}:{lineno}: unparseable value")
+        if not np.isfinite(vec).all():
+            raise MetricsError(f"{path}:{lineno}: non-finite value")
+        if not index:
+            rows = np.zeros((count + 1, len(vec)))
+        elif len(vec) != rows.shape[1]:
+            raise MetricsError(
+                f"{path}:{lineno}: dimension {len(vec)} != "
+                f"{rows.shape[1]}")
+        if word not in index:
+            rows[len(index)] = vec
+            index[word] = len(index)
+    table = EmbeddingTable(dim=rows.shape[1] if index else None)
+    table._adopt(index, rows[:len(index) + 1])
+    return table
 
 
 def sigmoid_where(a):

@@ -679,6 +679,12 @@ class TestDecodeAndEval:
         text = report.read_text()
         assert "relsrc_f" in text
         assert "# relation preservation vs source" in text
+        echoed = json.loads((tmp_path / "report.tsv.config").read_text())
+        assert echoed["command"] == "eval"
+        assert echoed["inputs"] == {
+            "decoded": str(decoded), "reference": str(workdir["corpus"]),
+            "source_parses": str(parses), "embeddings": str(vectors),
+            "sigmas": [1.0, 0.8]}
 
     @pytest.mark.parametrize("command", ["decode", "eval"])
     @pytest.mark.parametrize("fails", [False, True])

@@ -1,6 +1,6 @@
 """tools/identity.py: the parent-vs-change check, run with this checkout
-on both sides, reports equal ops, forced ops and checkpoints and zero
-deltas."""
+on both sides, reports equal ops, forced ops, checkpoints and eval
+reports and zero deltas."""
 
 import json
 import os
@@ -30,3 +30,4 @@ def test_same_checkout_on_both_sides_reports_no_delta():
     assert report["checkpoint_equal"] is True
     assert report["load_delta"] == 0.0
     assert report["train_weight_delta"] == 0.0
+    assert report["eval_report_equal"] is True

@@ -1,11 +1,14 @@
 """ROUGE and relation-preservation scoring."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from treesum import metrics
 from treesum.metrics import EmbeddingTable, Relation
-from helpers import pairwise_cosine, pairwise_relation_matches, seeded_rng
+from helpers import (pairwise_cosine, pairwise_relation_matches,
+                     reference_load_embeddings, seeded_rng)
 
 
 class TestRougeN:
@@ -272,6 +275,107 @@ class TestEmbeddingTable:
         path.write_text(f"man 1.0 0.0\ncat {value} 1.0\n")
         with pytest.raises(metrics.MetricsError, match=":2: non-finite"):
             metrics.load_embeddings(path)
+
+    def test_word_without_values_reports_line(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("man 1.0 0.0\ncat \t\n")
+        with pytest.raises(metrics.MetricsError,
+                           match=f"^{path}:2: no vector values$"):
+            metrics.load_embeddings(path)
+
+    def test_blank_only_file_gives_empty_table_without_warning(
+            self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("\n  \n\t\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = metrics.load_embeddings(path)
+        assert len(table) == 0
+        assert table.dim is None
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661"])
+    def test_value_outside_numpy_float_syntax_reports_line(self, tmp_path,
+                                                           value):
+        # Python's float reads both; numpy's parser does not
+        path = tmp_path / "vectors.txt"
+        path.write_text(f"man 1.0 0.0\ncat 1.0 {value}\n", encoding="utf-8")
+        with pytest.raises(metrics.MetricsError,
+                           match=f"^{path}:2: unparseable value$"):
+            metrics.load_embeddings(path)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("cat", "no vector values"),
+        ("cat 1.0 oops", "unparseable value"),
+        ("cat 1.0", "dimension 1 != 2"),
+        ("cat 1.0 2.0 3.0", "dimension 3 != 2"),
+        ("cat nan 1.0", "non-finite value"),
+        ("cat 1.0 -inf", "non-finite value"),
+    ])
+    def test_bad_line_past_the_first_chunk_is_named(self, tmp_path, bad,
+                                                     message):
+        # loadtxt reads 50,000 lines per chunk; the bad line lies beyond
+        lines = [f"w{i} {i % 7}.5 -{i % 3}e-2" for i in range(60000)]
+        path = tmp_path / "vectors.txt"
+        path.write_text("\n".join(lines + [bad] + lines[:5]) + "\n")
+        expected = f"{path}:60001: {message}"
+        with pytest.raises(metrics.MetricsError) as caught:
+            reference_load_embeddings(path)
+        assert str(caught.value) == expected
+        with pytest.raises(metrics.MetricsError) as caught:
+            metrics.load_embeddings(path)
+        assert str(caught.value) == expected
+
+    @pytest.mark.parametrize("text, error", [
+        ("a nan 1.0\nb 1.0 oops\n", ":1: non-finite value"),
+        ("a 1.0 2.0\nb inf 2.0\nc 1.0 2.0 3.0\n", ":2: non-finite value"),
+        ("a 1.0 2.0\nb 1.0\nc 1.0 x\n", ":2: dimension 1 != 2"),
+        ("a 1.0 x\nb 1.0\n", ":1: unparseable value"),
+    ])
+    def test_first_bad_line_wins_as_in_the_reference(self, tmp_path, text,
+                                                     error):
+        path = tmp_path / "vectors.txt"
+        path.write_text(text)
+        for load in (reference_load_embeddings, metrics.load_embeddings):
+            with pytest.raises(metrics.MetricsError) as caught:
+                load(path)
+            assert str(caught.value) == f"{path}{error}"
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_valid_files_load_as_the_reference(self, tmp_path, seed):
+        rng = seeded_rng(seed)
+        dim = int(rng.integers(1, 6))
+        pool = [f"w{k}" for k in range(12)] + ["caf\u00e9", "x-y", "A."]
+        separators = [" ", "\t", "   ", "\xa0", " \t ", "\u2003"]
+        formats = ["%r", "%.4f", "%g", "%e", "%+.3E", "%.0f", "%d"]
+
+        def sep():
+            return str(rng.choice(separators))
+
+        lines = []
+        for _ in range(int(rng.integers(1, 40))):
+            if rng.random() < 0.1:
+                lines.append(str(rng.choice(["", " ", "\t", "\xa0"])))
+                continue
+            if rng.random() < 0.15:
+                vec = np.zeros(dim)
+            else:
+                vec = rng.normal(size=dim) * 10.0 ** rng.integers(-6, 6, dim)
+            fields = [str(rng.choice(pool))]
+            for v in vec.tolist():
+                fmt = str(rng.choice(formats))
+                fields.append(fmt % (int(v) if fmt == "%d" else v))
+            line = sep().join(fields)
+            if rng.random() < 0.2:
+                line = sep() + line + sep()
+            lines.append(line)
+        ending = str(rng.choice(["\n", "\r\n"]))
+        path = tmp_path / "vectors.txt"
+        path.write_bytes((ending.join(lines) + ending).encode("utf-8"))
+        expected = reference_load_embeddings(path)
+        table = metrics.load_embeddings(path)
+        assert table.index == expected.index
+        assert table.dim == expected.dim
+        np.testing.assert_array_equal(table.unit, expected.unit)
 
 
 class TestThresholdSweep:

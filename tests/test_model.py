@@ -595,6 +595,20 @@ class TestPersistence:
         with pytest.raises(ModelError, match="seed"):
             tiny_model(seed=-1)
 
+    def test_numpy_integer_sizes_save_and_load(self, tmp_path):
+        in_vocab, out_vocab = tiny_vocab(["the", "cat"]), tiny_vocab(["cat"])
+        config = ModelConfig(input_vocab_size=np.int64(len(in_vocab)),
+                             output_vocab_size=np.int32(len(out_vocab)),
+                             hidden_size=np.int64(4), embed_size=np.int64(4))
+        assert type(config.hidden_size) is int
+        m = Model(config, in_vocab, out_vocab, seed=7)
+        path = tmp_path / "model.ckpt"
+        m.save(path)
+        loaded = Model.load(path)
+        assert loaded.config == config
+        for a, b in zip(loaded.parameters(), m.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+
     def test_vocab_hash_mismatch_detected(self, tmp_path):
         m = tiny_model(seed=7, dtype=np.float32)
         path = tmp_path / "model.ckpt"

@@ -126,7 +126,8 @@ class TestMutationFuzz:
 
     @pytest.mark.parametrize("reader", ["load_corpus", "convert_conll_parses",
                                         "convert_conll_sources",
-                                        "load_config_file"])
+                                        "load_config_file",
+                                        "load_embeddings"])
     @settings(max_examples=150, deadline=None, database=None,
               derandomize=True)
     @given(data=st.data())

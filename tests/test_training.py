@@ -601,6 +601,11 @@ class TestTrainLoop:
                            match=f"{key} must be an integer"):
             training.TrainConfig(**{key: value})
 
+    def test_numpy_integer_count_reads_back_as_int(self):
+        config = training.TrainConfig(batch_size=np.int64(2))
+        assert config.batch_size == 2
+        assert type(config.batch_size) is int
+
     @pytest.mark.parametrize("key, value", [
         ("lr", float("nan")), ("lr", float("inf")), ("eps", float("nan")),
         ("grad_clip", float("inf")), ("weight_decay", float("nan")),

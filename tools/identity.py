@@ -25,14 +25,19 @@ one seed's part at a time:
   fresh models, and the weights ``Model.load`` reads back from it;
 - the final weights of a short ``training.train`` per seed on the toy
   corpus, whose dev losses are scripted (``DEV_LOSSES``) so that it
-  restores an earlier epoch and stops early.
+  restores an earlier epoch and stops early;
+- the bytes of the report ``treesum eval`` writes per seed for the
+  benchmark's eval inputs: the decodes, references and source parses of
+  ``gen.eval_set``, the vectors of ``gen.embedding_lines`` and the
+  benchmark's sigmas, with the benchmark's own eval command line.
 
 It prints one JSON line: whether every decode, and every forced decode,
 has the same ops, the largest score delta of both, per dtype the largest
 weight delta, the largest loss delta and the largest gradient delta per
 parameter, whether every checkpoint is byte-equal, the largest delta of
-the loaded weights, and the largest final-weight delta of the training
-runs.  It exits 1 when the ops of either kind of decode differ.
+the loaded weights, the largest final-weight delta of the training
+runs, and whether every eval report is byte-equal.  It exits 1 when the
+ops of either kind of decode differ, or an eval report does.
 """
 
 from __future__ import annotations
@@ -135,17 +140,29 @@ def toy_train(ts, examples, seed):
     return {p.name: p.data for p in model.parameters()}
 
 
+def eval_report(cli, gen, workloads, seed, directory):
+    """The bytes of the report the benchmark's eval command writes for its
+    inputs at ``seed``, written under ``directory``."""
+    paths = workloads.cli_paths(gen.write_cli_inputs(
+        seed, directory, 1, 1, workloads.EVAL_RECORDS))
+    if cli.run(workloads.CliPipeline().argv(paths)[-1]) != 0:
+        raise SystemExit(f"treesum eval failed at seed {seed}")
+    with open(paths["report"], "rb") as fh:
+        return np.frombuffer(fh.read(), dtype=np.uint8)
+
+
 def run_side(src, args):
     """Decode ops and scores, fresh weights, gradients, checkpoints and
-    their loaded weights, and toy-trained weights, of the package under
-    ``src``, saved under the directory ``args.out`` one part at a time:
-    each seed's decodes, each of its dtypes, and each toy training, so a
-    side holds one model's arrays at a time."""
+    their loaded weights, toy-trained weights and eval reports of the
+    package under ``src``, saved under the directory ``args.out`` one part
+    at a time: each seed's decodes, each of its dtypes, each toy training
+    and each eval report, so a side holds one model's arrays at a time."""
     sys.path[:0] = [src, PERFBENCH]
     import gen
     import treesum as ts
     import workloads
     from treesum import autodiff as ad
+    from treesum import cli
     from treesum import training
 
     if not os.path.abspath(ts.__file__).startswith(os.path.abspath(src)):
@@ -194,6 +211,10 @@ def run_side(src, args):
     for seed in args.seeds:
         save(f"{seed}-trained", {f"trained/{seed}/{name}": data for name, data
                                  in toy_train(ts, toy, seed).items()})
+    directory = os.path.join(os.path.dirname(args.out), "eval")
+    for seed in args.seeds:
+        save(f"{seed}-eval", {f"eval_report/{seed}": eval_report(
+            cli, gen, workloads, seed, directory)})
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +255,7 @@ def compare(parent, change):
               "loss_delta": {d: 0.0 for d in DTYPES},
               "grad_delta": {d: {} for d in DTYPES},
               "checkpoint_equal": True, "load_delta": 0.0,
-              "train_weight_delta": 0.0}
+              "train_weight_delta": 0.0, "eval_report_equal": True}
     for part in sorted(os.listdir(parent)):
         with np.load(os.path.join(parent, part)) as old, \
                 np.load(os.path.join(change, part)) as new:
@@ -251,8 +272,8 @@ def _compare_key(report, key, a, b):
         report[f"{prefix}ops_equal"] &= bool(np.array_equal(a, b))
         report[f"{prefix}decodes"] += a.size
         return
-    if kind == "checkpoint":
-        report["checkpoint_equal"] &= bool(np.array_equal(a, b))
+    if kind in ("checkpoint", "eval_report"):
+        report[f"{kind}_equal"] &= bool(np.array_equal(a, b))
         return
     delta = float(np.abs(a.astype(np.float64) - b).max())
     if kind in ("scores", "forced_scores"):
@@ -283,7 +304,8 @@ def main(argv=None):
                   **compare(os.path.join(tmp, "parent-results"),
                             os.path.join(tmp, "change-results"))}
     print(json.dumps(report))
-    return 0 if report["ops_equal"] and report["forced_ops_equal"] else 1
+    return 0 if (report["ops_equal"] and report["forced_ops_equal"]
+                 and report["eval_report_equal"]) else 1
 
 
 if __name__ == "__main__":
