@@ -260,14 +260,6 @@ def _make(data, backward, op):
     return out
 
 
-def _node(t: Tensor):
-    """The node an operand's gradient goes to: Parameters and taped
-    outputs have one; constants (tensors made off the tape, lifted
-    scalars) have none, so no product is computed for them.  Backward
-    closures capture this, never the operand."""
-    return t.node
-
-
 def _lift(x, like: Tensor) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -290,7 +282,7 @@ def add(a: Tensor, b) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: {a.shape} vs {b.shape}")
-    na, nb, sa, sb = _node(a), _node(b), a.shape, b.shape
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
 
     def backward(g):
         if na is not None:
@@ -306,7 +298,7 @@ def sub(a: Tensor, b) -> Tensor:
         data = a.data - b.data
     except ValueError:
         raise ShapeError(f"sub: {a.shape} vs {b.shape}")
-    na, nb, sa, sb = _node(a), _node(b), a.shape, b.shape
+    na, nb, sa, sb = a.node, b.node, a.shape, b.shape
 
     def backward(g):
         if na is not None:
@@ -317,7 +309,7 @@ def sub(a: Tensor, b) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    na = _node(a)
+    na = a.node
 
     def backward(g):
         if na is not None:
@@ -331,7 +323,7 @@ def mul(a: Tensor, b) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}")
-    na, nb, a_data, b_data = _node(a), _node(b), a.data, b.data
+    na, nb, a_data, b_data = a.node, b.node, a.data, b.data
 
     def backward(g):
         if na is not None:
@@ -351,7 +343,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul: {a.shape} x {b.shape}")
     tape = _ACTIVE_TAPE
-    na, nb, a_data, b_data = _node(a), _node(b), a.data, b.data
+    na, nb, a_data, b_data = a.node, b.node, a.data, b.data
     param = b if isinstance(b, Parameter) else None
 
     def backward(g):
@@ -375,7 +367,7 @@ def concat(tensors, axis=0) -> Tensor:
     except ValueError:
         raise ShapeError(
             "concat: " + " | ".join(str(t.shape) for t in tensors))
-    parts = [(_node(t), t.data.shape[axis]) for t in tensors]
+    parts = [(t.node, t.data.shape[axis]) for t in tensors]
 
     def backward(g):
         start = 0
@@ -393,7 +385,7 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     index[axis] = slice(start, stop)
     index = tuple(index)
     data = a.data[index].copy()
-    na = _node(a)
+    na = a.node
 
     def backward(g):
         if na is not None:
@@ -405,7 +397,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
     if data.shape == a.shape:   # no node, so no gradient buffer to hold
         return a
-    na, sa = _node(a), a.shape
+    na, sa = a.node, a.shape
 
     def backward(g):
         if na is not None:
@@ -417,7 +409,7 @@ def rows(table: Tensor, indices) -> Tensor:
     """Embedding lookup: gather rows of a 2-D table."""
     idx = np.asarray(indices, dtype=np.int64)
     data = table.data[idx]
-    nt = _node(table)
+    nt = table.node
 
     def backward(g):
         if nt is None:
@@ -432,7 +424,7 @@ def rows(table: Tensor, indices) -> Tensor:
 
 def row(a: Tensor, i: int) -> Tensor:
     data = a.data[i].copy()
-    na = _node(a)
+    na = a.node
 
     def backward(g):
         if na is not None:
@@ -448,7 +440,7 @@ def stack_rows(vectors) -> Tensor:
     except ValueError:
         raise ShapeError(
             "stack_rows: " + " | ".join(str(v.shape) for v in vectors))
-    nodes = [_node(v) for v in vectors]
+    nodes = [v.node for v in vectors]
 
     def backward(g):
         for r, node in enumerate(nodes):
@@ -475,7 +467,7 @@ def scatter(base: Tensor, index, values: Tensor, size: int) -> Tensor:
     data[..., :width] = base.data
     np.add.at(data.reshape(-1, size), (slice(None), idx),
               values.data.reshape(-1, idx.size))
-    nb, nv = _node(base), _node(values)
+    nb, nv = base.node, values.node
 
     def backward(g):
         if nb is not None:
@@ -487,7 +479,7 @@ def scatter(base: Tensor, index, values: Tensor, size: int) -> Tensor:
 
 def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
-    na = _node(a)
+    na = a.node
 
     def backward(g):
         if na is not None:
@@ -523,7 +515,7 @@ def attention_scores(keys: Tensor, query: Tensor, v: Tensor) -> Tensor:
     k_data, q_data, v_data = keys.data, query.data, v.data
     data = (_additive_mix(k_data, q_data).reshape(-1, h)
             @ v_data).reshape(lead + (s,))
-    nk, nq, nv = _node(keys), _node(query), _node(v)
+    nk, nq, nv = keys.node, query.node, v.node
 
     def backward(g):
         t = _additive_mix(k_data, q_data)
@@ -548,7 +540,7 @@ def _sigmoid_np(a):
 
 def sigmoid(a: Tensor) -> Tensor:
     data = _sigmoid_np(a.data)
-    na = _node(a)
+    na = a.node
 
     def backward(g):
         if na is not None:
@@ -556,36 +548,38 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(data, backward, "sigmoid")
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-    na = _node(a)
+    data = e / e.sum(axis=-1, keepdims=True)
+    na = a.node
 
     def backward(g):
         if na is not None:
-            inner = (g * data).sum(axis=axis, keepdims=True)
+            inner = (g * data).sum(axis=-1, keepdims=True)
             na.accumulate(data * (g - inner))
     return _make(data, backward, "softmax")
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax(a: Tensor) -> Tensor:
+    """Log-softmax over the last axis."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     data = shifted - lse
-    na = _node(a)
+    na = a.node
 
     def backward(g):
         if na is not None:
             soft = np.exp(data)
-            na.accumulate(g - soft * g.sum(axis=axis, keepdims=True))
+            na.accumulate(g - soft * g.sum(axis=-1, keepdims=True))
     return _make(data, backward, "log_softmax")
 
 
 def log(a: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         data = np.log(a.data)
-    na, a_data = _node(a), a.data
+    na, a_data = a.node, a.data
 
     def backward(g):
         if na is not None:
@@ -597,7 +591,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values; gradient passes through inside [lo, hi] inclusive."""
     data = np.clip(a.data, lo, hi)
     mask = (a.data >= lo) & (a.data <= hi)
-    na = _node(a)
+    na = a.node
 
     def backward(g):
         if na is not None:
@@ -605,18 +599,14 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _make(data, backward, "clip")
 
 
-def total(a: Tensor, axis=None) -> Tensor:
-    data = a.data.sum(axis=axis)
-    na, sa = _node(a), a.shape
+def total(a: Tensor) -> Tensor:
+    """The sum of every value, as a scalar tensor."""
+    data = a.data.sum()
+    na, sa = a.node, a.shape
 
     def backward(g):
-        if na is None:
-            return
-        if axis is None:
+        if na is not None:
             na.accumulate(np.broadcast_to(g, sa).copy())
-        else:
-            na.accumulate(np.broadcast_to(
-                np.expand_dims(g, axis), sa).copy())
     return _make(data, backward, "total")
 
 
@@ -629,7 +619,7 @@ def pick(a: Tensor, index) -> Tensor:
         raise ShapeError(f"pick expects a vector, or a matrix and one index "
                          f"per row, got {a.shape}")
     data = a.data[index].copy()
-    na = _node(a)
+    na = a.node
 
     def backward(g):
         if na is not None:
@@ -661,9 +651,6 @@ class LstmParams:
     @property
     def input_size(self):
         return self.w.shape[0] - self.hidden_size
-
-    def parameters(self):
-        return [self.w, self.b]
 
 
 def _lstm_gates(z, n):
@@ -697,7 +684,7 @@ def lstm_input(x: Tensor, params: LstmParams) -> Tensor:
     w_x = params.w.data[:e]
     data = x.data @ w_x + params.b.data
     tape = _ACTIVE_TAPE
-    nx, x_data = _node(x), x.data
+    nx, x_data = x.node, x.data
 
     def backward(g):
         if nx is not None:
@@ -730,7 +717,7 @@ def lstm_cell(zx: Tensor, h: Tensor, c: Tensor, params: LstmParams):
     c_data = f * c.data + s[..., :n] * g
     tc = np.tanh(c_data)
     tape = _ACTIVE_TAPE
-    nzx, nh, nc = _node(zx), _node(h), _node(c)
+    nzx, nh, nc = zx.node, h.node, c.node
     h_prev, c_prev = h.data, c.data
     dh = []     # the new hidden state's gradient, once its backward ran
 
@@ -845,46 +832,6 @@ def uniform_init(rng, shape, scale=0.1, dtype=np.float32):
 def zero_grads(params):
     for p in params:
         p.zero_grad()
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-def grad_check(f, params, samples_per_param=8, step=1e-5):
-    """Max relative error of analytic vs central-difference gradients.
-
-    ``f`` must be a deterministic nullary callable returning a scalar
-    Tensor computed from ``params``.  Use float64 parameters; float32
-    round-off swamps the comparison.  Per parameter, the coordinates with
-    the largest analytic magnitude are sampled: central differences at
-    this step size cannot resolve gradients below the round-off of the
-    loss itself, so near-zero coordinates carry no signal.
-    """
-    zero_grads(params)
-    with Tape() as tape:
-        loss = f()
-        tape.backward(loss)
-    analytic = {p.name: p.grad.copy() for p in params}
-
-    worst = 0.0
-    for p in params:
-        k = min(samples_per_param, p.data.size)
-        magnitudes = np.abs(analytic[p.name].reshape(-1))
-        coords = np.argsort(-magnitudes, kind="stable")[:k]
-        for idx in coords:
-            multi = np.unravel_index(idx, p.data.shape)
-            keep = p.data[multi]
-            p.data[multi] = keep + step
-            up = f().item()
-            p.data[multi] = keep - step
-            down = f().item()
-            p.data[multi] = keep
-            numeric = (up - down) / (2.0 * step)
-            a = analytic[p.name].reshape(-1)[idx]
-            err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-            worst = max(worst, err)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -339,7 +339,7 @@ def _load_decodes(path):
                 raise CliError(f"{path}:{lineno}: missing {field!r}")
         if not isinstance(record["summary"], str):
             raise CliError(f"{path}:{lineno}: 'summary' must be a string")
-        summary = record["summary"].split()
+        summary = cp.tokenize(record["summary"])   # as references are
         heads = _parse_heads(f"{path}:{lineno}",
                              str(record["heads"]).split(), len(summary))
         records.append((summary, heads))

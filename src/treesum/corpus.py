@@ -55,16 +55,8 @@ class Vocabulary:
             raise CorpusError("duplicate tokens in vocabulary")
 
     @property
-    def pad_id(self):
-        return 0
-
-    @property
     def unk_id(self):
         return 1
-
-    @property
-    def root_id(self):
-        return 2
 
     def id(self, token) -> int:
         return self._ids.get(token, self.unk_id)
@@ -88,10 +80,10 @@ class Vocabulary:
 def build_vocab(examples, role, min_freq=None, max_size=None) -> Vocabulary:
     """Count tokens on the training split and assemble a vocabulary.
 
-    ``role`` selects the side and the default rule: the input vocabulary
-    keeps source tokens seen at least 5 times; the output vocabulary keeps
-    the 10k most frequent summary tokens (frequency ties broken
-    lexicographically).
+    ``role`` selects the side and its rule: the input vocabulary keeps
+    source tokens seen at least ``min_freq`` (default 5) times; the output
+    vocabulary keeps the ``max_size`` (default 10k) most frequent summary
+    tokens (frequency ties broken lexicographically).
     """
     examples = list(examples)
     if not examples:
@@ -105,9 +97,6 @@ def build_vocab(examples, role, min_freq=None, max_size=None) -> Vocabulary:
         max_size = OUTPUT_MAX_SIZE if max_size is None else max_size
         if max_size < 0:   # a negative slice end would drop the rarest
             raise CorpusError(f"vocabulary size {max_size} is negative")
-        if min_freq is not None:
-            counts = Counter({t: c for t, c in counts.items()
-                              if c >= min_freq})
         ranked = sorted(counts.items(), key=lambda tc: (-tc[1], tc[0]))
         kept = [t for t, _ in ranked[:max_size]]
     else:

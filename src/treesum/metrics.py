@@ -89,29 +89,32 @@ def rouge_l(candidate, reference):
 
 
 class EmbeddingTable:
-    """Word vectors for lenient relation matching, normalised once to unit
-    rows; a zero vector stays zero, so its cosine with any word is 0."""
+    """Word vectors for lenient relation matching: row i of the (len(words),
+    d) matrix ``rows`` is the vector of ``words[i]``, and the first row of
+    a repeated word wins.  The kept rows are copied once, with a zero row
+    last for index -1 (a word without a vector), into ``unit``, and
+    normalised there to unit length; a zero vector stays zero, so its
+    cosine with any word is 0.  ``dim`` is None when there are no words."""
 
-    def __init__(self, vectors=None, dim=None):
-        vectors = dict(vectors or {})
-        self.dim = dim
-        for word, vec in vectors.items():
-            if self.dim is None:
-                self.dim = len(vec)
-            if len(vec) != self.dim:
-                raise MetricsError(
-                    f"vector for {word!r} has dimension {len(vec)}, "
-                    f"expected {self.dim}")
-        self._adopt({word: i for i, word in enumerate(vectors)},
-                    np.array([*vectors.values(), np.zeros(self.dim or 0)],
-                             dtype=np.float64))
-
-    def _adopt(self, index, rows):
-        """Normalise ``rows`` in place as the vectors, ``rows[index[word]]``;
-        the last row is zero, for index -1: a word without a vector."""
-        self.index = index
-        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
-        self.unit = np.divide(rows, norms, out=rows, where=norms > 0)
+    def __init__(self, words, rows):
+        try:
+            rows = np.asarray(rows, dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise MetricsError(f"vectors are not a matrix: {e}") from e
+        if rows.ndim != 2 or rows.shape[0] != len(words):
+            raise MetricsError(f"vectors of shape {rows.shape} for "
+                               f"{len(words)} words")
+        self.index, keep = {}, []
+        for i, word in enumerate(words):
+            if word not in self.index:
+                self.index[word] = len(keep)
+                keep.append(i)
+        self.dim = rows.shape[1] if keep else None
+        unit = np.zeros((len(keep) + 1, rows.shape[1]))
+        # "clip" (the indices are valid) writes to out without a buffer
+        np.take(rows, keep, axis=0, out=unit[:-1], mode="clip")
+        norms = np.sqrt(np.einsum("ij,ij->i", unit, unit))[:, None]
+        self.unit = np.divide(unit, norms, out=unit, where=norms > 0)
 
     def __contains__(self, word):
         return word in self.index
@@ -189,18 +192,7 @@ def load_embeddings(path) -> EmbeddingTable:
     """Parse ``word v1 v2 ... vd`` lines; first occurrence wins on
     duplicates; a word without values, an unparseable value, a dimension
     mismatch or a non-finite value reports its line number."""
-    words, rows = _read_rows(path)
-    index, keep = {}, []
-    for i, word in enumerate(words):
-        if word not in index:
-            index[word] = len(keep)
-            keep.append(i)
-    table = EmbeddingTable(dim=rows.shape[1] if index else None)
-    vectors = np.zeros((len(keep) + 1, rows.shape[1]))
-    # "clip" (the indices are valid) writes to out without a buffer
-    np.take(rows, keep, axis=0, out=vectors[:-1], mode="clip")
-    table._adopt(index, vectors)
-    return table
+    return EmbeddingTable(*_read_rows(path))
 
 
 def relation_matches(predicted, target, table=None, sigma=1.0):
@@ -240,8 +232,3 @@ def relation_matches(predicted, target, table=None, sigma=1.0):
 def relation_f(predicted, target, table=None, sigma=1.0):
     """Relation-preservation (precision, recall, F1) at threshold sigma."""
     return prf(*relation_matches(predicted, target, table, sigma))
-
-
-def threshold_sweep(predicted, target, table, sigmas=(1.0, 0.9, 0.8, 0.7)):
-    """Rows of (sigma, precision, recall, F1) for plotting."""
-    return [(s, *relation_f(predicted, target, table, s)) for s in sigmas]

@@ -114,16 +114,18 @@ class SourceContext:
     ``matrix`` has a row per token, the forward and backward top-layer
     states concatenated; its attention ``keys`` depend on the source only,
     so every decoder step shares them.  The union vocabulary is the output
-    vocabulary followed by the extensions.  ``union_ids`` holds the union
-    id of each source token, so `Model.predict_word` adds token i's copy
-    mass into column ``union_ids[i]`` with one `autodiff.scatter`;
-    repeated tokens share a column.
+    vocabulary followed by the extensions, whose union ids
+    ``extension_ids`` maps.  ``union_ids`` holds the union id of each
+    source token, so `Model.predict_word` adds token i's copy mass into
+    column ``union_ids[i]`` with one `autodiff.scatter`; repeated tokens
+    share a column.
     """
 
     tokens: list
     matrix: ad.Tensor           # (source_len, 2 * hidden)
     keys: ad.Tensor             # (source_len, hidden), matrix @ attn_enc_w
     extensions: list            # source tokens outside the output vocabulary
+    extension_ids: dict         # extension -> union id
     union_ids: np.ndarray       # (source_len,) int64
     vocab: object               # the output vocabulary
 
@@ -138,11 +140,9 @@ class SourceContext:
     def union_id(self, word):
         """Union-vocabulary id of a word; UNK when unreachable."""
         uid = self.vocab.id_or_none(word)
-        if uid is not None:
-            return uid
-        if word in self.extensions:
-            return self.vocab_size + self.extensions.index(word)
-        return self.vocab.unk_id
+        if uid is None:
+            uid = self.extension_ids.get(word, self.vocab.unk_id)
+        return uid
 
     def union_token(self, uid):
         if uid < self.vocab_size:
@@ -315,17 +315,17 @@ class Model:
 
     def _source_context(self, tokens, matrix, keys) -> SourceContext:
         vocab_size = self.config.output_vocab_size
-        extensions = []
+        extension_ids = {}      # in order of first occurrence
         union_ids = []
         for token in tokens:
             uid = self.output_vocab.id_or_none(token)
             if uid is None:
-                if token not in extensions:
-                    extensions.append(token)
-                uid = vocab_size + extensions.index(token)
+                uid = extension_ids.setdefault(
+                    token, vocab_size + len(extension_ids))
             union_ids.append(uid)
         return SourceContext(tokens=list(tokens), matrix=matrix, keys=keys,
-                             extensions=extensions,
+                             extensions=list(extension_ids),
+                             extension_ids=extension_ids,
                              union_ids=np.array(union_ids, dtype=np.int64),
                              vocab=self.output_vocab)
 

@@ -60,10 +60,13 @@ class TrainConfig:
         for name in ("lr", "eps", "grad_clip", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise TrainingError(f"{name} must be finite")
-        for name in ("lr", "eps", "grad_clip", "weight_decay", "epochs",
+        for name in ("lr", "grad_clip", "weight_decay", "epochs",
                      "patience", "seed"):
             if getattr(self, name) < 0:
                 raise TrainingError(f"{name} must not be negative")
+        # Adam divides by sqrt(v) + eps, and v is 0 for an unseen row
+        if self.eps <= 0:
+            raise TrainingError("eps must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise TrainingError("betas must lie in [0, 1)")
 

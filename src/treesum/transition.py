@@ -112,10 +112,6 @@ class DependencyTree:
     def __len__(self):
         return len(self.words)
 
-    @property
-    def root(self) -> int:
-        return self.heads.index(0) + 1
-
     def dependents(self, pos: int) -> list[int]:
         """Positions whose head is ``pos`` (0 queries R), left to right."""
         return [i + 1 for i, h in enumerate(self.heads) if h == pos]

@@ -214,7 +214,7 @@ def reference_load_embeddings(path):
     whitespace and its values parsed by ``np.array``, i.e. by Python's
     ``float``, into a matrix sized by a first pass that counts the lines.
     The reference for the one-call parse on valid files."""
-    index, rows = {}, np.zeros((1, 0))
+    index, rows = {}, np.zeros((0, 0))
     count = sum(1 for _, line in text_lines(path, MetricsError)
                 if line.strip())
     for lineno, line in text_lines(path, MetricsError):
@@ -231,7 +231,7 @@ def reference_load_embeddings(path):
         if not np.isfinite(vec).all():
             raise MetricsError(f"{path}:{lineno}: non-finite value")
         if not index:
-            rows = np.zeros((count + 1, len(vec)))
+            rows = np.zeros((count, len(vec)))
         elif len(vec) != rows.shape[1]:
             raise MetricsError(
                 f"{path}:{lineno}: dimension {len(vec)} != "
@@ -239,9 +239,43 @@ def reference_load_embeddings(path):
         if word not in index:
             rows[len(index)] = vec
             index[word] = len(index)
-    table = EmbeddingTable(dim=rows.shape[1] if index else None)
-    table._adopt(index, rows[:len(index) + 1])
-    return table
+    return EmbeddingTable(list(index), rows[:len(index)])
+
+
+def grad_check(f, params, samples_per_param=8, step=1e-5):
+    """Max relative error of analytic vs central-difference gradients.
+
+    ``f`` must be a deterministic nullary callable returning a scalar
+    Tensor computed from ``params``.  Use float64 parameters; float32
+    round-off swamps the comparison.  Per parameter, the coordinates with
+    the largest analytic magnitude are sampled: central differences at
+    this step size cannot resolve gradients below the round-off of the
+    loss itself, so near-zero coordinates carry no signal.
+    """
+    ad.zero_grads(params)
+    with ad.Tape() as tape:
+        loss = f()
+        tape.backward(loss)
+    analytic = {p.name: p.grad.copy() for p in params}
+
+    worst = 0.0
+    for p in params:
+        k = min(samples_per_param, p.data.size)
+        magnitudes = np.abs(analytic[p.name].reshape(-1))
+        coords = np.argsort(-magnitudes, kind="stable")[:k]
+        for idx in coords:
+            multi = np.unravel_index(idx, p.data.shape)
+            keep = p.data[multi]
+            p.data[multi] = keep + step
+            up = f().item()
+            p.data[multi] = keep - step
+            down = f().item()
+            p.data[multi] = keep
+            numeric = (up - down) / (2.0 * step)
+            a = analytic[p.name].reshape(-1)[idx]
+            err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+            worst = max(worst, err)
+    return worst
 
 
 def sigmoid_where(a):

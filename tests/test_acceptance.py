@@ -23,6 +23,7 @@ from treesum.model import OP_INDEX, Model, ModelConfig
 from helpers import (
     WALKTHROUGH_OPS,
     bruteforce_oracle,
+    grad_check,
     random_gold_ops,
     random_projective_tree,
     seeded_rng,
@@ -118,7 +119,7 @@ def test_criterion_03_gradient_correctness():
         loss, _ = training.batch_loss(m, items)
         return loss
 
-    err = ad.grad_check(f, m.parameters(), samples_per_param=4)
+    err = grad_check(f, m.parameters(), samples_per_param=4)
     elapsed = time.perf_counter() - start
     assert err < 1e-4
     assert elapsed < 60.0
@@ -329,7 +330,7 @@ def test_criterion_09_metric_fidelity():
 
     rng = seeded_rng(109)
     vocab = ["w%d" % i for i in range(6)]
-    table = metrics.EmbeddingTable({w: rng.normal(size=4) for w in vocab})
+    table = metrics.EmbeddingTable(vocab, rng.normal(size=(len(vocab), 4)))
     for _ in range(1000):
         pred = random_relations(rng, int(rng.integers(0, 6)), vocab)
         target = random_relations(rng, int(rng.integers(0, 6)), vocab)

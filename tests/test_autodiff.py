@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from treesum import autodiff as ad
-from helpers import (attention_scores_composite, lstm_cell_composite,
-                     lstm_cell_fold, lstm_step, sigmoid_where)
+from helpers import (attention_scores_composite, grad_check,
+                     lstm_cell_composite, lstm_cell_fold, lstm_step,
+                     sigmoid_where)
 
 
 def t64(values):
@@ -171,23 +172,22 @@ class TestGradCheckPrimitives:
             "b": p64(rng, (4,), "b"),
         }
         x = t64(rng.normal(size=5))
-        err = ad.grad_check(lambda: build(params, x),
+        err = grad_check(lambda: build(params, x),
                             list(params.values()))
         assert err < 1e-6
 
-    def test_sub_neg_total_axis(self):
+    def test_sub_neg_total(self):
         rng = np.random.default_rng(43)
         w = p64(rng, (3, 4), "w")
-        err = ad.grad_check(
-            lambda: ad.total(ad.neg(ad.sub(ad.total(w, axis=0), 1.5))),
-            [w])
+        err = grad_check(
+            lambda: ad.total(ad.neg(ad.sub(w, 1.5))), [w])
         assert err < 1e-6
 
     def test_broadcast_bias_add(self):
         rng = np.random.default_rng(44)
         w = p64(rng, (5, 3), "w")
         b = p64(rng, (3,), "b")
-        err = ad.grad_check(
+        err = grad_check(
             lambda: ad.total(ad.tanh(ad.add(w, b))), [w, b])
         assert err < 1e-6
 
@@ -254,7 +254,7 @@ class TestAttentionScores:
     def test_backward_matches_finite_differences(self, rows):
         keys, query, v, probe = self.operands(np.random.default_rng(21),
                                               np.float64, rows)
-        err = ad.grad_check(
+        err = grad_check(
             lambda: ad.total(ad.mul(ad.attention_scores(keys, query, v),
                                     probe)), [keys, query, v])
         assert err < 1e-6
@@ -382,7 +382,7 @@ class TestLstmCell:
             h2, _ = lstm_step(x, h1, c1, params)
             return ad.total(ad.mul(h2, h2))
 
-        err = ad.grad_check(f, params.parameters())
+        err = grad_check(f, [params.w, params.b])
         assert err < 1e-6
 
     @pytest.mark.parametrize("rows", [None, 5])
@@ -403,7 +403,7 @@ class TestLstmCell:
             h2, c2 = ad.lstm_cell(zx, h1, c1, params)
             return ad.add(ad.total(ad.mul(h2, probe)), ad.total(c2))
 
-        err = ad.grad_check(f, params.parameters() + [x, h0, c0])
+        err = grad_check(f, [params.w, params.b, x, h0, c0])
         assert err < 1e-6
 
     def test_batched_rows_match_vector_calls(self):
@@ -437,7 +437,7 @@ class TestLstmCell:
         x, h, c = (p64(rng, s_, name, scale=1.0) for s_, name in
                    ((x_shape, "x"), (h_shape, "h"), (c_shape, "c")))
         probe = t64(rng.normal(size=(2,) + h_shape))
-        trainable = params.parameters() + [x, h, c]
+        trainable = [params.w, params.b, x, h, c]
         results = []
         for cell in (lstm_step, lstm_cell_composite):
             ad.zero_grads(trainable)
@@ -506,7 +506,7 @@ class TestLstmScan:
 
     @staticmethod
     def _trainable(params, x, h0, c0):
-        return params.parameters() + [x] + [
+        return [params.w, params.b, x] + [
             t for t in (h0, c0) if isinstance(t, ad.Parameter)]
 
     @pytest.mark.parametrize("initial", ["parameters", "zeros"])
@@ -521,7 +521,7 @@ class TestLstmScan:
             hs = lstm_input_scan(rows, parents, h0, c0, params)
             return ad.total(ad.mul(hs, probe))
 
-        err = ad.grad_check(f, self._trainable(params, x, h0, c0))
+        err = grad_check(f, self._trainable(params, x, h0, c0))
         assert err < 1e-6
 
     @pytest.mark.parametrize("initial", ["parameters", "zeros"])

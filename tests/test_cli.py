@@ -353,7 +353,8 @@ class TestTrain:
         ("--lr=nan", "lr must be finite"),
         ("--grad-clip=inf", "grad_clip must be finite"),
         ("--weight-decay=-5", "weight_decay must not be negative"),
-        ("--seed=-1", "seed must not be negative")])
+        ("--seed=-1", "seed must not be negative"),
+        ("--eps=0", "eps must be positive")])
     def test_bad_optimizer_setting_is_a_usage_error(self, tmp_path, capsys,
                                                     flag, message):
         corpus = tmp_path / "c.jsonl"
@@ -547,6 +548,23 @@ class TestDecodeAndEval:
                        + ["--out", str(report)]) == 1
         assert f"{tmp_path / flag}.txt{where}" in capsys.readouterr().err
         assert not report.exists()
+
+    def test_mixed_case_decode_scores_as_its_lowercase(self, tmp_path,
+                                                        capsys):
+        # references are lowercased on load, so decodes are too
+        decoded = tmp_path / "decoded.jsonl"
+        decoded.write_text(json.dumps({"summary": "The Cat sat",
+                                       "heads": "2 3 0"}) + "\n")
+        reference = tmp_path / "reference.jsonl"
+        cp.save_corpus(reference, [cp.Example(
+            source="the cat sat down".split(), summary="the cat sat".split(),
+            heads=[2, 3, 0])])
+        assert cli.run(["eval", "--decoded", str(decoded),
+                        "--reference", str(reference)]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        macro = next(line for line in lines if line.startswith("macro"))
+        # ROUGE-1, -2 and -L (P, R, F), then the relation F
+        assert macro.split("\t")[1:] == ["1.0000"] * 10
 
     def test_decode_then_eval_smoke(self, workdir, tmp_path):
         decoded = tmp_path / "decoded.jsonl"

@@ -23,7 +23,7 @@ def example(source, summary, heads):
 class TestVocabulary:
     def test_specials_present_with_fixed_ids(self):
         v = cp.Vocabulary(list(cp.SPECIALS) + ["cat"])
-        assert v.pad_id == 0 and v.unk_id == 1 and v.root_id == 2
+        assert v.id(cp.PAD) == 0 and v.unk_id == 1 and v.id(cp.ROOT) == 2
         assert v.id("cat") == 3
         assert v.id("unseen") == v.unk_id
         assert v.token(3) == "cat"

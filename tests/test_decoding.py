@@ -290,6 +290,30 @@ class TestBeamSearch:
         assert hyp.complete
         tr.execute(hyp.ops)  # must not raise
 
+    def test_default_step_limit_never_forces_a_completion(self, monkeypatch):
+        # a tree of w words takes 2w ops and max_words caps w, so with
+        # max_steps unset (2 * max_words) every decode ends naturally
+        def no_forcing(*args):
+            raise AssertionError("forced completion at the default limit")
+
+        monkeypatch.setattr(decoding, "force_complete", no_forcing)
+        lengths = []
+        for seed in range(40):
+            m = fresh(seed=seed)
+            spread_params(m, seed + 900)
+            favour_gen(m, 1.5 * (seed % 3))
+            src = m.prepare_source(["the", "cat", "zzz", "sat", "mat"])
+            for max_words in range(1, 7):
+                config = BeamConfig(max_words=max_words)
+                hyps = [decoding.greedy_decode(m, src, config)] + [
+                    decoding.beam_search(m, src, BeamConfig(
+                        beam_size=k, max_words=max_words)) for k in (1, 3, 10)]
+                for hyp in hyps:
+                    assert hyp.complete
+                    assert len(hyp.ops) <= config.step_limit
+                    lengths.append(len(hyp.ops))
+        assert len(lengths) == 960 and max(lengths) == 12
+
 
 class TestDecodeOutput:
     def test_walkthrough_sequence(self):

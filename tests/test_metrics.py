@@ -132,8 +132,7 @@ class TestRelationF:
     def test_sigma_one_equals_strict_on_random_sets(self):
         rng = seeded_rng(84)
         vocab = ["w%d" % i for i in range(6)]
-        table = EmbeddingTable(
-            {w: rng.normal(size=4) for w in vocab})
+        table = EmbeddingTable(vocab, rng.normal(size=(len(vocab), 4)))
         for _ in range(1000):
             pred = random_relations(rng, int(rng.integers(0, 6)), vocab)
             target = random_relations(rng, int(rng.integers(0, 6)), vocab)
@@ -142,11 +141,11 @@ class TestRelationF:
             assert with_table == pytest.approx(reference)
 
     def test_lenient_matches_above_threshold(self):
-        table = EmbeddingTable({
-            "man": np.array([1.0, 0.0]),
-            "person": np.array([0.95, 0.31224989991992]),  # cos ~ 0.95
-            "escaped": np.array([0.0, 1.0]),
-        })
+        table = EmbeddingTable(["man", "person", "escaped"], [
+            [1.0, 0.0],
+            [0.95, 0.31224989991992],  # cos(man, person) ~ 0.95
+            [0.0, 1.0],
+        ])
         pred = [Relation("escaped", "person")]
         target = [Relation("escaped", "man")]
         _, _, strict_f = metrics.relation_f(pred, target, table, sigma=1.0)
@@ -157,7 +156,7 @@ class TestRelationF:
     def test_f_non_increasing_in_sigma(self):
         rng = seeded_rng(85)
         vocab = ["w%d" % i for i in range(8)]
-        table = EmbeddingTable({w: rng.normal(size=5) for w in vocab})
+        table = EmbeddingTable(vocab, rng.normal(size=(len(vocab), 5)))
         sigmas = (1.0, 0.9, 0.8, 0.7)
         for _ in range(200):
             pred = random_relations(rng, int(rng.integers(1, 7)), vocab)
@@ -173,7 +172,7 @@ class TestRelationF:
         vectors = {w: centers[i % 3] + 0.3 * rng.normal(size=4)
                    for i, w in enumerate(vocab[:7])}
         vectors["w7"] = np.zeros(4)     # w8 and w9 have no vector
-        table = EmbeddingTable(vectors)
+        table = EmbeddingTable(list(vectors), list(vectors.values()))
         np.testing.assert_allclose(
             table.cosine(vocab, vocab),
             [[pairwise_cosine(u, v, vectors) for v in vocab] for u in vocab],
@@ -193,7 +192,7 @@ class TestRelationF:
         assert lenient_gain > 0     # the sweep exercised lenient matches
 
     def test_missing_words_fall_back_to_strict(self):
-        table = EmbeddingTable({"man": np.array([1.0, 0.0])})
+        table = EmbeddingTable(["man"], [[1.0, 0.0]])
         pred = [Relation("escaped", "man")]
         target = [Relation("escaped", "man")]
         _, _, f = metrics.relation_f(pred, target, table, sigma=0.8)
@@ -230,6 +229,30 @@ class TestRelationsFromHeads:
 
 
 class TestEmbeddingTable:
+    def test_first_row_of_a_repeated_word_wins(self):
+        rows = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
+        table = EmbeddingTable(["man", "cat", "man"], rows)
+        assert table.index == {"man": 0, "cat": 1}
+        assert table.dim == 2
+        np.testing.assert_array_equal(table.unit,
+                                      [[0.6, 0.8], [0.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(rows[0], [3.0, 4.0])   # not modified
+
+    def test_no_words_give_no_dimension(self):
+        table = EmbeddingTable([], np.zeros((0, 0)))
+        assert len(table) == 0 and table.dim is None
+
+    @pytest.mark.parametrize("words, rows", [
+        (["man"], [1.0, 0.0]),
+        (["man", "cat"], [[1.0, 0.0]]),
+        (["man", "cat"], [[1.0, 0.0], [1.0]]),
+        (["man"], [["x", "y"]]),
+    ])
+    def test_rows_that_are_not_one_vector_per_word_rejected(self, words,
+                                                             rows):
+        with pytest.raises(metrics.MetricsError, match="vectors"):
+            EmbeddingTable(words, rows)
+
     def test_load_two_line_file(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("man 1.0 0.0 0.0\nperson 0.9 0.1 0.0\n")
@@ -376,13 +399,3 @@ class TestEmbeddingTable:
         assert table.index == expected.index
         assert table.dim == expected.dim
         np.testing.assert_array_equal(table.unit, expected.unit)
-
-
-class TestThresholdSweep:
-    def test_rows_cover_requested_sigmas(self):
-        pred = [Relation("a", "b")]
-        target = [Relation("a", "b")]
-        rows = metrics.threshold_sweep(pred, target, None)
-        assert [row[0] for row in rows] == [1.0, 0.9, 0.8, 0.7]
-        for _, p, r, f in rows:
-            assert (p, r, f) == (1.0, 1.0, 1.0)

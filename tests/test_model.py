@@ -21,6 +21,7 @@ from helpers import (
     WALKTHROUGH_OPS,
     attention_scores_composite,
     encode_per_token,
+    grad_check,
     history_state,
     predict_word_dense,
     seeded_rng,
@@ -188,7 +189,7 @@ class TestCompose:
         def f():
             return ad.total(ad.mul(m.compose(head, dep), m.attn_v))
 
-        err = ad.grad_check(f, [m.compose_w, m.compose_b, m.attn_v])
+        err = grad_check(f, [m.compose_w, m.compose_b, m.attn_v])
         assert err < 1e-6
 
 
@@ -315,7 +316,7 @@ class TestAttention:
             return ad.total(ad.mul(ctx.context, probe))
 
         params = [m.attn_dec_w, m.attn_enc_w, m.attn_v, m.src_embed]
-        err = ad.grad_check(f, params)
+        err = grad_check(f, params)
         assert err < 1e-6
 
 
@@ -381,7 +382,7 @@ class TestPredictOp:
             return ad.log(ad.pick(probs, 2))
 
         params = [m.op_hidden_w, m.op_hidden_b, m.op_out_w, m.hist_init_h]
-        err = ad.grad_check(f, params)
+        err = grad_check(f, params)
         assert err < 1e-4
 
 

@@ -12,7 +12,8 @@ from treesum import corpus as cp
 from treesum import training
 from treesum import transition as tr
 from treesum.model import OP_INDEX, Model, ModelConfig
-from helpers import random_gold_ops, seeded_rng, step_fold_rows, toy_corpus
+from helpers import (grad_check, random_gold_ops, seeded_rng, step_fold_rows,
+                     toy_corpus)
 from test_model import tiny_model
 
 
@@ -486,7 +487,7 @@ class TestEndToEndGradient:
             loss, _ = training.batch_loss(m, items)
             return loss
 
-        err = ad.grad_check(f, m.parameters(),
+        err = grad_check(f, m.parameters(),
                             samples_per_param=4)
         assert err < 1e-4
 
@@ -506,13 +507,13 @@ class TestEndToEndGradient:
         ]
         encoder = [m.src_embed, m.attn_enc_w] + [
             p for cells in m.encoder_cells for cell in cells
-            for p in cell.parameters()]
+            for p in (cell.w, cell.b)]
 
         def f():
             loss, _ = training.batch_loss(m, items)
             return loss
 
-        assert ad.grad_check(f, encoder, samples_per_param=6) < 1e-5
+        assert grad_check(f, encoder, samples_per_param=6) < 1e-5
 
 
 class TestTrainLoop:
@@ -609,7 +610,7 @@ class TestTrainLoop:
     @pytest.mark.parametrize("key, value", [
         ("lr", float("nan")), ("lr", float("inf")), ("eps", float("nan")),
         ("grad_clip", float("inf")), ("weight_decay", float("nan")),
-        ("weight_decay", -5.0), ("lr", "x"), ("seed", -1)])
+        ("weight_decay", -5.0), ("lr", "x"), ("seed", -1), ("eps", 0.0)])
     def test_non_finite_or_negative_rate_rejected(self, key, value):
         with pytest.raises(training.TrainingError, match=key):
             training.TrainConfig(**{key: value})
@@ -866,9 +867,18 @@ class TestDeferredWeightGradients:
         kinds = {(type(t).__name__, t.shape) for t in made}
         assert len(kinds) >= 4
         assert all(t.grad is None for t in made)
+        def with_node(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                if out.node is None:
+                    out.node = ad.Node(out.shape, out.dtype)
+                return out
+            return wrapper
+
         with monkeypatch.context() as patch:
-            patch.setattr(ad, "_node", lambda t: t.node or ad.Node(
-                t.shape, t.dtype))
+            patch.setattr(ad, "_lift", with_node(lift))
+            patch.setattr(ad, "constant", with_node(constant))
+            patch.setattr(Model, "_zeros", with_node(zeros))
             every_operand = self._grads(m, instances)
         for name, g in grads.items():
             np.testing.assert_array_equal(g, every_operand[name], name)
