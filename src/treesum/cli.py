@@ -356,6 +356,8 @@ def _load_parses(path):
                 and all(isinstance(w, str) for w in words)):
             raise CliError(f"{path}:{lineno}: 'words' must be a list of "
                            f"strings and 'heads' a list")
+        if not all(words):
+            raise CliError(f"{path}:{lineno}: words must be non-empty")
         heads = _parse_heads(f"{path}:{lineno}", record["heads"], len(words))
         parses.append(([w.lower() for w in words], heads))
     return parses
@@ -398,11 +400,11 @@ def _score_record(item):
     row = [*metrics.rouge_n(summary, reference, 1),
            *metrics.rouge_n(summary, reference, 2),
            *metrics.rouge_l(summary, reference)]
-    system_relations = metrics.relations_from_heads(summary, heads)
+    predicted = metrics.relations_from_heads(summary, heads)
     for relations in targets:
+        similarity = metrics.relation_similarity(predicted, relations, table)
         for sigma in sigmas:
-            row.extend(metrics.relation_matches(system_relations, relations,
-                                                table, sigma))
+            row.extend(metrics.relation_matches(similarity, sigma))
     return row
 
 

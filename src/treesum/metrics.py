@@ -3,9 +3,9 @@
 ROUGE-1/2 use clipped n-gram counts, ROUGE-L uses the longest common
 subsequence; both report (precision, recall, F1).  Relation preservation
 compares directed (head, dependent) word pairs between a system tree and
-source/reference relations: strict matching requires string equality,
-lenient matching accepts embedding cosine similarity of at least a
-threshold for both words, with the threshold 1.0 degenerating to strict.
+source/reference relations: a pair scores the smaller of its head and
+dependent word similarity, 1.0 for equal words and an embedding cosine
+below 1.0 for distinct ones, so the threshold 1.0 is string equality.
 Matching is one-to-one, greedy by descending pair similarity.
 """
 
@@ -73,19 +73,25 @@ def rouge_n(candidate, reference, n):
     return prf(overlap, sum(cand.values()), sum(ref.values()))
 
 
+def _word_ids(*sequences):
+    """Each word sequence as an int array, equal words sharing one id (as
+    Python strings: numpy's fixed-width str drops trailing NULs)."""
+    ids = {}
+    return [np.array([ids.setdefault(w, len(ids)) for w in words],
+                     dtype=np.int64) for words in sequences]
+
+
 def rouge_l(candidate, reference):
     """Longest-common-subsequence (precision, recall, F1), beta = 1."""
     m, n = len(candidate), len(reference)
     if m == 0 or n == 0:
         return 0.0, 0.0, 0.0
-    table = np.zeros((m + 1, n + 1), dtype=np.int64)
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            if candidate[i - 1] == reference[j - 1]:
-                table[i, j] = table[i - 1, j - 1] + 1
-            else:
-                table[i, j] = max(table[i - 1, j], table[i, j - 1])
-    return prf(int(table[m, n]), m, n)
+    cand, ref = _word_ids(candidate, reference)
+    row = np.zeros(n + 1, dtype=np.int64)
+    for word in cand:   # the LCS table, one row per candidate word
+        row[1:] = np.maximum.accumulate(
+            np.maximum(row[1:], row[:-1] + (ref == word)))
+    return prf(int(row[n]), m, n)
 
 
 class EmbeddingTable:
@@ -116,21 +122,22 @@ class EmbeddingTable:
         norms = np.sqrt(np.einsum("ij,ij->i", unit, unit))[:, None]
         self.unit = np.divide(unit, norms, out=unit, where=norms > 0)
 
-    def __contains__(self, word):
-        return word in self.index
-
     def __len__(self):
         return len(self.index)
 
     def cosine(self, us, vs):
-        """(len(us), len(vs)) similarity matrix: 1.0 where the strings are
-        equal, the cosine where both words have vectors, 0.0 otherwise."""
+        """(len(us), len(vs)) similarity matrix: 1.0 where the words are
+        equal, else the cosine where both words have vectors, capped just
+        below 1.0, and 0.0 otherwise."""
         a = self.unit[[self.index.get(u, -1) for u in us]]
         b = self.unit[[self.index.get(v, -1) for v in vs]]
-        sim = a @ b.T
-        sim[np.asarray(us, dtype=str)[:, None]
-            == np.asarray(vs, dtype=str)] = 1.0
+        sim = np.minimum(a @ b.T, np.nextafter(1.0, 0.0))
+        u_ids, v_ids = _word_ids(us, vs)
+        sim[u_ids[:, None] == v_ids] = 1.0
         return sim
+
+
+_NO_VECTORS = EmbeddingTable([], np.zeros((0, 0)))
 
 
 def _parse_values(lines):
@@ -159,11 +166,12 @@ def _raise_first_bad_line(path, linenos, values):
 
 
 def _read_rows(path):
-    """(words, value rows) of the non-blank lines of an embeddings file,
-    every line checked.  Each line is split once into its word and its
-    values, and the values of all lines are parsed in one `np.loadtxt`
-    call; only when that fails are they re-read line by line to name the
-    bad one.  The values die with this call, before the rows are copied."""
+    """(lowercased words, value rows) of the non-blank lines of an
+    embeddings file, every line checked.  Each line is split once into its
+    word and its values, and the values of all lines are parsed in one
+    `np.loadtxt` call; only when that fails are they re-read line by line
+    to name the bad one.  The values die with this call, before the rows
+    are copied."""
     linenos, words, values = [], [], []
     for lineno, line in text_lines(path, MetricsError):
         parts = line.split(None, 1)
@@ -172,7 +180,7 @@ def _read_rows(path):
         if len(parts) == 1:
             raise MetricsError(f"{path}:{lineno}: no vector values")
         linenos.append(lineno)
-        words.append(parts[0])
+        words.append(parts[0].lower())
         values.append(parts[1])
     if not values:   # loadtxt would warn of an empty input
         return [], np.zeros((0, 0))
@@ -189,46 +197,45 @@ def _read_rows(path):
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    """Parse ``word v1 v2 ... vd`` lines; first occurrence wins on
-    duplicates; a word without values, an unparseable value, a dimension
-    mismatch or a non-finite value reports its line number."""
+    """Parse ``word v1 v2 ... vd`` lines; words are lowercased, as eval's
+    are, and the first line of a word wins; a word without values, an
+    unparseable value, a dimension mismatch or a non-finite value reports
+    its line number."""
     return EmbeddingTable(*_read_rows(path))
 
 
-def relation_matches(predicted, target, table=None, sigma=1.0):
+def relation_similarity(predicted, target, table=None):
+    """(len(predicted), len(target)) matrix of the smaller of the head and
+    the dependent similarity of each pair (`EmbeddingTable.cosine`); no
+    table leaves 1.0 for equal relations and 0.0 elsewhere."""
+    table = _NO_VECTORS if table is None else table
+    return np.minimum(
+        table.cosine([p.head for p in predicted], [t.head for t in target]),
+        table.cosine([p.dependent for p in predicted],
+                     [t.dependent for t in target]))
+
+
+def relation_matches(similarity, sigma=1.0):
     """One-to-one matched count at threshold sigma.
 
-    A predicted relation may match a target relation when both the head
-    pair and the dependent pair reach similarity sigma; sigma = 1.0, or no
-    table, is exact string matching.  Pairs are taken greedily by
-    descending min-similarity, ties by first occurrence.  Returns
-    (matched, n_predicted, n_target) so callers can pool counts.
+    A predicted relation i may match a target relation j when
+    ``similarity[i, j]`` (`relation_similarity`) reaches sigma; pairs are
+    taken greedily by descending similarity, ties by first occurrence.
+    Returns (matched, n_predicted, n_target) so callers can pool counts.
     """
     if not 0.0 < sigma <= 1.0:
         raise MetricsError("sigma must lie in (0, 1]")
-    predicted = list(predicted)
-    target = list(target)
-    if not predicted or not target:
-        return 0, len(predicted), len(target)
-    if sigma >= 1.0 or table is None:
-        eligible = [(1.0, i, j) for i, p in enumerate(predicted)
-                    for j, t in enumerate(target) if p == t]
-    else:
-        score = np.minimum(
-            table.cosine([p.head for p in predicted],
-                         [t.head for t in target]),
-            table.cosine([p.dependent for p in predicted],
-                         [t.dependent for t in target]))
-        eligible = [(score[i, j], i, j)
-                    for i, j in zip(*np.nonzero(score >= sigma))]
+    rows, cols = np.nonzero(similarity >= sigma)
+    order = np.lexsort((cols, rows, -similarity[rows, cols]))
     used_p, used_t = set(), set()
-    for _, i, j in sorted(eligible, key=lambda e: (-e[0], e[1], e[2])):
+    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
         if i not in used_p and j not in used_t:
             used_p.add(i)
             used_t.add(j)
-    return len(used_p), len(predicted), len(target)
+    return len(used_p), *similarity.shape
 
 
 def relation_f(predicted, target, table=None, sigma=1.0):
     """Relation-preservation (precision, recall, F1) at threshold sigma."""
-    return prf(*relation_matches(predicted, target, table, sigma))
+    return prf(*relation_matches(
+        relation_similarity(predicted, target, table), sigma))

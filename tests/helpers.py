@@ -11,7 +11,7 @@ import numpy as np
 from treesum import autodiff as ad
 from treesum import transition as tr
 from treesum.corpus import text_lines
-from treesum.metrics import EmbeddingTable, MetricsError
+from treesum.metrics import EmbeddingTable, MetricsError, prf
 from treesum.model import OP_INDEX
 
 
@@ -209,11 +209,27 @@ def pairwise_relation_matches(predicted, target, vectors=None, sigma=1.0):
     return len(used_p), len(predicted), len(target)
 
 
+def reference_rouge_l(candidate, reference):
+    """ROUGE-L (P, R, F) from the whole LCS table, one cell at a time."""
+    m, n = len(candidate), len(reference)
+    if m == 0 or n == 0:
+        return 0.0, 0.0, 0.0
+    table = np.zeros((m + 1, n + 1), dtype=np.int64)
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            if candidate[i - 1] == reference[j - 1]:
+                table[i, j] = table[i - 1, j - 1] + 1
+            else:
+                table[i, j] = max(table[i - 1, j], table[i, j - 1])
+    return prf(int(table[m, n]), m, n)
+
+
 def reference_load_embeddings(path):
     """`metrics.load_embeddings` one line at a time: each line split on
-    whitespace and its values parsed by ``np.array``, i.e. by Python's
-    ``float``, into a matrix sized by a first pass that counts the lines.
-    The reference for the one-call parse on valid files."""
+    whitespace, its word lowercased and its values parsed by ``np.array``,
+    i.e. by Python's ``float``, into a matrix sized by a first pass that
+    counts the lines.  The reference for the one-call parse on valid
+    files."""
     index, rows = {}, np.zeros((0, 0))
     count = sum(1 for _, line in text_lines(path, MetricsError)
                 if line.strip())
@@ -221,7 +237,7 @@ def reference_load_embeddings(path):
         parts = line.split()
         if not parts:
             continue
-        word, values = parts[0], parts[1:]
+        word, values = parts[0].lower(), parts[1:]
         if not values:
             raise MetricsError(f"{path}:{lineno}: no vector values")
         try:

@@ -252,6 +252,8 @@ BAD_EVAL_INPUT = {
         "source-parses", _record(words=["a", "b"], heads=[0, 1.5]), ":2:"),
     "parses_head_above_n": (
         "source-parses", _record(words=["a", "b"], heads=[0, 3]), ":2:"),
+    "parses_empty_word": (
+        "source-parses", _record(words=["", "b"], heads=[0, 1]), ":2:"),
     "reference_non_integer_head": (
         "reference", _record(source="a b", summary="a b", heads=[0, "x"]),
         ":2:"),

@@ -8,7 +8,7 @@ import pytest
 from treesum import metrics
 from treesum.metrics import EmbeddingTable, Relation
 from helpers import (pairwise_cosine, pairwise_relation_matches,
-                     reference_load_embeddings, seeded_rng)
+                     reference_load_embeddings, reference_rouge_l, seeded_rng)
 
 
 class TestRougeN:
@@ -75,6 +75,21 @@ class TestRougeL:
             assert px == pytest.approx(ry)
             assert rx == pytest.approx(py)
 
+    def test_matches_cell_by_cell_reference(self):
+        rng = seeded_rng(88)
+        for _ in range(300):
+            vocab = list("abcdef")[:int(rng.integers(1, 7))]
+            x = [vocab[i] for i in rng.integers(0, len(vocab),
+                                                size=rng.integers(0, 25))]
+            y = [vocab[i] for i in rng.integers(0, len(vocab),
+                                                size=rng.integers(0, 25))]
+            assert metrics.rouge_l(x, y) == reference_rouge_l(x, y)
+
+    def test_trailing_nul_is_part_of_a_word(self):
+        assert metrics.rouge_l(["a\x00"], ["a"]) == (0.0, 0.0, 0.0)
+        assert metrics.rouge_l(["x", "a\x00"], ["x", "a"]) == \
+            (0.5, 0.5, 0.5)
+
     def test_outputs_bounded(self):
         rng = seeded_rng(83)
         vocab = list("abcd")
@@ -90,6 +105,11 @@ def random_relations(rng, k, vocab):
     return [Relation(head=vocab[rng.integers(len(vocab))],
                      dependent=vocab[rng.integers(len(vocab))])
             for _ in range(k)]
+
+
+def matches(predicted, target, table, sigma):
+    return metrics.relation_matches(
+        metrics.relation_similarity(predicted, target, table), sigma)
 
 
 def strict_reference_match(predicted, target):
@@ -178,18 +198,56 @@ class TestRelationF:
             [[pairwise_cosine(u, v, vectors) for v in vocab] for u in vocab],
             rtol=0, atol=1e-12)
         lenient_gain = 0
+        for trial in range(600):
+            pred = random_relations(rng, int(rng.integers(0, 7)), vocab)
+            target = random_relations(rng, int(rng.integers(0, 7)), vocab)
+            if trial % 2:   # repeated relations on both sides
+                pred, target = pred + pred[:2], target + target[:1] + pred[:1]
+            for sigma in (1.0, 0.9, 0.8, 0.7):
+                got = matches(pred, target, table, sigma)
+                assert got == pairwise_relation_matches(
+                    pred, target, vectors, sigma)
+                assert matches(pred, target, None, sigma) \
+                    == pairwise_relation_matches(pred, target, None, sigma)
+            strict = matches(pred, target, table, 1.0)
+            lenient_gain += got[0] - strict[0]      # got is at sigma 0.7
+        assert lenient_gain > 0     # the sweep exercised lenient matches
+
+    def test_distinct_words_sharing_a_vector_stay_strict_at_one(self):
+        # w0 and its copy have one vector, so their cosine rounds to ~1.0
+        rng = seeded_rng(87)
+        vocab = ["w0", "copy", "w1", "w2", "w3"]
+        vectors = {w: rng.normal(size=4) for w in vocab}
+        vectors["copy"] = vectors["w0"]
+        table = EmbeddingTable(list(vectors), list(vectors.values()))
+        assert 0.999 < table.cosine(["w0"], ["copy"])[0, 0] < 1.0
+        pred, target = [Relation("w0", "w1")], [Relation("copy", "w1")]
+        assert matches(pred, target, table, 1.0) == (0, 1, 1)
+        assert matches(pred, target, table, 0.9) == (1, 1, 1)
         for _ in range(300):
             pred = random_relations(rng, int(rng.integers(0, 7)), vocab)
             target = random_relations(rng, int(rng.integers(0, 7)), vocab)
-            for sigma in (1.0, 0.9, 0.8, 0.7):
-                got = metrics.relation_matches(pred, target, table, sigma)
-                assert got == pairwise_relation_matches(
-                    pred, target, vectors, sigma)
-                assert metrics.relation_matches(pred, target, None, sigma) \
-                    == pairwise_relation_matches(pred, target, None, sigma)
-            strict = metrics.relation_matches(pred, target, table, 1.0)
-            lenient_gain += got[0] - strict[0]      # got is at sigma 0.7
-        assert lenient_gain > 0     # the sweep exercised lenient matches
+            assert matches(pred, target, table, 1.0) \
+                == pairwise_relation_matches(pred, target, vectors, 1.0)
+
+    def test_capitalised_vectors_match_lowercased_words(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("Man 1.0 0.0\nperson 0.95 0.31\nescaped 0.0 1.0\n")
+        table = metrics.load_embeddings(path)
+        pred = [Relation("escaped", "person")]
+        target = [Relation("escaped", "man")]
+        assert metrics.relation_f(pred, target, table, 0.9)[2] == 1.0
+        assert metrics.relation_f(pred, target, table, 1.0)[2] == 0.0
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.9])
+    def test_trailing_nul_is_part_of_a_word(self, sigma):
+        table = EmbeddingTable(["a"], [[1.0, 0.0]])
+        pred = [Relation("x", "a\x00")]
+        target = [Relation("x", "a")]
+        assert metrics.relation_f(pred, target, table, sigma) == \
+            (0.0, 0.0, 0.0)
+        assert metrics.relation_f(pred, pred, table, sigma) == \
+            (1.0, 1.0, 1.0)
 
     def test_missing_words_fall_back_to_strict(self):
         table = EmbeddingTable(["man"], [[1.0, 0.0]])
@@ -291,6 +349,14 @@ class TestEmbeddingTable:
         table = metrics.load_embeddings(path)
         np.testing.assert_array_equal(table.unit[table.index["man"]],
                                       [1.0, 0.0])
+
+    def test_words_lowercased_and_first_line_wins(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("Man 1.0 0.0\nman 0.0 1.0\nCAT 0.0 2.0\n")
+        table = metrics.load_embeddings(path)
+        assert table.index == {"man": 0, "cat": 1}
+        np.testing.assert_array_equal(table.unit, [[1.0, 0.0], [0.0, 1.0],
+                                                   [0.0, 0.0]])
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_reports_line(self, tmp_path, value):

@@ -26,10 +26,11 @@ one seed's part at a time:
 - the final weights of a short ``training.train`` per seed on the toy
   corpus, whose dev losses are scripted (``DEV_LOSSES``) so that it
   restores an earlier epoch and stops early;
-- the bytes of the report ``treesum eval`` writes per seed for the
+- the bytes of the reports ``treesum eval`` writes per seed for the
   benchmark's eval inputs: the decodes, references and source parses of
-  ``gen.eval_set``, the vectors of ``gen.embedding_lines`` and the
-  benchmark's sigmas, with the benchmark's own eval command line.
+  ``gen.eval_set`` and the benchmark's sigmas, with the benchmark's own
+  eval command line, once with the vectors of ``gen.embedding_lines`` and
+  once without ``--embeddings``, where only equal words match.
 
 It prints one JSON line: whether every decode, and every forced decode,
 has the same ops, the largest score delta of both, per dtype the largest
@@ -140,11 +141,12 @@ def toy_train(ts, examples, seed):
     return {p.name: p.data for p in model.parameters()}
 
 
-def eval_report(cli, gen, workloads, seed, directory):
+def eval_report(cli, gen, workloads, seed, directory, embeddings):
     """The bytes of the report the benchmark's eval command writes for its
-    inputs at ``seed``, written under ``directory``."""
+    inputs at ``seed``, with or without its embeddings file, written under
+    ``directory``."""
     paths = workloads.cli_paths(gen.write_cli_inputs(
-        seed, directory, 1, 1, workloads.EVAL_RECORDS))
+        seed, directory, 1, 1, workloads.EVAL_RECORDS, embeddings))
     if cli.run(workloads.CliPipeline().argv(paths)[-1]) != 0:
         raise SystemExit(f"treesum eval failed at seed {seed}")
     with open(paths["report"], "rb") as fh:
@@ -156,7 +158,8 @@ def run_side(src, args):
     their loaded weights, toy-trained weights and eval reports of the
     package under ``src``, saved under the directory ``args.out`` one part
     at a time: each seed's decodes, each of its dtypes, each toy training
-    and each eval report, so a side holds one model's arrays at a time."""
+    and each seed's eval reports, so a side holds one model's arrays at a
+    time."""
     sys.path[:0] = [src, PERFBENCH]
     import gen
     import treesum as ts
@@ -213,8 +216,11 @@ def run_side(src, args):
                                  in toy_train(ts, toy, seed).items()})
     directory = os.path.join(os.path.dirname(args.out), "eval")
     for seed in args.seeds:
-        save(f"{seed}-eval", {f"eval_report/{seed}": eval_report(
-            cli, gen, workloads, seed, directory)})
+        save(f"{seed}-eval", {
+            f"eval_report/{seed}/{name}": eval_report(
+                cli, gen, workloads, seed, os.path.join(directory, name),
+                embeddings)
+            for name, embeddings in (("embeddings", True), ("strict", False))})
 
 
 # ---------------------------------------------------------------------------
