@@ -1,15 +1,16 @@
 """Score summaries with ROUGE and relation preservation.
 
 Shows the clipped n-gram and LCS variants on a worked pair, then the
-strict/lenient relation F-scores with a threshold sweep: as the cosine
-threshold drops from 1.0 (exact match) to 0.7, paraphrased relations
-start to count and F rises monotonically.
+arcs of two dependency parses and their strict/lenient relation F-scores
+with a threshold sweep: as the cosine threshold drops from 1.0 (exact
+match) to 0.7, paraphrased relations start to count and F rises
+monotonically.
 """
 
 from treesum.metrics import (
     EmbeddingTable,
+    parse_arcs,
     relation_f,
-    relations_from_heads,
     rouge_l,
     rouge_n,
 )
@@ -25,15 +26,16 @@ def main():
         print(f"{name}: P={p:.3f} R={r:.3f} F={f:.3f}")
     print()
 
-    # relations of a system summary vs the reference parse
-    reference_rels = relations_from_heads(
-        "a man escaped from prison".split(), [2, 3, 0, 5, 3])
-    system_rels = relations_from_heads(
-        "a person escaped from jail".split(), [2, 3, 0, 5, 3])
-    print("reference relations:",
-          [f"{r.dependent}<-{r.head}" for r in reference_rels])
-    print("system relations:   ",
-          [f"{r.dependent}<-{r.head}" for r in system_rels])
+    # a parse is (words, heads): heads[i] is the 1-based position of the
+    # head of words[i], 0 for the root; parse_arcs checks it and returns
+    # its word-to-word arcs as 0-based (head, dependent) position arrays
+    reference = ("a man escaped from prison".split(), [2, 3, 0, 5, 3])
+    system = ("a person escaped from jail".split(), [2, 3, 0, 5, 3])
+    for name, (words, heads) in [("reference", reference),
+                                 ("system", system)]:
+        arc_heads, arc_deps = parse_arcs(words, heads)
+        print(f"{name + ' relations:':20}",
+              [f"{words[d]}<-{words[h]}" for h, d in zip(arc_heads, arc_deps)])
 
     # embeddings place paraphrases close together
     table = EmbeddingTable(
@@ -48,14 +50,14 @@ def main():
         ])
 
     print("\nstrict (sigma = 1.0):")
-    p, r, f = relation_f(system_rels, reference_rels, table, sigma=1.0)
+    p, r, f = relation_f(system, reference, table, sigma=1.0)
     print(f"  P={p:.3f} R={r:.3f} F={f:.3f}"
           "   only exact word pairs count")
 
     print("\nthreshold sweep (lenient matching):")
     print("  sigma\tP\tR\tF")
     for sigma in (1.0, 0.9, 0.8, 0.7):
-        p, r, f = relation_f(system_rels, reference_rels, table, sigma)
+        p, r, f = relation_f(system, reference, table, sigma)
         print(f"  {sigma}\t{p:.3f}\t{r:.3f}\t{f:.3f}")
 
 

@@ -32,7 +32,7 @@ from .corpus import Example, Vocabulary, build_vocab, load_corpus
 from .model import Model, ModelConfig
 from .training import TrainConfig, train
 from .decoding import BeamConfig, beam_search, decode_output, greedy_decode
-from .metrics import Relation, relation_f, rouge_l, rouge_n
+from .metrics import relation_f, rouge_l, rouge_n
 
 __version__ = "0.1.0"
 
@@ -45,6 +45,6 @@ __all__ = [
     "Model", "ModelConfig",
     "TrainConfig", "train",
     "BeamConfig", "beam_search", "decode_output", "greedy_decode",
-    "Relation", "relation_f", "rouge_l", "rouge_n",
+    "relation_f", "rouge_l", "rouge_n",
     "__version__",
 ]

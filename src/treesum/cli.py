@@ -321,14 +321,14 @@ def cmd_decode(args):
 # eval
 # ---------------------------------------------------------------------------
 
-def _parse_heads(where, heads, n):
-    """Integer heads of an n-word parse, each in 0..n (0 is the root)."""
-    heads = cp.parse_heads(where, heads, CliError)
-    if len(heads) != n:
-        raise CliError(f"{where}: {len(heads)} heads for {n} words")
-    if not all(0 <= h <= n for h in heads):
-        raise CliError(f"{where}: heads must lie in 0..{n}")
-    return heads
+def _checked_parse(where, words, heads):
+    """The ``(words, heads)`` parse once `metrics.parse_arcs` accepts it;
+    its error names ``where``."""
+    try:
+        metrics.parse_arcs(words, heads)
+    except metrics.MetricsError as e:
+        raise CliError(f"{where}: {e}") from e
+    return words, heads
 
 
 def _load_decodes(path):
@@ -337,12 +337,12 @@ def _load_decodes(path):
         for field in ("summary", "heads"):
             if field not in record:
                 raise CliError(f"{path}:{lineno}: missing {field!r}")
-        if not isinstance(record["summary"], str):
-            raise CliError(f"{path}:{lineno}: 'summary' must be a string")
-        summary = cp.tokenize(record["summary"])   # as references are
-        heads = _parse_heads(f"{path}:{lineno}",
-                             str(record["heads"]).split(), len(summary))
-        records.append((summary, heads))
+            if not isinstance(record[field], str):
+                raise CliError(f"{path}:{lineno}: {field!r} must be a string")
+        where = f"{path}:{lineno}"
+        records.append(_checked_parse(
+            where, cp.tokenize(record["summary"]),   # as references are
+            cp.parse_heads(where, record["heads"].split(), CliError)))
     return records
 
 
@@ -351,15 +351,15 @@ def _load_parses(path):
     for lineno, record in cp.json_records(path, CliError):
         if "words" not in record or "heads" not in record:
             raise CliError(f"{path}:{lineno}: need 'words' and 'heads'")
-        words = record["words"]
-        if not (isinstance(words, list) and isinstance(record["heads"], list)
+        words, heads = record["words"], record["heads"]
+        if not (isinstance(words, list) and isinstance(heads, list)
                 and all(isinstance(w, str) for w in words)):
             raise CliError(f"{path}:{lineno}: 'words' must be a list of "
                            f"strings and 'heads' a list")
-        if not all(words):
-            raise CliError(f"{path}:{lineno}: words must be non-empty")
-        heads = _parse_heads(f"{path}:{lineno}", record["heads"], len(words))
-        parses.append(([w.lower() for w in words], heads))
+        where = f"{path}:{lineno}"
+        parses.append(_checked_parse(
+            where, [w.lower() for w in words],
+            cp.parse_heads(where, heads, CliError)))
     return parses
 
 
@@ -390,19 +390,20 @@ _ROUGE_FIELDS = 9   # ROUGE-1, -2 and -L, each (P, R, F)
 
 
 def _score_record(item):
-    """One flat row for a ``(system, reference words, *target relations)``
-    item: ROUGE-1, -2 and -L as (P, R, F), then for each relation target
-    (reference, then source) and each sigma the raw (matched, predicted,
-    target) counts, so both macro and pooled sweeps reduce from the rows."""
-    (summary, heads), reference, *targets = item
+    """One flat row for a ``(system parse, reference parse[, source
+    parse])`` item: ROUGE-1, -2 and -L of the system words against the
+    reference words as (P, R, F), then for each relation target (reference,
+    then source) and each sigma the raw (matched, predicted, target)
+    counts, so both macro and pooled sweeps reduce from the rows."""
+    system, *targets = item
+    summary, reference = system[0], targets[0][0]
     sigmas = _WORKER_STATE["sigmas"]
     table = _WORKER_STATE["table"]
     row = [*metrics.rouge_n(summary, reference, 1),
            *metrics.rouge_n(summary, reference, 2),
            *metrics.rouge_l(summary, reference)]
-    predicted = metrics.relations_from_heads(summary, heads)
-    for relations in targets:
-        similarity = metrics.relation_similarity(predicted, relations, table)
+    for target in targets:
+        similarity = metrics.relation_similarity(system, target, table)
         for sigma in sigmas:
             row.extend(metrics.relation_matches(similarity, sigma))
     return row
@@ -449,13 +450,10 @@ def cmd_eval(args):
 
     items = []
     for i, (system, ref_ex) in enumerate(zip(decodes, references)):
-        try:
-            item = (system, ref_ex.summary,
-                    metrics.relations_from_heads(ref_ex.summary, ref_ex.heads))
-        except metrics.MetricsError as e:
-            raise CliError(f"{args.reference}: record {i + 1}: {e}")
+        item = (system, _checked_parse(f"{args.reference}: record {i + 1}",
+                                       ref_ex.summary, ref_ex.heads))
         if source_parses is not None:
-            item += (metrics.relations_from_heads(*source_parses[i]),)
+            item += (source_parses[i],)
         items.append(item)
     rows = _map_records(config["workers"], _eval_worker_init,
                         (sigmas, table), _score_record, items, chunksize=16)

@@ -2,9 +2,9 @@
 
 ROUGE-1/2 use clipped n-gram counts, ROUGE-L uses the longest common
 subsequence; both report (precision, recall, F1).  Relation preservation
-compares directed (head, dependent) word pairs between a system tree and
-source/reference relations: a pair scores the smaller of its head and
-dependent word similarity, 1.0 for equal words and an embedding cosine
+compares the directed (head, dependent) word pairs of two parses, each
+``(words, heads)`` (`parse_arcs`): a pair scores the smaller of its head
+and dependent word similarity, 1.0 for equal words and an embedding cosine
 below 1.0 for distinct ones, so the threshold 1.0 is string equality.
 Matching is one-to-one, greedy by descending pair similarity.
 """
@@ -12,7 +12,6 @@ Matching is one-to-one, greedy by descending pair similarity.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,32 +22,27 @@ class MetricsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Relation:
-    """A directed dependency: direction is part of identity."""
-
-    head: str
-    dependent: str
-
-    def __post_init__(self):
-        if not self.head or not self.dependent:
-            raise MetricsError("relation words must be non-empty")
-
-
-def relations_from_heads(words, heads):
-    """Word-to-word relations of a parse; arcs from R are skipped because
-    R is not a word."""
-    if len(heads) != len(words):
-        raise MetricsError(f"{len(heads)} heads for {len(words)} words")
-    out = []
-    for dep_pos, head_pos in enumerate(heads, start=1):
-        if not 0 <= head_pos <= len(words):
-            raise MetricsError(
-                f"head {head_pos} of word {dep_pos} outside 0..{len(words)}")
-        if head_pos != 0:
-            out.append(Relation(head=words[head_pos - 1],
-                                dependent=words[dep_pos - 1]))
-    return out
+def parse_arcs(words, heads):
+    """The word-to-word arcs of a parse, after checking it: one integer
+    head per word, each in 0..n (``heads[i]`` is the 1-based position of
+    the head of ``words[i]``, 0 for R) and no empty word.  Returns the arcs
+    as two 0-based int arrays, head positions and dependent positions, in
+    dependent order; arcs from R are skipped because R is not a word."""
+    n = len(words)
+    if len(heads) != n:
+        raise MetricsError(f"{len(heads)} heads for {n} words")
+    heads = np.asarray(heads)
+    if n and heads.dtype.kind not in "iu":
+        raise MetricsError("heads must be integers")
+    outside = (heads < 0) | (heads > n)
+    if outside.any():
+        dep = int(np.argmax(outside))
+        raise MetricsError(
+            f"head {heads[dep]} of word {dep + 1} outside 0..{n}")
+    if not all(words):
+        raise MetricsError("words must be non-empty")
+    deps = np.flatnonzero(heads)
+    return heads[deps].astype(np.int64) - 1, deps
 
 
 def prf(overlap, n_candidate, n_reference):
@@ -205,14 +199,16 @@ def load_embeddings(path) -> EmbeddingTable:
 
 
 def relation_similarity(predicted, target, table=None):
-    """(len(predicted), len(target)) matrix of the smaller of the head and
-    the dependent similarity of each pair (`EmbeddingTable.cosine`); no
-    table leaves 1.0 for equal relations and 0.0 elsewhere."""
+    """(predicted arcs, target arcs) matrix of two parses (`parse_arcs`):
+    the smaller of the head and the dependent similarity of each pair, read
+    from one `EmbeddingTable.cosine` matrix of their words; no table leaves
+    1.0 for equal relations and 0.0 elsewhere."""
     table = _NO_VECTORS if table is None else table
-    return np.minimum(
-        table.cosine([p.head for p in predicted], [t.head for t in target]),
-        table.cosine([p.dependent for p in predicted],
-                     [t.dependent for t in target]))
+    p_heads, p_deps = parse_arcs(*predicted)
+    t_heads, t_deps = parse_arcs(*target)
+    sim = table.cosine(predicted[0], target[0])
+    return np.minimum(sim[np.ix_(p_heads, t_heads)],
+                      sim[np.ix_(p_deps, t_deps)])
 
 
 def relation_matches(similarity, sigma=1.0):
@@ -236,6 +232,7 @@ def relation_matches(similarity, sigma=1.0):
 
 
 def relation_f(predicted, target, table=None, sigma=1.0):
-    """Relation-preservation (precision, recall, F1) at threshold sigma."""
+    """Relation-preservation (precision, recall, F1) of a predicted parse
+    against a target parse at threshold sigma."""
     return prf(*relation_matches(
         relation_similarity(predicted, target, table), sigma))

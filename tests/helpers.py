@@ -185,19 +185,29 @@ def pairwise_cosine(u, v, vectors):
     return float(np.dot(a, b) / (na * nb))
 
 
+def parse_relations(words, heads):
+    """The (head word, dependent word) pairs of a parse, in dependent
+    order, one word at a time; arcs from R (head 0) are not relations."""
+    return [(words[head - 1], word)
+            for word, head in zip(words, heads) if head != 0]
+
+
 def pairwise_relation_matches(predicted, target, vectors=None, sigma=1.0):
-    """Brute-force relation matcher over a word -> vector dict: every
-    (predicted, target) pair is scored on its own, then matched greedily
-    one-to-one by descending min-similarity, ties by first occurrence."""
+    """Brute-force relation matcher over two ``(words, heads)`` parses and
+    a word -> vector dict: each parse's word pairs come from
+    `parse_relations`, every (predicted, target) pair is scored on its own,
+    then matched greedily one-to-one by descending min-similarity, ties by
+    first occurrence."""
+    predicted, target = parse_relations(*predicted), parse_relations(*target)
     eligible = []
-    for i, p in enumerate(predicted):
-        for j, t in enumerate(target):
+    for i, (p_head, p_dep) in enumerate(predicted):
+        for j, (t_head, t_dep) in enumerate(target):
             if sigma >= 1.0:
-                if p.head == t.head and p.dependent == t.dependent:
+                if p_head == t_head and p_dep == t_dep:
                     eligible.append((1.0, i, j))
                 continue
-            hs = pairwise_cosine(p.head, t.head, vectors)
-            ds = pairwise_cosine(p.dependent, t.dependent, vectors)
+            hs = pairwise_cosine(p_head, t_head, vectors)
+            ds = pairwise_cosine(p_dep, t_dep, vectors)
             if hs >= sigma and ds >= sigma:
                 eligible.append((min(hs, ds), i, j))
     eligible.sort(key=lambda e: (-e[0], e[1], e[2]))

@@ -32,7 +32,7 @@ from helpers import (
     toy_corpus,
 )
 from test_batching import leaf_embeddings, sequential_reps, table_reps
-from test_metrics import random_relations, strict_reference_match
+from test_metrics import random_parse, strict_reference_match
 from test_model import tiny_model
 
 
@@ -332,15 +332,15 @@ def test_criterion_09_metric_fidelity():
     vocab = ["w%d" % i for i in range(6)]
     table = metrics.EmbeddingTable(vocab, rng.normal(size=(len(vocab), 4)))
     for _ in range(1000):
-        pred = random_relations(rng, int(rng.integers(0, 6)), vocab)
-        target = random_relations(rng, int(rng.integers(0, 6)), vocab)
+        pred = random_parse(rng, 0, 6, vocab)
+        target = random_parse(rng, 0, 6, vocab)
         assert metrics.relation_f(pred, target, table, sigma=1.0) == \
             pytest.approx(strict_reference_match(pred, target))
 
     sigmas = (1.0, 0.9, 0.8, 0.7)
     for _ in range(200):
-        pred = random_relations(rng, int(rng.integers(1, 7)), vocab)
-        target = random_relations(rng, int(rng.integers(1, 7)), vocab)
+        pred = random_parse(rng, 1, 7, vocab)
+        target = random_parse(rng, 1, 7, vocab)
         fs = [metrics.relation_f(pred, target, table, s)[2] for s in sigmas]
         assert all(earlier <= later + 1e-12
                    for earlier, later in zip(fs, fs[1:]))

@@ -237,6 +237,7 @@ def _record(**fields):
 
 
 # flag -> its second line, and where the error must point in that file
+# (with its message, where that is the point)
 BAD_EVAL_INPUT = {
     "decoded_not_json": ("decoded", '{"summary": "a b",', ":2:"),
     "decoded_non_integer_head": (
@@ -245,6 +246,9 @@ BAD_EVAL_INPUT = {
         "decoded", _record(summary="a b", heads="0 3"), ":2:"),
     "decoded_negative_head": (
         "decoded", _record(summary="a b", heads="0 -1"), ":2:"),
+    "decoded_heads_not_a_string": (
+        "decoded", _record(summary="a b", heads=[0, 1]),
+        ":2: 'heads' must be a string"),
     "parses_not_json": ("source-parses", "[0,", ":2:"),
     "parses_length_mismatch": (
         "source-parses", _record(words=["a", "b"], heads=[0]), ":2:"),
@@ -266,6 +270,11 @@ BAD_EVAL_INPUT = {
         "reference", _record(source=3, summary="a b", heads=[0, 1]), ":2:"),
     "reference_head_above_n": (
         "reference", _record(source="a b", summary="a b", heads=[0, 3]),
+        ": record 2:"),
+    # a reference's record number counts only the non-blank lines
+    "reference_head_above_n_after_blank_line": (
+        "reference",
+        "\n" + _record(source="a b", summary="a b", heads=[0, 3]),
         ": record 2:"),
     "embeddings_non_finite": ("embeddings", "met nan 1.0", ":2:"),
 }

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from treesum import metrics
-from treesum.metrics import EmbeddingTable, Relation
+from treesum.metrics import EmbeddingTable
 from helpers import (pairwise_cosine, pairwise_relation_matches,
-                     reference_load_embeddings, reference_rouge_l, seeded_rng)
+                     parse_relations, reference_load_embeddings,
+                     reference_rouge_l, seeded_rng)
 
 
 class TestRougeN:
@@ -101,10 +102,38 @@ class TestRougeL:
             assert max(p, r) <= 1.0
 
 
+def parse_of(relations):
+    """A parse that gives exactly ``relations``, (head, dependent) word
+    pairs, in order: each is a head word at R with its dependent under
+    it."""
+    words, heads = [], []
+    for head, dependent in relations:
+        words += [head, dependent]
+        heads += [0, len(words) - 1]
+    return words, heads
+
+
 def random_relations(rng, k, vocab):
-    return [Relation(head=vocab[rng.integers(len(vocab))],
-                     dependent=vocab[rng.integers(len(vocab))])
-            for _ in range(k)]
+    """``k`` random (head, dependent) word pairs over ``vocab``."""
+    return [(vocab[rng.integers(len(vocab))],
+             vocab[rng.integers(len(vocab))]) for _ in range(k)]
+
+
+def random_parse(rng, low, high, vocab):
+    """A parse (`parse_of`) of ``low`` to ``high - 1`` random relations."""
+    return parse_of(random_relations(rng, int(rng.integers(low, high)),
+                                     vocab))
+
+
+def random_free_parse(rng, vocab, n_max):
+    """A parse of up to ``n_max`` words of ``vocab``, not always a tree:
+    about half send every word to R, the rest draw each head anywhere in
+    0..n, so repeated words may hang under different heads."""
+    n = int(rng.integers(0, n_max + 1))
+    words = [vocab[i] for i in rng.integers(len(vocab), size=n)]
+    if rng.integers(2):
+        return words, [0] * n
+    return words, [int(h) for h in rng.integers(0, n + 1, size=n)]
 
 
 def matches(predicted, target, table, sigma):
@@ -113,14 +142,16 @@ def matches(predicted, target, table, sigma):
 
 
 def strict_reference_match(predicted, target):
-    """Independent strict matcher: greedy one-to-one on string equality."""
+    """Independent strict matcher over two parses' word pairs
+    (`parse_relations`): greedy one-to-one on string equality."""
+    predicted, target = parse_relations(*predicted), parse_relations(*target)
     used = set()
     matched = 0
     for p in predicted:
         for j, t in enumerate(target):
             if j in used:
                 continue
-            if p.head == t.head and p.dependent == t.dependent:
+            if p == t:
                 used.add(j)
                 matched += 1
                 break
@@ -133,19 +164,19 @@ def strict_reference_match(predicted, target):
 
 class TestRelationF:
     def test_identical_sets_strict(self):
-        rels = [Relation("escaped", "man"), Relation("escaped", "prison")]
-        assert metrics.relation_f(rels, list(rels), sigma=1.0) == \
-            (1.0, 1.0, 1.0)
+        rels = [("escaped", "man"), ("escaped", "prison")]
+        assert metrics.relation_f(parse_of(rels), parse_of(rels),
+                                  sigma=1.0) == (1.0, 1.0, 1.0)
 
     def test_strict_rejects_paraphrase(self):
-        pred = [Relation("escaped", "person")]
-        target = [Relation("escaped", "man")]
+        pred = parse_of([("escaped", "person")])
+        target = parse_of([("escaped", "man")])
         _, _, f = metrics.relation_f(pred, target, sigma=1.0)
         assert f == 0.0
 
     def test_direction_is_part_of_identity(self):
-        pred = [Relation("man", "escaped")]
-        target = [Relation("escaped", "man")]
+        pred = parse_of([("man", "escaped")])
+        target = parse_of([("escaped", "man")])
         _, _, f = metrics.relation_f(pred, target, sigma=1.0)
         assert f == 0.0
 
@@ -154,8 +185,8 @@ class TestRelationF:
         vocab = ["w%d" % i for i in range(6)]
         table = EmbeddingTable(vocab, rng.normal(size=(len(vocab), 4)))
         for _ in range(1000):
-            pred = random_relations(rng, int(rng.integers(0, 6)), vocab)
-            target = random_relations(rng, int(rng.integers(0, 6)), vocab)
+            pred = random_parse(rng, 0, 6, vocab)
+            target = random_parse(rng, 0, 6, vocab)
             with_table = metrics.relation_f(pred, target, table, sigma=1.0)
             reference = strict_reference_match(pred, target)
             assert with_table == pytest.approx(reference)
@@ -166,8 +197,8 @@ class TestRelationF:
             [0.95, 0.31224989991992],  # cos(man, person) ~ 0.95
             [0.0, 1.0],
         ])
-        pred = [Relation("escaped", "person")]
-        target = [Relation("escaped", "man")]
+        pred = parse_of([("escaped", "person")])
+        target = parse_of([("escaped", "man")])
         _, _, strict_f = metrics.relation_f(pred, target, table, sigma=1.0)
         _, _, lenient_f = metrics.relation_f(pred, target, table, sigma=0.9)
         assert strict_f == 0.0
@@ -179,8 +210,8 @@ class TestRelationF:
         table = EmbeddingTable(vocab, rng.normal(size=(len(vocab), 5)))
         sigmas = (1.0, 0.9, 0.8, 0.7)
         for _ in range(200):
-            pred = random_relations(rng, int(rng.integers(1, 7)), vocab)
-            target = random_relations(rng, int(rng.integers(1, 7)), vocab)
+            pred = random_parse(rng, 1, 7, vocab)
+            target = random_parse(rng, 1, 7, vocab)
             fs = [metrics.relation_f(pred, target, table, s)[2]
                   for s in sigmas]
             assert all(a <= b + 1e-12 for a, b in zip(fs, fs[1:]))
@@ -203,6 +234,7 @@ class TestRelationF:
             target = random_relations(rng, int(rng.integers(0, 7)), vocab)
             if trial % 2:   # repeated relations on both sides
                 pred, target = pred + pred[:2], target + target[:1] + pred[:1]
+            pred, target = parse_of(pred), parse_of(target)
             for sigma in (1.0, 0.9, 0.8, 0.7):
                 got = matches(pred, target, table, sigma)
                 assert got == pairwise_relation_matches(
@@ -213,6 +245,48 @@ class TestRelationF:
             lenient_gain += got[0] - strict[0]      # got is at sigma 0.7
         assert lenient_gain > 0     # the sweep exercised lenient matches
 
+    def test_random_parses_match_pairwise_reference(self):
+        # w5 has a zero vector and w6, w7 none; four of eight words repeat
+        rng = seeded_rng(89)
+        vocab = ["w%d" % i for i in range(8)]
+        centers = rng.normal(size=(2, 3))
+        vectors = {w: centers[i % 2] + 0.4 * rng.normal(size=3)
+                   for i, w in enumerate(vocab[:5])}
+        vectors["w5"] = np.zeros(3)
+        table = EmbeddingTable(list(vectors), list(vectors.values()))
+        seen = {"root_only": 0, "repeat_heads": 0, "lenient_gain": 0}
+        for _ in range(400):
+            pred = random_free_parse(rng, vocab, 8)
+            target = random_free_parse(rng, vocab, 8)
+            for words, heads in (pred, target):
+                seen["root_only"] += bool(words) and not any(heads)
+                arcs = parse_relations(words, heads)
+                seen["repeat_heads"] += any(
+                    d1 == d2 and h1 != h2
+                    for k, (h1, d1) in enumerate(arcs)
+                    for h2, d2 in arcs[k + 1:])
+            for sigma in (1.0, 0.9, 0.8, 0.7):
+                got = matches(pred, target, table, sigma)
+                assert got == pairwise_relation_matches(
+                    pred, target, vectors, sigma)
+                assert matches(pred, target, None, sigma) \
+                    == pairwise_relation_matches(pred, target, None, sigma)
+            seen["lenient_gain"] += got[0] \
+                - matches(pred, target, table, 1.0)[0]
+        assert min(seen.values()) > 0, seen
+
+    def test_one_cosine_matrix_per_pair_of_parses(self, monkeypatch):
+        table = EmbeddingTable(["a", "b"], [[1.0, 0.0], [0.6, 0.8]])
+        calls = []
+        cosine = EmbeddingTable.cosine
+        monkeypatch.setattr(EmbeddingTable, "cosine", lambda self, us, vs:
+                            calls.append((us, vs)) or cosine(self, us, vs))
+        pred = (["a", "b", "c"], [0, 1, 1])
+        target = (["b", "a"], [0, 1])
+        similarity = metrics.relation_similarity(pred, target, table)
+        assert calls == [(pred[0], target[0])]
+        np.testing.assert_allclose(similarity, [[0.6], [0.0]])
+
     def test_distinct_words_sharing_a_vector_stay_strict_at_one(self):
         # w0 and its copy have one vector, so their cosine rounds to ~1.0
         rng = seeded_rng(87)
@@ -221,12 +295,12 @@ class TestRelationF:
         vectors["copy"] = vectors["w0"]
         table = EmbeddingTable(list(vectors), list(vectors.values()))
         assert 0.999 < table.cosine(["w0"], ["copy"])[0, 0] < 1.0
-        pred, target = [Relation("w0", "w1")], [Relation("copy", "w1")]
+        pred, target = parse_of([("w0", "w1")]), parse_of([("copy", "w1")])
         assert matches(pred, target, table, 1.0) == (0, 1, 1)
         assert matches(pred, target, table, 0.9) == (1, 1, 1)
         for _ in range(300):
-            pred = random_relations(rng, int(rng.integers(0, 7)), vocab)
-            target = random_relations(rng, int(rng.integers(0, 7)), vocab)
+            pred = random_parse(rng, 0, 7, vocab)
+            target = random_parse(rng, 0, 7, vocab)
             assert matches(pred, target, table, 1.0) \
                 == pairwise_relation_matches(pred, target, vectors, 1.0)
 
@@ -234,16 +308,16 @@ class TestRelationF:
         path = tmp_path / "vectors.txt"
         path.write_text("Man 1.0 0.0\nperson 0.95 0.31\nescaped 0.0 1.0\n")
         table = metrics.load_embeddings(path)
-        pred = [Relation("escaped", "person")]
-        target = [Relation("escaped", "man")]
+        pred = parse_of([("escaped", "person")])
+        target = parse_of([("escaped", "man")])
         assert metrics.relation_f(pred, target, table, 0.9)[2] == 1.0
         assert metrics.relation_f(pred, target, table, 1.0)[2] == 0.0
 
     @pytest.mark.parametrize("sigma", [1.0, 0.9])
     def test_trailing_nul_is_part_of_a_word(self, sigma):
         table = EmbeddingTable(["a"], [[1.0, 0.0]])
-        pred = [Relation("x", "a\x00")]
-        target = [Relation("x", "a")]
+        pred = parse_of([("x", "a\x00")])
+        target = parse_of([("x", "a")])
         assert metrics.relation_f(pred, target, table, sigma) == \
             (0.0, 0.0, 0.0)
         assert metrics.relation_f(pred, pred, table, sigma) == \
@@ -251,39 +325,61 @@ class TestRelationF:
 
     def test_missing_words_fall_back_to_strict(self):
         table = EmbeddingTable(["man"], [[1.0, 0.0]])
-        pred = [Relation("escaped", "man")]
-        target = [Relation("escaped", "man")]
+        pred = parse_of([("escaped", "man")])
+        target = parse_of([("escaped", "man")])
         _, _, f = metrics.relation_f(pred, target, table, sigma=0.8)
         assert f == 1.0  # equal strings match despite missing vectors
 
     def test_empty_sets_score_zero(self):
-        rels = [Relation("a", "b")]
-        assert metrics.relation_f([], rels, sigma=1.0)[2] == 0.0
-        assert metrics.relation_f(rels, [], sigma=1.0)[2] == 0.0
+        rels = parse_of([("a", "b")])
+        assert metrics.relation_f(([], []), rels, sigma=1.0)[2] == 0.0
+        assert metrics.relation_f(rels, ([], []), sigma=1.0)[2] == 0.0
 
     def test_one_to_one_matching(self):
         # two identical predictions cannot both match one target
-        pred = [Relation("a", "b"), Relation("a", "b")]
-        target = [Relation("a", "b")]
+        pred = parse_of([("a", "b"), ("a", "b")])
+        target = parse_of([("a", "b")])
         p, r, f = metrics.relation_f(pred, target, sigma=1.0)
         assert p == 0.5 and r == 1.0
 
     def test_invalid_sigma_rejected(self):
         with pytest.raises(metrics.MetricsError):
-            metrics.relation_f([], [], sigma=0.0)
+            metrics.relation_f(([], []), ([], []), sigma=0.0)
         with pytest.raises(metrics.MetricsError):
-            metrics.relation_f([], [], sigma=1.5)
+            metrics.relation_f(([], []), ([], []), sigma=1.5)
 
 
-class TestRelationsFromHeads:
+class TestParseArcs:
     def test_walkthrough_tree(self):
         words = ["a", "man", "escaped", "from", "prison"]
         heads = [2, 3, 0, 5, 3]
-        rels = metrics.relations_from_heads(words, heads)
-        assert Relation("escaped", "man") in rels
-        assert Relation("escaped", "prison") in rels
-        assert Relation("prison", "from") in rels
+        arc_heads, arc_deps = metrics.parse_arcs(words, heads)
+        rels = [(words[h], words[d]) for h, d in zip(arc_heads, arc_deps)]
+        assert ("escaped", "man") in rels
+        assert ("escaped", "prison") in rels
+        assert ("prison", "from") in rels
         assert len(rels) == 4  # root arc excluded
+        assert rels == parse_relations(words, heads)    # dependent order
+
+    @pytest.mark.parametrize("words, heads, message", [
+        (["a", "b"], [0], "1 heads for 2 words"),
+        (["a", "b"], [0, 1, 1], "3 heads for 2 words"),
+        (["a", "b"], [0, 3], "head 3 of word 2 outside 0..2"),
+        (["a", "b"], [-1, 0], "head -1 of word 1 outside 0..2"),
+        (["a", ""], [0, 1], "words must be non-empty"),
+        (["a", "b"], [0, 1.0], "heads must be integers"),
+    ])
+    def test_bad_parse_rejected(self, words, heads, message):
+        with pytest.raises(metrics.MetricsError, match=message):
+            metrics.parse_arcs(words, heads)
+        with pytest.raises(metrics.MetricsError, match=message):
+            metrics.relation_f((words, heads), (["a"], [0]))
+
+    def test_root_only_and_empty_parses_have_no_arcs(self):
+        for words, heads in ((["a", "b"], [0, 0]), ([], [])):
+            arc_heads, arc_deps = metrics.parse_arcs(words, heads)
+            assert arc_heads.dtype == arc_deps.dtype == np.int64
+            assert len(arc_heads) == len(arc_deps) == 0
 
 
 class TestEmbeddingTable:

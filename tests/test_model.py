@@ -506,6 +506,39 @@ class TestJointDistribution:
             op_probs[OP_INDEX[tr.REDUCE_R]] + word_probs.sum()
         assert abs(mass - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("dtype, bound", [
+        (np.float64, 1e-12),
+        # a characterisation of the BLAS build, not a requirement: a
+        # one-row product rounds differently from the same row in a larger
+        # one, and OpenBLAS 0.3.31 (Haswell kernels) gives 1.84e-9 here
+        (np.float32, 2e-9),
+    ])
+    def test_stacked_rows_match_the_state_alone(self, dtype, bound):
+        words = tuple("w%d" % i for i in range(40))
+        m = tiny_model(hidden=64, embed=64, src_words=words, out_words=words,
+                       seed=5, dtype=dtype)
+        src = m.prepare_source(list(words[:12]))
+        rng = seeded_rng(12)
+        states = []
+        for k in range(10):
+            state = m.initial_state()
+            for _ in range(k % 4 + 1):
+                state = m.step(state, tr.gen(words[rng.integers(40)]))
+            if k % 3 == 1 and k % 4:
+                state = m.step(state, tr.RL)
+            states.append(state)
+        (op_alone,), (word_alone,) = m.joint_step_distribution(
+            states[:1], src, 20)
+        worst = 0.0
+        for others in (1, 2, 3, 9):
+            for at in (0, others):
+                stack = states[1:others + 1]
+                stack.insert(at, states[0])
+                op_rows, word_rows = m.joint_step_distribution(stack, src, 20)
+                worst = max(worst, np.abs(op_rows[at] - op_alone).max(),
+                            np.abs(word_rows[at] - word_alone).max())
+        assert worst <= bound
+
     def test_unmasked_gen_mass_identity(self):
         # sum over words of P(GEN(w)) equals P(op = GEN) by factorization
         m = tiny_model(seed=9)
